@@ -157,7 +157,7 @@ func BenchmarkT4AccuracyFirstPartitions(b *testing.B) {
 					continue
 				}
 				n++
-				naive += float64(len(a.DataRaces))
+				naive += float64(len(a.Races))
 				for _, pi := range a.FirstPartitions {
 					first += float64(len(a.Partitions[pi].Races))
 				}

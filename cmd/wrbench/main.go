@@ -672,7 +672,7 @@ func allScenarios(workers int) []scenario {
 				if err != nil {
 					return nil, err
 				}
-				races += float64(len(a.DataRaces))
+				races += float64(len(a.Races))
 			}
 			return map[string]float64{"data_races_per_iter": races / float64(iters)}, nil
 		}},

@@ -41,7 +41,7 @@ func main() {
 				log.Fatal(err)
 			}
 			pm := map[weakrace.LowerLevelRace]bool{}
-			for _, ri := range a.DataRaces {
+			for ri := range a.Races {
 				for _, ll := range a.LowerLevel(a.Races[ri]) {
 					pm[ll.Canonical()] = true
 				}

@@ -315,8 +315,8 @@ func RunWithOptions(cfg Config, opts Options) (*Report, error) {
 					rec.Failed, rec.Error = true, err.Error()
 				} else {
 					rec.Events = a.NumEvents
-					rec.Races = len(a.Races)
-					rec.DataRaces = len(a.DataRaces)
+					rec.Races = len(a.Races) + a.SyncRaces
+					rec.DataRaces = len(a.Races)
 					rec.Partitions = len(a.Partitions)
 					rec.FirstPartitions = len(a.FirstPartitions)
 					rec.Racy = !a.RaceFree()
@@ -356,7 +356,7 @@ func RunWithOptions(cfg Config, opts Options) (*Report, error) {
 			}
 			emitSeed(a, res.incomplete, nil)
 			res.racy = !a.RaceFree()
-			for _, ri := range a.DataRaces {
+			for ri := range a.Races {
 				pi := a.RaceOfPartition(ri)
 				isFirst := pi >= 0 && a.Partitions[pi].First
 				for _, ll := range a.LowerLevel(a.Races[ri]) {

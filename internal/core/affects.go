@@ -29,7 +29,7 @@ func (a *Analysis) Affects(ri, rj int) bool {
 	}
 	for _, u := range from {
 		for _, v := range to {
-			if a.augReaches(int(u), int(v)) {
+			if a.augCond.Reaches(int(u), int(v)) {
 				return true
 			}
 		}
@@ -45,7 +45,7 @@ func (a *Analysis) AffectedBy(ri int) []int {
 	scc := a.AugSCC
 	comp := scc.Comp[int(a.Races[ri].A)]
 	var out []int
-	for _, rj := range a.DataRaces {
+	for rj := range a.Races {
 		if rj == ri {
 			continue
 		}
@@ -68,11 +68,8 @@ func (a *Analysis) Unaffected(ri int) bool {
 }
 
 // RaceOfPartition returns the index of the partition containing data race
-// ri, or -1 if ri is not a data race.
+// ri. Every stored race is a data race, so every race has one.
 func (a *Analysis) RaceOfPartition(ri int) int {
-	if !a.Races[ri].Data {
-		return -1
-	}
 	comp := a.AugSCC.Comp[int(a.Races[ri].A)]
 	for pi := range a.Partitions {
 		if a.Partitions[pi].Component == comp {

@@ -27,7 +27,7 @@ func TestAffectsIndependentRaces(t *testing.T) {
 	if !a.Affects(0, 0) || !a.Affects(1, 1) {
 		t.Fatal("races must trivially affect themselves")
 	}
-	for _, ri := range a.DataRaces {
+	for ri := range a.Races {
 		if !a.Unaffected(ri) {
 			t.Fatalf("race %d should be unaffected", ri)
 		}
@@ -51,8 +51,8 @@ func TestAffectsChain(t *testing.T) {
 		comp([]int{1}, nil),
 	}
 	a := analyze(t, mkTrace(4, p1, p2), Options{})
-	if len(a.DataRaces) != 2 {
-		t.Fatalf("data races = %d", len(a.DataRaces))
+	if len(a.Races) != 2 {
+		t.Fatalf("data races = %d", len(a.Races))
 	}
 	// Identify which race is on location 0.
 	r0, r1 := 0, 1
@@ -87,7 +87,7 @@ func TestQuickUnaffectedIffFirstPartition(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, ri := range a.DataRaces {
+		for ri := range a.Races {
 			pi := a.RaceOfPartition(ri)
 			if pi < 0 {
 				return false
@@ -103,16 +103,22 @@ func TestQuickUnaffectedIffFirstPartition(t *testing.T) {
 	}
 }
 
+// TestRaceOfPartitionSyncRace: a synchronization race is counted, never
+// stored, so it takes no race index; every stored race is a data race
+// and RaceOfPartition maps it to its partition.
 func TestRaceOfPartitionSyncRace(t *testing.T) {
-	tr := mkTrace(1,
-		[]*trace.Event{syncEv(memmodel.RoleRelease, 0, 0)},
-		[]*trace.Event{syncEv(memmodel.RoleSyncOther, 0, 1)},
+	tr := mkTrace(2,
+		[]*trace.Event{syncEv(memmodel.RoleRelease, 0, 0), comp(nil, []int{1})},
+		[]*trace.Event{syncEv(memmodel.RoleSyncOther, 0, 1), comp([]int{1}, nil)},
 	)
 	a := analyze(t, tr, Options{})
-	if len(a.Races) != 1 {
-		t.Fatalf("races = %d", len(a.Races))
+	if a.SyncRaces != 1 {
+		t.Fatalf("sync races = %d, want 1", a.SyncRaces)
 	}
-	if got := a.RaceOfPartition(0); got != -1 {
-		t.Fatalf("sync race partition = %d, want -1", got)
+	if len(a.Races) != 1 || a.Races[0].A != 1 || a.Races[0].B != 3 {
+		t.Fatalf("races = %+v, want the one data race on location 1", a.Races)
+	}
+	if got := a.RaceOfPartition(0); got != 0 {
+		t.Fatalf("data race partition = %d, want 0", got)
 	}
 }

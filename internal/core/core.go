@@ -26,6 +26,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"runtime"
@@ -59,14 +60,14 @@ type Options struct {
 	// e.g. straight from the decoder, on hot benchmark paths).
 	SkipValidate bool
 	// Workers bounds the parallelism of every parallel pass inside one
-	// analysis: the timestamp layer's span fill, the (location, segment-
-	// pair)-sharded race sweep, and the sweep's merge, radix sort, and
-	// coalesce. 0 uses GOMAXPROCS; 1 forces the sequential paths. The
-	// Analysis is byte-identical for every worker count: workers produce
-	// commutative partial results (per-pair location sets and data flags)
-	// that are merged and then sorted deterministically, and the fill and
-	// coalesce write disjoint ranges of slabs whose contents do not
-	// depend on the schedule.
+	// analysis: validation, the hb1 build, the timestamp layer's span
+	// fill, the (location, segment-pair)-sharded race sweep, and the
+	// partition ordering. 0 uses GOMAXPROCS; 1 forces the sequential
+	// paths. The Analysis is byte-identical for every worker count: sweep
+	// workers produce commutative partial results (data-race records,
+	// sync-race counts, G′ partner minima) that are merged and sorted
+	// deterministically, and the parallel fills write disjoint ranges of
+	// slabs whose contents do not depend on the schedule.
 	Workers int
 	// ExplicitClosure answers hb1 ordering queries with the lazy bitset
 	// transitive closure (graph.NewReachabilityLazy, Analysis.HBReach) the
@@ -79,17 +80,8 @@ type Options struct {
 	// crosscheck harness and for callers that want HBReach for ad-hoc
 	// component-level queries.
 	ExplicitClosure bool
-	// ExplicitAug materializes the augmented graph G′ the way §4.2 writes
-	// it down: clone hb1, add a doubly-directed edge per race, build a
-	// transitive closure over it (Analysis.Aug/AugReach). The default
-	// (false) runs Tarjan over an implicit adjacency and answers partition
-	// ordering with targeted condensation reachability — same Analysis,
-	// none of the edge materialization. The explicit path is kept as the
-	// reference implementation for the equivalence crosscheck and for
-	// callers that want the closure for ad-hoc queries.
-	ExplicitAug bool
 	// Arena, when non-nil, supplies reusable per-Analyze scratch buffers
-	// (race records, SCC stacks, race-partner lists). A campaign hands one
+	// (race records, SCC stacks, G′ partner lists). A campaign hands one
 	// arena per in-flight seed down so repeated analyses stop re-allocating
 	// the same megabyte-scale buffers. An Arena must not be shared by
 	// concurrent Analyze calls.
@@ -115,21 +107,19 @@ type Arena struct {
 	pmask   []uint32  // per-node bitmask of partner CPUs (≤32 CPUs)
 	touched []int32   // nodes with non-empty extras, for O(touched) reset
 	// shards holds one sub-arena per sweep worker: each worker owns its
-	// shard exclusively for the duration of the scan, so record appends
-	// never contend, while the shard list itself lives in the arena and
-	// keeps the campaign-level sync.Pool reuse intact (shards[0] doubles
-	// as the sequential path's buffer). Grown to the high-water worker
-	// count and reused.
+	// shard exclusively for the duration of the scan, so appends never
+	// contend, while the shard list itself lives in the arena and keeps
+	// the campaign-level sync.Pool reuse intact (shards[0] doubles as the
+	// sequential path's buffer). Grown to the high-water worker count and
+	// reused; buildImplicitAug reads the partner candidates back out.
 	shards    []sweepShard
 	segs      []locSeg    // prep pass: per-location CPU segments, read-only during the scan
 	segOff    []int32     // sorted-location offsets into segs (len(locs)+1)
 	units     []sweepUnit // (location, segment-pair) buckets the scan workers pull
-	recsMerge []pairRec   // parallel merge's concatenation buffer
-	groupOff  []int32     // two-level merge: per-group record offsets
+	recsMerge []pairRec   // merge's concatenation buffer (workers > 1)
 	hbCnt     []int32     // parallel hb1 fill: per-event so1 rank counters
 	hbLess    []int32     // parallel hb1 fill: per-event acquires-below-po counts
 	digits    []int32     // radix sort's counting buffer
-	digitsW   []int32     // parallel radix sort's per-worker histograms
 	recsTmp   []pairRec   // radix sort's ping-pong buffer
 	// locSlot interns locations into stable accLists slots, so repeated
 	// analyses through one arena reuse the per-location access buffers
@@ -152,18 +142,17 @@ func NewArena() *Arena { return &Arena{} }
 // campaign seed).
 var arenaPool = sync.Pool{New: func() any { return &Arena{} }}
 
-// Race is a higher-level race between two events (§4.1): A and B access a
-// common location that at least one writes, and no hb1 path connects them.
+// Race is a higher-level data race between two events (§4.1): A and B
+// access a common location that at least one writes, no hb1 path connects
+// them, and at least one of them is a computation event (all of whose
+// accesses are data operations). A race between two synchronization
+// events is a synchronization race: it is never reported and never
+// stored (see Analysis.SyncRaces), but it still contributes edges to G′.
 type Race struct {
 	// A and B are the racing events, A < B.
 	A, B EventID
 	// Locs is the set of locations on which A and B conflict.
 	Locs *bitset.Set
-	// Data reports whether this is a data race: at least one side is a
-	// computation event (all of whose accesses are data operations). A
-	// race between two synchronization events is a synchronization race
-	// and is never reported, but it still contributes edges to G′.
-	Data bool
 }
 
 // Partition is a set of data races whose events share one strongly
@@ -205,25 +194,22 @@ type Analysis struct {
 	// HBReach answers hb1 ordering queries with the closure oracle.
 	// Populated only under Options.ExplicitClosure.
 	HBReach *graph.Reachability
-	// Aug is the augmented graph G′: HB plus a doubly-directed edge per
-	// race. Populated only under Options.ExplicitAug; the default path
-	// never materializes G′ (its SCCs are computed over an implicit
-	// adjacency — see buildImplicitAug).
-	Aug *graph.Digraph
-	// AugReach answers affect-ordering queries on G′. Populated only
-	// under Options.ExplicitAug.
-	AugReach *graph.Reachability
-	// AugSCC is the component structure of G′ — the partitions of §4.2.
-	// Always populated (on the implicit path it comes from the overlay
-	// Tarjan run; on the explicit path from AugReach). Component ids may
-	// differ between the two paths (adjacency order steers Tarjan's
-	// numbering) but the components themselves, and everything derived
-	// from them, are identical.
+	// AugSCC is the component structure of the augmented graph G′ — the
+	// partitions of §4.2. G′ is never materialized: the SCCs come from a
+	// Tarjan run over hb1 plus per-CPU-minimal race partners (see
+	// buildImplicitAug).
 	AugSCC *graph.SCC
 
-	// Races lists every race (data and synchronization), sorted by (A, B).
+	// Races lists the data races, sorted by (A, B).
 	Races []Race
-	// DataRaces indexes Races, listing the data races.
+	// SyncRaces counts the synchronization races: conflicting,
+	// hb1-unordered pairs of two synchronization events. §4.2 needs them
+	// only as G′ edges, so they are counted, not stored; the race total
+	// the report prints is len(Races)+SyncRaces.
+	SyncRaces int
+	// DataRaces is the identity index into Races (DataRaces[i] == i),
+	// kept for callers written when Races also held synchronization
+	// races; new code ranges over Races directly.
 	DataRaces []int
 	// Partitions lists the partitions containing at least one data race,
 	// in a deterministic order (by smallest event id).
@@ -234,13 +220,12 @@ type Analysis struct {
 
 	base []int // base[c] = EventID of processor c's first event
 
-	augCond         *graph.CondReach // implicit path's partition-order oracle
-	augEdges        int64            // implicit partner entries, or Aug.M() when explicit
-	candidatePairs  int64            // conflicting unordered pairs the sweep emitted
+	augCond         *graph.CondReach // partition-order oracle over G′'s condensation
+	augEdges        int64            // G′ partner entries (per-CPU-minimal)
+	candidatePairs  int64            // conflicting pairs in the sweep's segment pairs
 	raceWorkers     int              // worker count the race search actually used
 	sweepBuckets    int64            // (location, segment-pair) units the scan was sharded into
 	vcWindowQueries int64            // sweep boundary lookups answered by HBTime
-	mergeGroups     int              // two-level merge group count (0 = flat merge)
 	// pairShift is the bit width of this trace's event ids: packed pair
 	// keys are lo<<pairShift | hi, so they span only 2·⌈log₂ n⌉ bits and
 	// the radix sort runs the fewest counting passes the ids allow.
@@ -268,7 +253,7 @@ func (a *Analysis) Event(id EventID) *trace.Event {
 // RaceFree reports whether the execution exhibited no data races. On
 // hardware satisfying Condition 3.4(1) this certifies that the execution
 // was sequentially consistent.
-func (a *Analysis) RaceFree() bool { return len(a.DataRaces) == 0 }
+func (a *Analysis) RaceFree() bool { return len(a.Races) == 0 }
 
 // HBReaches reports u ⇝ v in hb1 (reflexively: HBReaches(u, u) is true),
 // dispatching to whichever ordering oracle the options built — the
@@ -376,14 +361,7 @@ func Analyze(t *trace.Trace, opts Options) (*Analysis, error) {
 	a.findRaces(reg, fl)
 	done()
 	done = startPhase(reg, fl, "detect.augment")
-	if opts.ExplicitAug {
-		a.buildAugmented()
-		a.AugReach = graph.NewReachabilityLazy(a.Aug)
-		a.AugSCC = a.AugReach.SCC()
-		a.augEdges = int64(a.Aug.M())
-	} else {
-		a.buildImplicitAug()
-	}
+	a.buildImplicitAug()
 	done()
 	done = startPhase(reg, fl, "detect.partition")
 	a.partition(reg, fl)
@@ -429,12 +407,12 @@ func (a *Analysis) flushTelemetry(reg *telemetry.Registry) {
 	reg.Counter("detect.events").Add(int64(a.NumEvents))
 	reg.Counter("detect.hb_edges").Add(int64(a.HB.M()))
 	// detect.aug_edges counts the augmentation work actually represented:
-	// per-node race-partner entries on the implicit path (at most
-	// racy-nodes × (CPUs−1), since partners collapse to the po-minimal
-	// event per CPU), or G′'s materialized edge count under ExplicitAug.
+	// per-node race-partner entries (at most racy-nodes × (CPUs−1), since
+	// partners collapse to the po-minimal event per CPU). detect.races
+	// counts data and synchronization races alike.
 	reg.Counter("detect.aug_edges").Add(a.augEdges)
-	reg.Counter("detect.races").Add(int64(len(a.Races)))
-	reg.Counter("detect.data_races").Add(int64(len(a.DataRaces)))
+	reg.Counter("detect.races").Add(int64(len(a.Races) + a.SyncRaces))
+	reg.Counter("detect.data_races").Add(int64(len(a.Races)))
 	reg.Counter("detect.partitions").Add(int64(len(a.Partitions)))
 	reg.Counter("detect.first_partitions").Add(int64(len(a.FirstPartitions)))
 	reg.Counter("detect.race_candidates").Add(a.candidatePairs)
@@ -444,11 +422,6 @@ func (a *Analysis) flushTelemetry(reg *telemetry.Registry) {
 	// marks — how much record slab each worker's sub-arena has grown to
 	// across the analyses run through it.
 	reg.Counter("detect.sweep.buckets").Add(a.sweepBuckets)
-	// detect.sweep.merge_groups appears only when the two-level merge
-	// engaged (workers ≥ mergeTwoLevelCutoff and a sharded sweep ran).
-	if a.mergeGroups > 0 {
-		reg.Gauge("detect.sweep.merge_groups").SetMax(int64(a.mergeGroups))
-	}
 	if ar := a.Options.Arena; ar != nil {
 		reg.Gauge("detect.arena.shards").SetMax(int64(len(ar.shards)))
 		maxRecs := 0
@@ -718,19 +691,27 @@ func runUnits(workers, k int, fn func(int)) {
 }
 
 // access is one (event, location) access used during race detection.
+// The prep pass fills the jump indices and prefix counts: next* is the
+// location-list index of the first access at or after this one in its
+// segment with the named property (the segment end when there is none),
+// so a window walk hops from one wanted partner to the next without
+// visiting the rest; syncs and syncWrites count the segment's
+// synchronization accesses and synchronization writes before this one.
 type access struct {
-	ev    EventID
-	cpu   int
-	write bool
-	sync  bool
+	ev                                 EventID
+	cpu                                int32
+	write, sync                        bool
+	nextWrite, nextComp, nextCompWrite int32
+	syncs, syncWrites                  int32
 }
 
 // locSeg is one contiguous same-CPU run of a location's access list.
 // Accesses are collected processor-major, so a location has at most one
 // segment per CPU, po-ascending within.
 type locSeg struct {
-	start, end int32 // accs[start:end]
-	writes     int32 // write accesses within
+	start, end        int32 // accs[start:end]
+	writes            int32 // write accesses within
+	syncs, syncWrites int32 // synchronization accesses / writes within
 }
 
 // sweepUnit is one bucket of sweep work: a (location, segment-pair)
@@ -745,24 +726,26 @@ type sweepUnit struct {
 	si, ti int32 // segment pair within the location, si < ti
 }
 
-// sweepShard is one worker's sub-arena: the flat record buffer it
+// sweepShard is one worker's sub-arena: the flat buffers and counters it
 // appends to during the scan. Shards are owned exclusively by their
 // worker between fan-out and merge.
 type sweepShard struct {
-	recs []pairRec
+	recs      []pairRec // data-side (pair, location) records
+	parts     []partRec // partner-minimum candidates for G′
+	syncRaces int64     // synchronization races counted, never stored
+	cand, vcq int64     // conflicting pairs seen; HBTime window lookups
 }
+
+// partRec proposes v as u's po-minimal G′ partner on v's CPU: the first
+// access of one unit's window that conflicts with u. buildImplicitAug
+// keeps the minimum per (u, CPU) across units and locations.
+type partRec struct{ u, v EventID }
 
 // sweepThreshold is the access count below which the race search stays
 // sequential: fanning out goroutines costs more than the sweep itself on
 // small traces. The parallel and sequential paths produce identical
 // output, so the cutoff is purely a scheduling decision.
 const sweepThreshold = 2048
-
-// mergeTwoLevelCutoff is the worker count from which the sweep's merge
-// concatenates in two levels (worker partials → ⌈√W⌉ group slabs →
-// final buffer) instead of flat. Both shapes produce the identical
-// record sequence; the cutoff is purely a scheduling decision.
-const mergeTwoLevelCutoff = 4
 
 // resolveWorkers returns the analysis's worker budget: Options.Workers,
 // with 0 meaning GOMAXPROCS. Individual passes may still run
@@ -774,7 +757,8 @@ func (a *Analysis) resolveWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// findRaces detects all races: conflicting, hb1-unordered event pairs.
+// findRaces detects all races — conflicting, hb1-unordered event pairs —
+// and stores only the data races; synchronization races are counted.
 //
 // The search is a sweep over CPU-bucketed accesses: accesses are
 // collected processor-major, so each location's slice is made of
@@ -787,29 +771,33 @@ func (a *Analysis) resolveWorkers() int {
 // T that reach x form a PREFIX of T (y⇝x implies y′⇝y⇝x for every
 // earlier y′), the events x reaches form a SUFFIX (x⇝y implies x⇝y′ for
 // every later y′), and the hb1-unordered partners of x are exactly the
-// interval between them. Both boundaries are monotone non-decreasing as
-// x advances through its own segment (later x is reached by more of T
-// and reaches less of it), so one two-pointer pass spends O(|S|+|T|)
-// amortized boundary work per segment pair — not O(|S|·|T|) — and the
-// interval's pairs are emitted with no ordering query at all. On the
+// interval [p,q) between them. Both boundaries are monotone
+// non-decreasing as x advances through its own segment (later x is
+// reached by more of T and reaches less of it), so one two-pointer pass
+// spends O(|S|+|T|) amortized boundary work per segment pair. On the
 // default timestamp path the boundaries come from HBTime.Window — two
-// slab reads per x, zero reachability queries; under ExplicitClosure
-// each pointer advance runs one closure query, which still goes through
-// the reachability layer's O(1) component-id/topological-level
-// pre-checks before touching (or, in lazy mode, materializing) a row.
+// slab reads per x; under ExplicitClosure each pointer advance runs one
+// closure query.
+//
+// Each unit's work grows with its accesses plus its data races, not with
+// its synchronization races (see scanUnit): only pairs with a computation
+// side become records; sync–sync pairs are counted from prefix counts;
+// and each access's po-minimal G′ partner on the other CPU is read off
+// the first conflicting access of its window. The weak executions this
+// detector targets produce hundreds of sync races per data race from
+// contending spin loops, and §4.2 needs none of them beyond those
+// minima.
 //
 // The unit of parallel work is a (location, segment-pair) bucket — a CPU
 // pair, since segments are per-CPU — not a whole location: a single
-// contended lock word no longer serializes behind one worker. A serial
+// contended lock word does not serialize behind one worker. A serial
 // prep pass enumerates segments and buckets; scan workers pull buckets
-// off an atomic index and append flat (pair, location, data) records
-// into per-shard arenas they own exclusively; the partials are
-// concatenated and sorted into a total order, and the sorted runs are
-// coalesced into races — with the merge, sort, and coalesce themselves
-// sharded once the record count warrants it. Every stage either
-// serializes, produces commutative partials, or writes disjoint ranges
-// of a deterministic slab, so the Analysis is byte-identical for every
-// worker count and work-stealing schedule.
+// off an atomic index into per-shard arenas they own exclusively; the
+// record partials are concatenated and sorted into a total order, and
+// the sorted runs are coalesced into races. Every stage either
+// serializes, produces commutative partials (counts, partner minima), or
+// writes disjoint ranges of a deterministic slab, so the Analysis is
+// byte-identical for every worker count and work-stealing schedule.
 func (a *Analysis) findRaces(reg *telemetry.Registry, fl *flight) {
 	// Keyed by location, sparse: traces legitimately declare large address
 	// spaces while touching few locations, and the analyzer must not
@@ -849,20 +837,20 @@ func (a *Analysis) findRaces(reg *telemetry.Registry, fl *flight) {
 				// write access (the write subsumes the read for conflict
 				// purposes).
 				ev.Writes.Range(func(loc int) bool {
-					addAccess(loc, access{ev: id, cpu: c, write: true})
+					addAccess(loc, access{ev: id, cpu: int32(c), write: true})
 					total++
 					return true
 				})
 				ev.Reads.Range(func(loc int) bool {
 					if !ev.Writes.Contains(loc) {
-						addAccess(loc, access{ev: id, cpu: c, write: false})
+						addAccess(loc, access{ev: id, cpu: int32(c), write: false})
 						total++
 					}
 					return true
 				})
 			case trace.Sync:
 				addAccess(int(ev.Loc), access{
-					ev: id, cpu: c, write: ev.IsWriteSync(), sync: true,
+					ev: id, cpu: int32(c), write: ev.IsWriteSync(), sync: true,
 				})
 				total++
 			}
@@ -873,27 +861,50 @@ func (a *Analysis) findRaces(reg *telemetry.Registry, fl *flight) {
 	slices.Sort(locs)
 
 	// Segment and bucket enumeration, serial: one pass over every sorted
-	// location records its per-CPU segments into a shared read-only slab
-	// and emits one sweepUnit per segment pair with conflict potential.
-	// The fixed (location, si, ti) enumeration order is what the bucket
-	// telemetry and the scan's work index are defined over.
+	// location records its per-CPU segments into a shared read-only slab,
+	// fills each access's jump indices and prefix counts, and emits one
+	// sweepUnit per segment pair with conflict potential. The fixed
+	// (location, si, ti) enumeration order is what the bucket telemetry
+	// and the scan's work index are defined over.
 	segs, segOff, units := ar.segs[:0], ar.segOff[:0], ar.units[:0]
 	segOff = append(segOff, 0)
 	for li, loc := range locs {
 		accs := ar.accLists[ar.locSlot[loc]]
 		first := int32(len(segs))
-		for s := 0; s < len(accs); {
+		for s := int32(0); s < int32(len(accs)); {
 			e := s + 1
-			for e < len(accs) && accs[e].cpu == accs[s].cpu {
+			for e < int32(len(accs)) && accs[e].cpu == accs[s].cpu {
 				e++
 			}
-			w := int32(0)
-			for _, x := range accs[s:e] {
+			seg := locSeg{start: s, end: e}
+			for i := s; i < e; i++ {
+				x := &accs[i]
+				x.syncs, x.syncWrites = seg.syncs, seg.syncWrites
 				if x.write {
-					w++
+					seg.writes++
+				}
+				if x.sync {
+					seg.syncs++
+					if x.write {
+						seg.syncWrites++
+					}
 				}
 			}
-			segs = append(segs, locSeg{start: int32(s), end: int32(e), writes: w})
+			nw, nc, ncw := e, e, e
+			for i := e - 1; i >= s; i-- {
+				x := &accs[i]
+				if x.write {
+					nw = i
+				}
+				if !x.sync {
+					nc = i
+					if x.write {
+						ncw = i
+					}
+				}
+				x.nextWrite, x.nextComp, x.nextCompWrite = nw, nc, ncw
+			}
+			segs = append(segs, seg)
 			s = e
 		}
 		nls := int32(len(segs)) - first
@@ -922,120 +933,36 @@ func (a *Analysis) findRaces(reg *telemetry.Registry, fl *flight) {
 	for len(ar.shards) < workers {
 		ar.shards = append(ar.shards, sweepShard{})
 	}
+	shards := ar.shards[:workers]
 
 	// Scan: workers pull buckets off a shared index; a hot location's
 	// segment pairs therefore spread across the pool instead of
-	// serializing behind one worker. Each worker appends flat (pair,
-	// location, data) records into its own shard — no maps, no per-race
-	// allocations, no contention on shared slabs; weak executions
-	// routinely produce tens of thousands of synchronization races from
-	// contending spin loops, and pointer-chasing accumulation dominated
-	// the old search.
+	// serializing behind one worker. Each worker appends into its own
+	// shard — no maps, no per-race allocations, no contention on shared
+	// slabs — and the grown buffers stay in the shard for the next
+	// analysis through this arena.
 	doneScan := startPhase(reg, fl, "detect.sweep.scan")
-	var next atomic.Int64
-	useVC := a.HBTime != nil
 	a.pairShift = uint(bits.Len(uint(a.NumEvents)))
-	shift := a.pairShift
-	sweep := func(buf []pairRec) ([]pairRec, int64, int64) {
-		recs := buf[:0]
-		var cand, vcq int64
+	var next atomic.Int64
+	runUnits(workers, workers, func(w int) {
+		sh := &shards[w]
+		sh.recs, sh.parts = sh.recs[:0], sh.parts[:0]
+		sh.syncRaces, sh.cand, sh.vcq = 0, 0, 0
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= len(units) {
-				return recs, cand, vcq
+				return
 			}
 			un := units[i]
 			slot := ar.locSlot[locs[un.li]]
-			accs := ar.accLists[slot]
 			base := segOff[un.li]
-			S, T := segs[base+un.si], segs[base+un.ti]
-			// Conflicting pairs in S×T = all pairs minus read-read
-			// pairs, counted wholesale (the quantity the per-pair
-			// loop used to tally one test at a time).
-			sn, tn := S.end-S.start, T.end-T.start
-			cand += int64(sn*tn - (sn-S.writes)*(tn-T.writes))
-			// p: end of T's prefix reaching x. q: start of T's
-			// suffix reached by x. Both only move forward while x
-			// advances; [p,q) is x's hb1-unordered interval of T.
-			// On the timestamp path both boundaries are read
-			// straight off x's clock: Window gives the exact prefix
-			// count and suffix start of T's WHOLE stream, and
-			// event ids are base+pos within a CPU, so the pointers
-			// advance by threshold compares with no per-pair
-			// ordering query at all.
-			p, q := T.start, T.start
-			tcpu := accs[T.start].cpu
-			tbase := a.base[tcpu]
-			for xi := S.start; xi < S.end; xi++ {
-				x := accs[xi]
-				if useVC {
-					predCount, succPos := a.HBTime.Window(int(x.ev), tcpu)
-					vcq++
-					for p < T.end && int(accs[p].ev)-tbase < int(predCount) {
-						p++
-					}
-					if q < p {
-						// On an hb1 cycle the prefix and suffix can
-						// overlap; the unordered interval is empty.
-						q = p
-					}
-					for q < T.end && int(accs[q].ev)-tbase < int(succPos) {
-						q++
-					}
-				} else {
-					for p < T.end && a.HBReach.Reaches(int(accs[p].ev), int(x.ev)) {
-						p++
-					}
-					if q < p {
-						q = p
-					}
-					for q < T.end && !a.HBReach.Reaches(int(x.ev), int(accs[q].ev)) {
-						q++
-					}
-				}
-				for yi := p; yi < q; yi++ {
-					y := accs[yi]
-					if !x.write && !y.write {
-						continue // two reads never conflict
-					}
-					lo, hi := x.ev, y.ev
-					if lo > hi {
-						lo, hi = hi, lo
-					}
-					recs = append(recs, pairRec{
-						key:  uint64(lo)<<shift | uint64(hi),
-						slot: slot,
-						data: !x.sync || !y.sync,
-					})
-				}
-			}
+			a.scanUnit(sh, ar.accLists[slot], slot, segs[base+un.si], segs[base+un.ti])
 		}
-	}
-
-	partials := make([][]pairRec, workers)
-	counts := make([]int64, workers)
-	vcqs := make([]int64, workers)
-	if workers == 1 {
-		partials[0], counts[0], vcqs[0] = sweep(ar.shards[0].recs)
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				partials[w], counts[w], vcqs[w] = sweep(ar.shards[w].recs)
-			}(w)
-		}
-		wg.Wait()
-	}
-	// Hand the grown buffers back to their shards so a campaign's steady
-	// state appends into pre-grown slabs for every worker.
-	for w := range partials {
-		ar.shards[w].recs = partials[w]
-	}
-	for w := range counts {
-		a.candidatePairs += counts[w]
-		a.vcWindowQueries += vcqs[w]
+	})
+	for i := range shards {
+		a.SyncRaces += int(shards[i].syncRaces)
+		a.candidatePairs += shards[i].cand
+		a.vcWindowQueries += shards[i].vcq
 	}
 	doneScan()
 
@@ -1046,95 +973,25 @@ func (a *Analysis) findRaces(reg *telemetry.Registry, fl *flight) {
 	// work-stealing schedule. The sequential path sorts its single
 	// partial in place (no copy); the records are dead after the coalesce
 	// below, so every buffer (including the merge concatenation) returns
-	// to the arena. Concatenation offsets are exact, so the parallel copy
-	// writes disjoint ranges.
-	//
-	// From mergeTwoLevelCutoff workers up, the concat goes NUMA-style in
-	// two levels: worker partials merge into ⌈√W⌉ contiguous GROUP slabs
-	// (each group owning a worker-order run of partials), and the group
-	// slabs then concatenate into the final buffer — so neither level
-	// fans out more than ⌈√W⌉ copy tasks and per-level merge cost stops
-	// growing linearly with the worker count. Groups preserve worker
-	// order, so the concatenated sequence — and everything downstream —
-	// is byte-identical to the flat merge.
+	// to the arena. Only data-side pairs are records, so both the copy
+	// and the sort run serially (see DESIGN.md for the measurement).
 	doneMerge := startPhase(reg, fl, "detect.sweep.merge")
-	var recs []pairRec
-	switch {
-	case workers == 1:
-		recs = partials[0]
-	case workers < mergeTwoLevelCutoff:
-		nRecs := 0
-		for _, p := range partials {
-			nRecs += len(p)
+	recs := shards[0].recs
+	if workers > 1 {
+		recs = ar.recsMerge[:0]
+		for i := range shards {
+			recs = append(recs, shards[i].recs...)
 		}
-		if cap(ar.recsMerge) < nRecs {
-			ar.recsMerge = make([]pairRec, 0, nRecs)
-		}
-		recs = ar.recsMerge[:nRecs]
-		var wg sync.WaitGroup
-		off := 0
-		for _, p := range partials {
-			wg.Add(1)
-			go func(dst, src []pairRec) {
-				defer wg.Done()
-				copy(dst, src)
-			}(recs[off:off+len(p)], p)
-			off += len(p)
-		}
-		wg.Wait()
 		ar.recsMerge = recs
-	default:
-		groups := 1
-		for groups*groups < workers {
-			groups++
-		}
-		a.mergeGroups = groups
-		nRecs := 0
-		if cap(ar.groupOff) < groups+1 {
-			ar.groupOff = make([]int32, groups+1)
-		}
-		groupOff := ar.groupOff[:groups+1]
-		for g := 0; g < groups; g++ {
-			groupOff[g] = int32(nRecs)
-			for _, p := range partials[g*workers/groups : (g+1)*workers/groups] {
-				nRecs += len(p)
-			}
-		}
-		groupOff[groups] = int32(nRecs)
-		if cap(ar.recsMerge) < nRecs {
-			ar.recsMerge = make([]pairRec, 0, nRecs)
-		}
-		if cap(ar.recsTmp) < nRecs {
-			ar.recsTmp = make([]pairRec, 0, nRecs)
-		}
-		recs = ar.recsMerge[:nRecs]
-		slabs := ar.recsTmp[:nRecs]
-		ar.recsMerge, ar.recsTmp = recs, slabs
-		// Level 1: each group concatenates its partials into its slab.
-		runUnits(groups, groups, func(g int) {
-			off := int(groupOff[g])
-			for _, p := range partials[g*workers/groups : (g+1)*workers/groups] {
-				copy(slabs[off:off+len(p)], p)
-				off += len(p)
-			}
-		})
-		// Level 2: the group slabs concatenate into the final buffer.
-		runUnits(groups, groups, func(g int) {
-			copy(recs[groupOff[g]:groupOff[g+1]], slabs[groupOff[g]:groupOff[g+1]])
-		})
 	}
-	recs = sortRecsByKey(recs, ar, workers)
+	recs = sortRecsByKey(recs, ar)
 	doneMerge()
 
-	// Canonical singleton location sets, one per distinct location: a
-	// weak execution's contending spin loops produce tens of thousands of
-	// races, and nearly every one involves exactly one location (at
-	// segments-64 it is 49,676 of 49,697). Each (pair, location)
+	// Canonical singleton location sets, one per distinct location: races
+	// nearly always involve exactly one location. Each (pair, location)
 	// combination occurs at most once in recs, so a run of length one IS
 	// a single-location race — it shares the interned {loc} set instead
-	// of carrying a private set and backing words. That removes the
-	// dominant share of the analysis's retained output, and with it most
-	// of the GC scanning a campaign pays per analysis. Location sets are
+	// of carrying a private set and backing words. Location sets are
 	// owned by the Analysis and must be treated as read-only — races on
 	// the same location alias one set.
 	doneCoalesce := startPhase(reg, fl, "detect.sweep.coalesce")
@@ -1158,118 +1015,156 @@ func (a *Analysis) findRaces(reg *telemetry.Registry, fl *flight) {
 
 	// Coalesce sorted runs into races. Packed keys order exactly like the
 	// (A, B) lexicographic order the report promises; within a run the
-	// record order is irrelevant — location-set insertion and the data
-	// flag are commutative, which is also why the sort never needs to be
-	// stable across worker schedules. Above the cutoff the record range
-	// is split at run boundaries, a counting pass sizes each worker's
-	// slice of the output exactly, and the fill writes disjoint ranges of
-	// the Races slab and DataRaces index — the same deterministic-merge
-	// shape as the scan, with the run partition fixed by the sorted keys
-	// alone.
-	if workers > 1 && len(recs) >= coalesceParallelCutoff {
-		bounds := make([]int, workers+1)
-		bounds[workers] = len(recs)
-		step := len(recs) / workers
-		for w := 1; w < workers; w++ {
-			b := max(w*step, bounds[w-1])
-			for b < len(recs) && recs[b].key == recs[b-1].key {
-				b++
-			}
-			bounds[w] = b
+	// record order is irrelevant — location-set insertion is commutative,
+	// which is also why the sort never needs to be stable across worker
+	// schedules. len(recs) bounds the race count tightly (each record is
+	// a distinct (pair, location) and nearly every pair has one location),
+	// so Races is allocated once at that bound and truncated — no
+	// counting pre-pass rescanning the records.
+	races := make([]Race, len(recs))
+	ri := 0
+	for i := 0; i < len(recs); ri++ {
+		j := i + 1
+		for j < len(recs) && recs[j].key == recs[i].key {
+			j++
 		}
-		runCnt := make([]int, workers)
-		dataCnt := make([]int, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				runs, datas := 0, 0
-				for i := bounds[w]; i < bounds[w+1]; {
-					j, data := i+1, recs[i].data
-					for j < bounds[w+1] && recs[j].key == recs[i].key {
-						data = data || recs[j].data
-						j++
-					}
-					runs++
-					if data {
-						datas++
-					}
-					i = j
-				}
-				runCnt[w], dataCnt[w] = runs, datas
-			}(w)
+		a.fillRace(&races[ri], recs[i:j])
+		i = j
+	}
+	a.Races = races[:ri:ri]
+	if len(a.Races) > 0 {
+		a.DataRaces = make([]int, len(a.Races))
+		for i := range a.DataRaces {
+			a.DataRaces[i] = i
 		}
-		wg.Wait()
-		raceOff := make([]int, workers+1)
-		dataOff := make([]int, workers+1)
-		for w := 0; w < workers; w++ {
-			raceOff[w+1] = raceOff[w] + runCnt[w]
-			dataOff[w+1] = dataOff[w] + dataCnt[w]
-		}
-		races := make([]Race, raceOff[workers])
-		var dataIdx []int
-		if dataOff[workers] > 0 {
-			dataIdx = make([]int, dataOff[workers])
-		}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				ri, di := raceOff[w], dataOff[w]
-				for i := bounds[w]; i < bounds[w+1]; {
-					j, data := i+1, recs[i].data
-					for j < bounds[w+1] && recs[j].key == recs[i].key {
-						data = data || recs[j].data
-						j++
-					}
-					a.fillRace(&races[ri], recs[i:j], data)
-					if data {
-						dataIdx[di] = ri
-						di++
-					}
-					ri++
-					i = j
-				}
-			}(w)
-		}
-		wg.Wait()
-		a.Races = races
-		a.DataRaces = dataIdx
-	} else {
-		// len(recs) bounds the race count tightly (each record is a
-		// distinct (pair, location) and nearly every pair has one
-		// location), so Races is allocated once at that bound and
-		// truncated — no counting pre-pass rescanning the records.
-		races := make([]Race, len(recs))
-		ri := 0
-		for i := 0; i < len(recs); {
-			j, data := i+1, recs[i].data
-			for j < len(recs) && recs[j].key == recs[i].key {
-				data = data || recs[j].data
-				j++
-			}
-			a.fillRace(&races[ri], recs[i:j], data)
-			if data {
-				a.DataRaces = append(a.DataRaces, ri)
-			}
-			ri++
-			i = j
-		}
-		a.Races = races[:ri:ri]
 	}
 	doneCoalesce()
+}
+
+// scanUnit sweeps one (location, segment-pair) unit. The forward walk
+// takes S's accesses against T and, for each x with a non-empty window
+// [p,q):
+//
+//   - proposes x's po-minimal G′ partner on T's CPU: the first access of
+//     the window that conflicts with x — accs[p] when x writes, else the
+//     first write at or after p;
+//   - when x is a synchronization access, counts its sync races from the
+//     prefix counts: the window's sync accesses (x writes) or sync
+//     writes (x reads). A sync event has one location, so each sync pair
+//     is counted in exactly one unit;
+//   - records the pairs with a computation side, hopping along the jump
+//     index that lists exactly x's data-race partners (all accesses for
+//     a computation write, writes for a computation read, computation
+//     accesses for a sync write, computation writes for a sync read).
+//
+// The backward walk takes T's accesses against S for the partner minima
+// of T's side. The work is O(|S|+|T|) plus one step per data record.
+func (a *Analysis) scanUnit(sh *sweepShard, accs []access, slot int32, S, T locSeg) {
+	// Conflicting pairs in S×T = all pairs minus read-read pairs, counted
+	// wholesale.
+	sn, tn := S.end-S.start, T.end-T.start
+	sh.cand += int64(sn*tn - (sn-S.writes)*(tn-T.writes))
+	shift := a.pairShift
+	p, q := T.start, T.start
+	for xi := S.start; xi < S.end; xi++ {
+		x := accs[xi]
+		p, q = a.window(sh, accs, x.ev, T, p, q)
+		if p == q {
+			continue
+		}
+		sh.proposePartner(accs, x, p, q)
+		if x.sync {
+			ns, nw := T.syncs, T.syncWrites
+			if q < T.end {
+				ns, nw = accs[q].syncs, accs[q].syncWrites
+			}
+			if x.write {
+				sh.syncRaces += int64(ns - accs[p].syncs)
+			} else {
+				sh.syncRaces += int64(nw - accs[p].syncWrites)
+			}
+		}
+		for y := p; y < q; y++ {
+			switch {
+			case x.sync && x.write:
+				y = accs[y].nextComp
+			case x.sync:
+				y = accs[y].nextCompWrite
+			case !x.write:
+				y = accs[y].nextWrite
+			}
+			if y >= q {
+				break
+			}
+			lo, hi := x.ev, accs[y].ev
+			if lo > hi {
+				lo, hi = hi, lo
+			}
+			sh.recs = append(sh.recs, pairRec{key: uint64(lo)<<shift | uint64(hi), slot: slot})
+		}
+	}
+	p, q = S.start, S.start
+	for yi := T.start; yi < T.end; yi++ {
+		p, q = a.window(sh, accs, accs[yi].ev, S, p, q)
+		if p < q {
+			sh.proposePartner(accs, accs[yi], p, q)
+		}
+	}
+}
+
+// window advances x's hb1-unordered interval [p,q) of segment T: p past
+// T's prefix that reaches x, q past the events x does not reach. Both
+// only move forward while x advances along its own segment. On an hb1
+// cycle the prefix and the reached suffix can overlap; the clamp
+// q = max(q,p) then leaves the interval empty.
+func (a *Analysis) window(sh *sweepShard, accs []access, x EventID, T locSeg, p, q int32) (int32, int32) {
+	if a.HBTime != nil {
+		// Window gives the exact prefix count and suffix start of T's
+		// whole stream, and event ids are base+pos within a CPU, so the
+		// pointers advance by threshold compares.
+		tcpu := int(accs[T.start].cpu)
+		predCount, succPos := a.HBTime.Window(int(x), tcpu)
+		sh.vcq++
+		tbase := EventID(a.base[tcpu])
+		for p < T.end && accs[p].ev-tbase < EventID(predCount) {
+			p++
+		}
+		q = max(q, p)
+		for q < T.end && accs[q].ev-tbase < EventID(succPos) {
+			q++
+		}
+		return p, q
+	}
+	for p < T.end && a.HBReach.Reaches(int(accs[p].ev), int(x)) {
+		p++
+	}
+	q = max(q, p)
+	for q < T.end && !a.HBReach.Reaches(int(x), int(accs[q].ev)) {
+		q++
+	}
+	return p, q
+}
+
+// proposePartner records the first access of the non-empty window [p,q)
+// that conflicts with x as x's partner candidate on that segment's CPU.
+func (sh *sweepShard) proposePartner(accs []access, x access, p, q int32) {
+	m := p
+	if !x.write {
+		m = accs[p].nextWrite
+	}
+	if m < q {
+		sh.parts = append(sh.parts, partRec{u: x.ev, v: accs[m].ev})
+	}
 }
 
 // fillRace materializes one sorted equal-key run of sweep records as a
 // Race: unpack the pair, share the canonical {loc} set for the dominant
 // single-location case, build a private set otherwise.
-func (a *Analysis) fillRace(r *Race, run []pairRec, data bool) {
+func (a *Analysis) fillRace(r *Race, run []pairRec) {
 	ar := a.Options.Arena
 	shift := a.pairShift
 	r.A = EventID(run[0].key >> shift)
 	r.B = EventID(run[0].key & (1<<shift - 1))
-	r.Data = data
 	if len(run) == 1 {
 		r.Locs = ar.canon[run[0].slot]
 		return
@@ -1286,44 +1181,22 @@ func (a *Analysis) fillRace(r *Race, run []pairRec, data bool) {
 	}
 }
 
-// Record counts above which the sweep's merge-side passes fan out:
-// below them, goroutine dispatch costs more than the pass itself. Purely
-// scheduling decisions — output is identical either way.
-const (
-	sortParallelCutoff     = 1 << 16
-	coalesceParallelCutoff = 1 << 16
-)
-
 // sortRecsByKey sorts the sweep's records by packed pair key — the only
 // order the coalesce needs — with an LSD radix sort over 11-bit digits.
 // Digits that are zero in every key are skipped wholesale: event ids are
 // dense, so a trace with n events uses only ~2·log₂(n) key bits and the
 // usual record sort is two or three counting passes, not a comparison
-// sort of 24-byte structs. Ping-pong and counting buffers come from the
+// sort of 16-byte structs. Ping-pong and counting buffers come from the
 // arena. The returned slice aliases either recs or the arena's buffer.
-//
-// Above the parallel cutoff each counting pass shards: workers histogram
-// fixed contiguous chunks, a serial digit-major/worker-minor prefix sum
-// turns the histograms into disjoint scatter offsets, and workers
-// scatter their own chunks — a stable split-order-preserving pass, so
-// the result equals the serial sort's exactly. (Records with equal keys
-// may arrive in schedule-dependent order from the scan, but the coalesce
-// folds equal-key runs commutatively, so stability only needs to hold
-// within one sort invocation, which it does.)
-func sortRecsByKey(recs []pairRec, ar *Arena, workers int) []pairRec {
+// (Records with equal keys may arrive in schedule-dependent order from
+// the scan, but the coalesce folds equal-key runs commutatively.)
+func sortRecsByKey(recs []pairRec, ar *Arena) []pairRec {
 	const digitBits = 11
 	const radix = 1 << digitBits
 	if len(recs) < 2*radix {
 		// Counting passes would be dominated by sweeping the count
 		// array; a comparison sort wins on small traces.
-		slices.SortFunc(recs, func(x, y pairRec) int {
-			if x.key < y.key {
-				return -1
-			} else if x.key > y.key {
-				return 1
-			}
-			return 0
-		})
+		slices.SortFunc(recs, func(x, y pairRec) int { return cmp.Compare(x.key, y.key) })
 		return recs
 	}
 	var orKeys uint64
@@ -1334,62 +1207,6 @@ func sortRecsByKey(recs []pairRec, ar *Arena, workers int) []pairRec {
 		ar.recsTmp = make([]pairRec, len(recs))
 	}
 	src, dst := recs, ar.recsTmp[:len(recs)]
-	if workers > 1 && len(recs) >= sortParallelCutoff {
-		if cap(ar.digitsW) < workers*radix {
-			ar.digitsW = make([]int32, workers*radix)
-		}
-		hist := ar.digitsW[:workers*radix]
-		chunk := (len(recs) + workers - 1) / workers
-		ranges := func(w int) (lo, hi int) {
-			lo = min(w*chunk, len(recs))
-			return lo, min(lo+chunk, len(recs))
-		}
-		var wg sync.WaitGroup
-		for shift := 0; shift < 64; shift += digitBits {
-			if (orKeys>>shift)&(radix-1) == 0 {
-				continue // this digit is zero in every key: identity pass
-			}
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					h := hist[w*radix : (w+1)*radix]
-					for d := range h {
-						h[d] = 0
-					}
-					lo, hi := ranges(w)
-					for i := lo; i < hi; i++ {
-						h[(src[i].key>>shift)&(radix-1)]++
-					}
-				}(w)
-			}
-			wg.Wait()
-			sum := int32(0)
-			for d := 0; d < radix; d++ {
-				for w := 0; w < workers; w++ {
-					c := hist[w*radix+d]
-					hist[w*radix+d] = sum
-					sum += c
-				}
-			}
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					h := hist[w*radix : (w+1)*radix]
-					lo, hi := ranges(w)
-					for i := lo; i < hi; i++ {
-						d := (src[i].key >> shift) & (radix - 1)
-						dst[h[d]] = src[i]
-						h[d]++
-					}
-				}(w)
-			}
-			wg.Wait()
-			src, dst = dst, src
-		}
-		return src
-	}
 	if cap(ar.digits) < radix {
 		ar.digits = make([]int32, radix)
 	}
@@ -1420,43 +1237,19 @@ func sortRecsByKey(recs []pairRec, ar *Arena, workers int) []pairRec {
 	return src
 }
 
-// pairRec is one (conflicting unordered pair, location) observation from
-// the sweep — the flat intermediate the workers produce and the merge
-// sorts and coalesces.
+// pairRec is one (conflicting unordered pair, location) observation with
+// a computation side — the flat intermediate the scan workers produce and
+// the merge sorts and coalesces into data races.
 type pairRec struct {
 	key  uint64 // packed (A, B)
-	slot int32  // interned location slot; int32 keeps the record at 16 bytes
-	data bool   // at least one side is a computation access
-}
-
-// buildAugmented clones the hb1 graph and adds a doubly-directed edge for
-// every race (§4.2). All races contribute edges — the affects relation of
-// Definition 3.3 is defined over races generally — but only data races
-// form partitions.
-//
-// Dedup is O(1) per edge: findRaces emits races sorted by (A, B), so a
-// duplicate pair would be adjacent and one comparison catches it. The old
-// AddEdgeUnique scan was O(out-degree) per insertion — quadratic on
-// events with many races. (Races never coincide with an hb1 edge: an
-// hb1-ordered pair is not a race.)
-func (a *Analysis) buildAugmented() {
-	g := a.HB.Clone()
-	prevA, prevB := EventID(-1), EventID(-1)
-	for _, r := range a.Races {
-		if r.A == prevA && r.B == prevB {
-			continue
-		}
-		prevA, prevB = r.A, r.B
-		g.AddEdge(int(r.A), int(r.B))
-		g.AddEdge(int(r.B), int(r.A))
-	}
-	a.Aug = g
+	slot int32  // interned location slot
 }
 
 // buildImplicitAug computes the partition structure of the augmented
 // graph G′ without materializing G′: Tarjan runs over the implicit
 // adjacency hb1 ⊕ extras, where extras[u] keeps, per partner CPU, only
-// u's po-MINIMAL race partner on that CPU.
+// u's po-MINIMAL race partner on that CPU — data or synchronization race
+// alike.
 //
 // Collapsing the race edges this way preserves G′'s transitive closure
 // exactly. A dropped edge u→v (v racing u on CPU d) is simulated by the
@@ -1466,11 +1259,12 @@ func (a *Analysis) buildAugmented() {
 // CPU. Kept edges are a subset of the dropped set's closure, so the two
 // closures — and with them the SCCs (as node sets), the condensation
 // reachability, the partitions, and the first-partition flags of
-// Theorems 4.1/4.2 — coincide with the explicit path's. Only raw
-// component IDs may differ (Tarjan numbering follows adjacency order).
+// Theorems 4.1/4.2 — coincide with explicit G′'s.
 //
-// Entry count is bounded by racy-nodes × (CPUs−1), versus two edges per
-// race pair — the ≥10x detect.aug_edges drop on race-heavy traces.
+// The minima come straight from the sweep (scanUnit proposes one
+// candidate per access and unit); this pass keeps the least per (node,
+// CPU) and sorts each list ascending, the order Tarjan's component
+// numbering follows. Entry count is bounded by racy-nodes × (CPUs−1).
 // Partition ordering is answered by memoized per-source DFS over the
 // condensation (graph.CondReach), never a full closure.
 func (a *Analysis) buildImplicitAug() {
@@ -1493,43 +1287,39 @@ func (a *Analysis) buildImplicitAug() {
 	}
 	extras := ar.extras[:n]
 
-	// A node saturates after one partner per other CPU, and race-heavy
-	// spin loops call addPartner thousands of times per node — the
-	// per-node CPU bitmask answers the saturated case in one load instead
-	// of rescanning the partner list (traces with >32 CPUs fall back to
-	// the scan).
+	// The per-node CPU bitmask answers "no partner on this CPU yet" in one
+	// load, so a node's first candidate per CPU appends without scanning
+	// its list (traces with >32 CPUs fall back to the scan).
 	pmask := ar.pmask[:n]
 	useMask := a.Trace.NumCPUs <= 32
-
 	var nEntries int64
-	addPartner := func(u, v EventID) {
-		vc := cpuOf[v]
-		if useMask {
-			if pmask[u]>>uint(vc)&1 != 0 {
-				return // already hold the po-minimal partner on v's CPU
-			}
-			pmask[u] |= 1 << uint(vc)
-		} else {
-			for _, w := range extras[u] {
-				if cpuOf[w] == vc {
-					return
+	for _, sh := range ar.shards[:a.raceWorkers] {
+		for _, pr := range sh.parts {
+			u, v := pr.u, int32(pr.v)
+			vc := cpuOf[v]
+			lst := extras[u]
+			if !useMask || pmask[u]>>uint(vc)&1 != 0 {
+				i := 0
+				for i < len(lst) && cpuOf[lst[i]] != vc {
+					i++
+				}
+				if i < len(lst) {
+					lst[i] = min(lst[i], v)
+					continue
 				}
 			}
+			if useMask {
+				pmask[u] |= 1 << uint(vc)
+			}
+			if len(lst) == 0 {
+				ar.touched = append(ar.touched, int32(u))
+			}
+			extras[u] = append(lst, v)
+			nEntries++
 		}
-		lst := extras[u]
-		if len(lst) == 0 {
-			ar.touched = append(ar.touched, int32(u))
-		}
-		extras[u] = append(lst, int32(v))
-		nEntries++
 	}
-	// Races are sorted by (A, B) and deduplicated, so a node's partners
-	// arrive in ascending event order (B-side partners, all below the
-	// node, scan before its A-side partners, all above) — the first
-	// partner seen per CPU is the minimal one.
-	for _, r := range a.Races {
-		addPartner(r.A, r.B)
-		addPartner(r.B, r.A)
+	for _, u := range ar.touched {
+		slices.Sort(extras[u])
 	}
 
 	scc := graph.StronglyConnectedOverlay(a.HB, extras, &ar.scratch)
@@ -1537,16 +1327,6 @@ func (a *Analysis) buildImplicitAug() {
 	dag := graph.CondensationOverlay(a.HB, extras, scc, &ar.scratch)
 	a.augCond = graph.NewCondReach(dag, scc)
 	a.augEdges = nEntries
-}
-
-// augCompReaches answers component-level G′ reachability through
-// whichever oracle the options built: the explicit closure, or the
-// implicit path's memoized condensation DFS.
-func (a *Analysis) augCompReaches(c1, c2 int) bool {
-	if a.AugReach != nil {
-		return a.AugReach.ComponentReaches(c1, c2)
-	}
-	return a.augCond.ComponentReaches(c1, c2)
 }
 
 // vcFastpathHit counts a G′ reachability query settled by the hb1 clock
@@ -1557,23 +1337,6 @@ func vcFastpathHit() {
 	if reg := telemetry.Default(); reg.Enabled() {
 		reg.Counter("detect.vc_hb_fastpath_hits").Inc()
 	}
-}
-
-// augReaches answers event-level G′ reachability (Definition 3.3's
-// affects paths). hb1 ⊆ G′, so when the timestamp layer is live its O(1)
-// epoch compare settles positive hb1-ordered queries before the
-// condensation oracle (or the explicit closure) is consulted; a negative
-// answer proves nothing about G′ — race edges add paths hb1 lacks — and
-// falls through.
-func (a *Analysis) augReaches(u, v int) bool {
-	if a.HBTime != nil && a.HBTime.Reaches(u, v) {
-		vcFastpathHit()
-		return true
-	}
-	if a.AugReach != nil {
-		return a.AugReach.Reaches(u, v)
-	}
-	return a.augCond.Reaches(u, v)
 }
 
 // partition groups the data races by the SCCs of G′ and computes the first
@@ -1592,8 +1355,7 @@ func (a *Analysis) augReaches(u, v int) bool {
 func (a *Analysis) partition(reg *telemetry.Registry, fl *flight) {
 	scc := a.AugSCC
 	byComp := map[int]*Partition{}
-	for _, ri := range a.DataRaces {
-		r := a.Races[ri]
+	for ri, r := range a.Races {
 		// The doubly-directed race edge puts A and B on a common cycle, so
 		// both ends are always in the same component.
 		comp := scc.Comp[int(r.A)]
@@ -1630,7 +1392,7 @@ func (a *Analysis) partition(reg *telemetry.Registry, fl *flight) {
 	// Both phases fire regardless of worker count or partition count, so
 	// flight recordings stay byte-identical across worker counts.
 	done := startPhase(reg, fl, "detect.condreach.materialize")
-	if a.augCond != nil && len(parts) > 1 {
+	if len(parts) > 1 {
 		minComp := parts[0].Component
 		for _, p := range parts[1:] {
 			if p.Component < minComp {
@@ -1656,7 +1418,7 @@ func (a *Analysis) partition(reg *telemetry.Registry, fl *flight) {
 			if i == j {
 				continue
 			}
-			if a.augCompReaches(q.Component, p.Component) {
+			if a.augCond.ComponentReaches(q.Component, p.Component) {
 				p.First = false
 				break
 			}
@@ -1675,7 +1437,7 @@ func (a *Analysis) partition(reg *telemetry.Registry, fl *flight) {
 // PartitionPrecedes reports whether partition i precedes partition j in
 // the order P: a path exists in G′ from an event of i to an event of j.
 func (a *Analysis) PartitionPrecedes(i, j int) bool {
-	return a.augCompReaches(a.Partitions[i].Component, a.Partitions[j].Component)
+	return a.augCond.ComponentReaches(a.Partitions[i].Component, a.Partitions[j].Component)
 }
 
 // LowerLevelRace describes one lower-level (operation-granularity) race

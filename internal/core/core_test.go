@@ -83,9 +83,6 @@ func TestFigure1aRaceDetected(t *testing.T) {
 		t.Fatalf("races = %d, want 1", len(a.Races))
 	}
 	r := a.Races[0]
-	if !r.Data {
-		t.Fatal("race not classified as data race")
-	}
 	if !r.Locs.Contains(x) || !r.Locs.Contains(y) {
 		t.Fatalf("race locations = %s, want {0, 1}", r.Locs)
 	}
@@ -113,7 +110,7 @@ func TestFigure1bRaceFree(t *testing.T) {
 	tr := mkTrace(3, p1, p2)
 	a := analyze(t, tr, Options{})
 	if !a.RaceFree() {
-		t.Fatalf("Figure 1b execution reported %d data races", len(a.DataRaces))
+		t.Fatalf("Figure 1b execution reported %d data races", len(a.Races))
 	}
 	if len(a.FirstPartitions) != 0 {
 		t.Fatal("race-free execution has first partitions (Theorem 4.1)")
@@ -149,8 +146,8 @@ func TestFigure2Partitions(t *testing.T) {
 
 	// Data races: ⟨P1.0,P2.0⟩, ⟨P2.2,P3.0⟩, ⟨P2.2,P3.2⟩ — plus sync races
 	// among the unpaired Unsets on S.
-	if len(a.DataRaces) != 3 {
-		t.Fatalf("data races = %d, want 3", len(a.DataRaces))
+	if len(a.Races) != 3 {
+		t.Fatalf("data races = %d, want 3", len(a.Races))
 	}
 	if len(a.Partitions) != 2 {
 		t.Fatalf("partitions = %d, want 2", len(a.Partitions))
@@ -257,7 +254,7 @@ func TestConflictModes(t *testing.T) {
 		[]*trace.Event{comp(nil, []int{0})},
 		[]*trace.Event{comp(nil, []int{0})},
 	), Options{})
-	if len(a.DataRaces) != 1 {
+	if len(a.Races) != 1 {
 		t.Fatal("write-write race missed")
 	}
 	// Sync vs data on the same location: a data race (§2, Figure 1b
@@ -267,18 +264,18 @@ func TestConflictModes(t *testing.T) {
 		[]*trace.Event{syncEv(memmodel.RoleRelease, 0, 0)},
 		[]*trace.Event{comp([]int{0}, nil)},
 	), Options{})
-	if len(a.DataRaces) != 1 {
+	if len(a.Races) != 1 {
 		t.Fatal("sync-data conflict not reported as data race")
 	}
-	// Sync vs sync: a race, but not a data race.
+	// Sync vs sync: a race, but not a data race — counted, not stored.
 	a = analyze(t, mkTrace(1,
 		[]*trace.Event{syncEv(memmodel.RoleRelease, 0, 0)},
 		[]*trace.Event{syncEv(memmodel.RoleSyncOther, 0, 1)},
 	), Options{})
-	if len(a.Races) != 1 || a.Races[0].Data {
-		t.Fatalf("sync-sync pair: races=%d", len(a.Races))
+	if a.SyncRaces != 1 {
+		t.Fatalf("sync-sync pair: sync races=%d, want 1", a.SyncRaces)
 	}
-	if len(a.DataRaces) != 0 || len(a.FirstPartitions) != 0 {
+	if len(a.Races) != 0 || len(a.FirstPartitions) != 0 {
 		t.Fatal("sync race must not form a data-race partition")
 	}
 }
@@ -539,7 +536,7 @@ func TestQuickDetectorInvariants(t *testing.T) {
 			}
 		}
 		// (d) Theorem 4.1 both ways.
-		if (len(a.FirstPartitions) == 0) != (len(a.DataRaces) == 0) {
+		if (len(a.FirstPartitions) == 0) != (len(a.Races) == 0) {
 			return false
 		}
 		// (e) every data race belongs to exactly one partition.
@@ -547,7 +544,7 @@ func TestQuickDetectorInvariants(t *testing.T) {
 		for _, p := range a.Partitions {
 			n += len(p.Races)
 		}
-		return n == len(a.DataRaces)
+		return n == len(a.Races)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -3,10 +3,10 @@ package core
 // Flight-recorder instrumentation: when Options.Flight carries an
 // export.Recorder, Analyze records a structured log of the run — the
 // trace's events, every hb1 edge tagged with its origin (po or so1),
-// the race-partner edges of G′, the detection phases as a live timeline,
-// and the races and partitions found. With a nil recorder every hook
-// below is a pointer check; the hot paths do no formatting, no
-// allocation, and no time calls.
+// the compressed race-partner edges of G′, the detection phases as a
+// live timeline, and the data races and partitions found. With a nil
+// recorder every hook below is a pointer check; the hot paths do no
+// formatting, no allocation, and no time calls.
 
 import (
 	"fmt"
@@ -52,8 +52,9 @@ func startPhase(reg *telemetry.Registry, fl *flight, name string) func() {
 }
 
 // record dumps the analysis's structure into the flight log: meta,
-// events, hb1 edges by origin, G′ partner edges, races, and partitions.
-// Runs once per Analyze, after the pipeline, off the hot path.
+// events, hb1 edges by origin, G′ partner edges, data races, and
+// partitions. Runs once per Analyze, after the pipeline, off the hot
+// path.
 func (fl *flight) record(a *Analysis) {
 	t := a.Trace
 	fl.emit(export.Record{Kind: export.KindMeta, Meta: &export.MetaRec{
@@ -91,20 +92,23 @@ func (fl *flight) record(a *Analysis) {
 			}
 		}
 	}
-	// Partner edges: one per race (each doubly directed, recorded once
-	// with From < To). This is the un-collapsed G′ augmentation — the
-	// implicit path's per-CPU-minimal partner lists are an equivalent
-	// compression of exactly these edges.
-	for _, r := range a.Races {
-		fl.emit(export.Record{Kind: export.KindEdge, Edge: &export.EdgeRec{
-			From: int(r.A), To: int(r.B), Origin: export.OriginPartner,
-		}})
+	// Partner edges: G′'s race edges in the compressed form Tarjan ran
+	// on — one directed edge per partner-list entry, from each racy
+	// event to its po-minimal race partner (data or sync) on each other
+	// CPU. Together with hb1 they have G′'s transitive closure.
+	extras := a.Options.Arena.extras
+	for u := 0; u < a.NumEvents; u++ {
+		for _, v := range extras[u] {
+			fl.emit(export.Record{Kind: export.KindEdge, Edge: &export.EdgeRec{
+				From: u, To: int(v), Origin: export.OriginPartner,
+			}})
+		}
 	}
 	for _, r := range a.Races {
 		fl.emit(export.Record{Kind: export.KindRace, Race: &export.RaceRec{
 			A: int(r.A), B: int(r.B),
 			ARef: a.Ref(r.A).String(), BRef: a.Ref(r.B).String(),
-			Locs: r.Locs.String(), Data: r.Data,
+			Locs: r.Locs.String(), Data: true,
 		}})
 	}
 	for pi, p := range a.Partitions {

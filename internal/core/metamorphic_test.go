@@ -70,14 +70,14 @@ func TestQuickLocationRenamingEquivariance(t *testing.T) {
 			return false
 		}
 		if len(a1.Races) != len(a2.Races) ||
-			len(a1.DataRaces) != len(a2.DataRaces) ||
+			a1.SyncRaces != a2.SyncRaces ||
 			len(a1.Partitions) != len(a2.Partitions) ||
 			len(a1.FirstPartitions) != len(a2.FirstPartitions) {
 			return false
 		}
 		for i := range a1.Races {
 			r1, r2 := a1.Races[i], a2.Races[i]
-			if r1.A != r2.A || r1.B != r2.B || r1.Data != r2.Data {
+			if r1.A != r2.A || r1.B != r2.B {
 				return false
 			}
 			mapped := bitset.New(0)
@@ -131,7 +131,7 @@ func TestQuickIrrelevantThreadInvariance(t *testing.T) {
 		}
 
 		if len(a1.Races) != len(a2.Races) ||
-			len(a1.DataRaces) != len(a2.DataRaces) ||
+			a1.SyncRaces != a2.SyncRaces ||
 			len(a1.FirstPartitions) != len(a2.FirstPartitions) {
 			return false
 		}

@@ -2,11 +2,12 @@ package core_test
 
 // Metamorphic equivalence: the parallel race search must be invisible in
 // the output. For any workload and any worker count, Analyze yields an
-// Analysis identical — races, data-race indices, partitions, first
+// Analysis identical — data races, sync-race counts, partitions, first
 // partitions, and the rendered report text — to the sequential (Workers: 1)
 // path. The merge argument (see findRaces) is that the sorted
 // (pair, location) record sequence is a function of the record multiset
-// alone, not of which worker produced which record; this test checks that
+// alone, not of which worker produced which record, and that sync-race
+// counts and G′ partner minima fold commutatively; this test checks that
 // claim across ≥50 random workloads, run under -race in CI to also catch
 // data races in the pool itself.
 
@@ -61,9 +62,9 @@ func TestParallelFindRacesEquivalent(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
 			}
-			if !reflect.DeepEqual(par.Races, seq.Races) {
-				t.Fatalf("seed %d workers %d: races differ\n par: %v\n seq: %v",
-					seed, workers, par.Races, seq.Races)
+			if !reflect.DeepEqual(par.Races, seq.Races) || par.SyncRaces != seq.SyncRaces {
+				t.Fatalf("seed %d workers %d: races differ\n par: %v (+%d sync)\n seq: %v (+%d sync)",
+					seed, workers, par.Races, par.SyncRaces, seq.Races, seq.SyncRaces)
 			}
 			if !reflect.DeepEqual(par.DataRaces, seq.DataRaces) {
 				t.Fatalf("seed %d workers %d: data-race indices differ", seed, workers)
@@ -92,9 +93,11 @@ func TestParallelFindRacesEquivalent(t *testing.T) {
 
 // TestParallelAnalysisCorpusEquivalent pins the FULL parallel pipeline —
 // the span-filled timestamp pass, the (location, segment-pair)-sharded
-// sweep, and its parallel merge, radix sort, and coalesce — on the
-// frozen 60-trace corpus: for worker counts {1, 2, 3, 8} the Analysis,
-// the rendered report, and the flight recording must be byte-identical.
+// sweep with its commutative folds (records, sync-race counts, G′
+// partner minima), and the partition ordering — on the frozen 60-trace
+// corpus: for worker counts {1, 2, 3, 8, 16} the Analysis, the rendered
+// report, and the flight recording (partner edges included) must be
+// byte-identical.
 // Phase records carry wall-clock durations that legitimately vary
 // run-to-run, so they are compared structurally (the per-analysis phase
 // name sequence must match exactly) while every other record is compared
@@ -147,7 +150,7 @@ func TestParallelAnalysisCorpusEquivalent(t *testing.T) {
 		for _, workers := range []int{2, 3, 8, 16} {
 			got := run(workers)
 			if !reflect.DeepEqual(got.a.Races, ref.a.Races) ||
-				!reflect.DeepEqual(got.a.DataRaces, ref.a.DataRaces) ||
+				got.a.SyncRaces != ref.a.SyncRaces ||
 				!reflect.DeepEqual(got.a.Partitions, ref.a.Partitions) ||
 				!reflect.DeepEqual(got.a.FirstPartitions, ref.a.FirstPartitions) {
 				t.Fatalf("trial %d workers %d: analysis differs from workers=1", trial, workers)

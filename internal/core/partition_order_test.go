@@ -31,9 +31,10 @@ func chainTrace() *trace.Trace {
 }
 
 // TestPartitionOrderingChain pins down the partition order machinery on a
-// crafted multi-partition trace, on both the implicit (default) and
-// explicit G′ paths: PartitionPrecedes antisymmetry, FirstPartitions
-// minimality, and the expected chain structure.
+// crafted multi-partition trace, with hb1 answered by the timestamps
+// ("implicit", the default) and by the explicit closure ("explicit"):
+// PartitionPrecedes antisymmetry, FirstPartitions minimality, and the
+// expected chain structure.
 func TestPartitionOrderingChain(t *testing.T) {
 	for _, explicit := range []bool{false, true} {
 		name := "implicit"
@@ -41,9 +42,9 @@ func TestPartitionOrderingChain(t *testing.T) {
 			name = "explicit"
 		}
 		t.Run(name, func(t *testing.T) {
-			a := analyze(t, chainTrace(), Options{ExplicitAug: explicit})
-			if len(a.DataRaces) != 3 {
-				t.Fatalf("want 3 data races, got %d: %+v", len(a.DataRaces), a.Races)
+			a := analyze(t, chainTrace(), Options{ExplicitClosure: explicit})
+			if len(a.Races) != 3 {
+				t.Fatalf("want 3 data races, got %d: %+v", len(a.Races), a.Races)
 			}
 			if len(a.Partitions) != 3 {
 				t.Fatalf("want 3 partitions, got %d: %+v", len(a.Partitions), a.Partitions)
@@ -99,8 +100,8 @@ func TestPartitionOrderingChain(t *testing.T) {
 	}
 }
 
-// TestTheorem41BothWays checks Theorem 4.1 in both directions on both
-// G′ paths: a racy trace has at least one first partition, and a
+// TestTheorem41BothWays checks Theorem 4.1 in both directions under both
+// hb1 oracles: a racy trace has at least one first partition, and a
 // properly-synchronized trace has no data races and no first partitions.
 func TestTheorem41BothWays(t *testing.T) {
 	const x, L = 0, 1
@@ -117,15 +118,15 @@ func TestTheorem41BothWays(t *testing.T) {
 			name = "explicit"
 		}
 		t.Run(name, func(t *testing.T) {
-			racy := analyze(t, chainTrace(), Options{ExplicitAug: explicit})
-			if len(racy.DataRaces) == 0 || len(racy.FirstPartitions) == 0 {
+			racy := analyze(t, chainTrace(), Options{ExplicitClosure: explicit})
+			if len(racy.Races) == 0 || len(racy.FirstPartitions) == 0 {
 				t.Fatalf("racy trace: %d data races, %d first partitions — Theorem 4.1 (⇐) violated",
-					len(racy.DataRaces), len(racy.FirstPartitions))
+					len(racy.Races), len(racy.FirstPartitions))
 			}
-			cleanA := analyze(t, clean, Options{ExplicitAug: explicit})
-			if len(cleanA.DataRaces) != 0 || len(cleanA.FirstPartitions) != 0 {
+			cleanA := analyze(t, clean, Options{ExplicitClosure: explicit})
+			if len(cleanA.Races) != 0 || len(cleanA.FirstPartitions) != 0 {
 				t.Fatalf("synchronized trace: %d data races, %d first partitions — Theorem 4.1 (⇒) violated",
-					len(cleanA.DataRaces), len(cleanA.FirstPartitions))
+					len(cleanA.Races), len(cleanA.FirstPartitions))
 			}
 		})
 	}

@@ -16,9 +16,9 @@ import (
 
 // TestParallelScalingSmoke is the CI scaling gate: on a segments-1024
 // trace (~65k events), the FULL analysis — validation, timestamping,
-// hb1 build, partition ordering, and the sweep with its two-level
-// merge engaged — at Workers=4 must beat Workers=1 by at least 2.2x
-// wall clock, and both runs must produce identical analyses.
+// hb1 build, partition ordering, and the sharded sweep with its merge
+// of data-race records — at Workers=4 must beat Workers=1 by at least
+// 2.2x wall clock, and both runs must produce identical analyses.
 // Wall-clock assertions are meaningless on loaded or single-core
 // machines, so the test only runs when WEAKRACE_SCALING_SMOKE=1 is set
 // (CI's perf-smoke job) and at least 4 CPUs are available; the
@@ -65,7 +65,7 @@ func TestParallelScalingSmoke(t *testing.T) {
 	parallel, parallelT := run(4)
 
 	if !reflect.DeepEqual(parallel.Races, serial.Races) ||
-		!reflect.DeepEqual(parallel.DataRaces, serial.DataRaces) ||
+		parallel.SyncRaces != serial.SyncRaces ||
 		!reflect.DeepEqual(parallel.Partitions, serial.Partitions) ||
 		!reflect.DeepEqual(parallel.FirstPartitions, serial.FirstPartitions) {
 		t.Fatal("Workers=4 analysis differs from Workers=1")

@@ -1,28 +1,33 @@
 package crosscheck
 
 import (
-	"bytes"
+	"fmt"
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 
 	"weakrace/internal/core"
-	"weakrace/internal/report"
+	"weakrace/internal/memmodel"
 	"weakrace/internal/sim"
 	"weakrace/internal/trace"
+	"weakrace/internal/workload"
 )
 
-// The implicit augmented-graph path (the default: overlay Tarjan over
-// hb1 ⊕ race-partner lists, condensation-level reachability) and the
-// explicit §4.2 path (materialize G′, full transitive closure) must
-// produce identical Analysis output: same races, same partitions, same
-// first partitions, same partition order, same affect relation. SCC
-// component *ids* are the one legitimate difference — Tarjan's numbering
-// follows adjacency order — so partitions are compared with Component
-// masked and the order relation is compared through PartitionPrecedes.
+// core.Analyze computes G′'s components over an implicit adjacency —
+// hb1 plus each event's po-minimal race partner per CPU, read off the
+// race sweep's windows — and never stores a synchronization race. The
+// test-only oracle writes G′ down explicitly from every race. The two
+// must agree on the data races, the sync-race count, the partitions
+// (component ids masked), the first partitions, the partition order,
+// the compressed partner edges, and the event-level affect relation of
+// Definition 3.3, on the crosscheck generators and the frozen corpus.
 func TestImplicitVsExplicitAugmentedGraph(t *testing.T) {
+	type input struct {
+		label string
+		tr    *trace.Trace
+	}
+	var inputs []input
 	rng := rand.New(rand.NewSource(11))
-	racyTraces := 0
 	for trial := 0; trial < 60; trial++ {
 		w := randomWorkload(rng, trial%3 != 0)
 		model := weakModel(rng)
@@ -31,79 +36,123 @@ func TestImplicitVsExplicitAugmentedGraph(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		label := fmt.Sprintf("trial %d (%s, %v, seed %d)", trial, w.Name, model, seed)
 		tr := trace.FromExecution(r.Exec)
-		imp, err := core.Analyze(tr, core.Options{})
+		inputs = append(inputs, input{label, tr}, input{label + " mixed", mixSyncLocations(rng, tr)})
+	}
+	for i, c := range workload.Corpus(60, 1) {
+		r, err := sim.Run(c.Workload.Prog, sim.Config{Model: c.Model, Seed: c.Seed, InitMemory: c.Workload.InitMemory})
 		if err != nil {
 			t.Fatal(err)
 		}
-		exp, err := core.Analyze(tr, core.Options{ExplicitAug: true})
-		if err != nil {
-			t.Fatal(err)
+		inputs = append(inputs, input{fmt.Sprintf("corpus %d (%s, %v, seed %d)", i, c.Workload.Name, c.Model, c.Seed), trace.FromExecution(r.Exec)})
+	}
+	racy, syncy, mixed := 0, 0, 0
+	for _, in := range inputs {
+		a := checkAgainstGPrimeOracle(t, in.label, in.tr, core.Options{})
+		if !a.RaceFree() {
+			racy++
 		}
-		if !imp.RaceFree() {
-			racyTraces++
+		if a.SyncRaces > 0 {
+			syncy++
 		}
-
-		ctx := func() string {
-			return w.Name + " seed " + model.String()
-		}
-		if !reflect.DeepEqual(imp.Races, exp.Races) {
-			t.Fatalf("trial %d (%s, seed %d): race lists differ:\nimplicit: %+v\nexplicit: %+v",
-				trial, ctx(), seed, imp.Races, exp.Races)
-		}
-		if !reflect.DeepEqual(imp.DataRaces, exp.DataRaces) {
-			t.Fatalf("trial %d (%s, seed %d): data-race sets differ", trial, ctx(), seed)
-		}
-		maskComp := func(ps []core.Partition) []core.Partition {
-			out := make([]core.Partition, len(ps))
-			for i, p := range ps {
-				p.Component = 0
-				out[i] = p
-			}
-			return out
-		}
-		if !reflect.DeepEqual(maskComp(imp.Partitions), maskComp(exp.Partitions)) {
-			t.Fatalf("trial %d (%s, seed %d): partitions differ:\nimplicit: %+v\nexplicit: %+v",
-				trial, ctx(), seed, imp.Partitions, exp.Partitions)
-		}
-		if !reflect.DeepEqual(imp.FirstPartitions, exp.FirstPartitions) {
-			t.Fatalf("trial %d (%s, seed %d): first partitions differ: %v vs %v",
-				trial, ctx(), seed, imp.FirstPartitions, exp.FirstPartitions)
-		}
-		for i := range imp.Partitions {
-			for j := range imp.Partitions {
-				if got, want := imp.PartitionPrecedes(i, j), exp.PartitionPrecedes(i, j); got != want {
-					t.Fatalf("trial %d (%s, seed %d): PartitionPrecedes(%d,%d) = %v implicit, %v explicit",
-						trial, ctx(), seed, i, j, got, want)
+		mixed += mixedRaces(a)
+		o := newGPrimeOracle(in.tr, memmodel.ConservativePairing)
+		for ri, x := range a.Races {
+			for rj, y := range a.Races {
+				want := false
+				for _, u := range []core.EventID{x.A, x.B} {
+					for _, v := range []core.EventID{y.A, y.B} {
+						want = want || o.gReach[u][v]
+					}
+				}
+				if got := a.Affects(ri, rj); got != want {
+					t.Fatalf("%s: Affects(%d,%d) = %v, oracle %v", in.label, ri, rj, got, want)
 				}
 			}
-		}
-		// The event-level affect relation (Definition 3.3) must agree too —
-		// it reads the condensation oracle on the implicit path and the
-		// full closure on the explicit one.
-		for _, ri := range imp.DataRaces {
-			for _, rj := range imp.DataRaces {
-				if got, want := imp.Affects(ri, rj), exp.Affects(ri, rj); got != want {
-					t.Fatalf("trial %d (%s, seed %d): Affects(%d,%d) = %v implicit, %v explicit",
-						trial, ctx(), seed, ri, rj, got, want)
-				}
-			}
-		}
-		// And the rendered reports, the user-visible artifact, must be
-		// byte-identical.
-		var impOut, expOut bytes.Buffer
-		if err := report.RenderAnalysis(&impOut, imp); err != nil {
-			t.Fatal(err)
-		}
-		if err := report.RenderAnalysis(&expOut, exp); err != nil {
-			t.Fatal(err)
-		}
-		if impOut.String() != expOut.String() {
-			t.Fatalf("trial %d (%s, seed %d): rendered reports differ:\n--- implicit ---\n%s\n--- explicit ---\n%s",
-				trial, ctx(), seed, impOut.String(), expOut.String())
 		}
 	}
-	if racyTraces < 20 {
-		t.Fatalf("only %d racy traces crosschecked; generator drifted", racyTraces)
+	if racy < 40 || syncy < 40 || mixed < 40 {
+		t.Fatalf("only %d racy and %d sync-racy traces and %d sync–computation races crosschecked; generators drifted",
+			racy, syncy, mixed)
+	}
+}
+
+// mixSyncLocations returns a copy of tr in which about a third of the
+// computation events also read or write a synchronization location.
+// The generators keep data and synchronization locations apart, so
+// without this the sweep's sync–computation paths would go unchecked.
+func mixSyncLocations(rng *rand.Rand, tr *trace.Trace) *trace.Trace {
+	var syncLocs []int
+	for _, evs := range tr.PerCPU {
+		for _, ev := range evs {
+			if ev.Kind == trace.Sync && !slices.Contains(syncLocs, int(ev.Loc)) {
+				syncLocs = append(syncLocs, int(ev.Loc))
+			}
+		}
+	}
+	out := *tr
+	out.PerCPU = make([][]*trace.Event, len(tr.PerCPU))
+	for c, evs := range tr.PerCPU {
+		for _, ev := range evs {
+			if ev.Kind == trace.Comp && len(syncLocs) > 0 && rng.Intn(3) == 0 {
+				cp := *ev
+				cp.Reads, cp.Writes = ev.Reads.Clone(), ev.Writes.Clone()
+				loc := syncLocs[rng.Intn(len(syncLocs))]
+				if rng.Intn(2) == 0 {
+					cp.Reads.Add(loc)
+				} else {
+					cp.Writes.Add(loc)
+				}
+				ev = &cp
+			}
+			out.PerCPU[c] = append(out.PerCPU[c], ev)
+		}
+	}
+	return &out
+}
+
+// mixedRaces counts the data races between a synchronization event and
+// a computation event.
+func mixedRaces(a *core.Analysis) int {
+	n := 0
+	for _, r := range a.Races {
+		if (a.Event(r.A).Kind == trace.Sync) != (a.Event(r.B).Kind == trace.Sync) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestPartnerFallbackBeyond32CPUs: with more than 32 CPUs the partner
+// bitmask no longer fits and buildImplicitAug scans each event's partner
+// list instead. A 36-CPU racy trace runs that fallback at several worker
+// counts and must still match the explicit-G′ oracle.
+func TestPartnerFallbackBeyond32CPUs(t *testing.T) {
+	w := workload.Random(workload.RandomParams{
+		Seed: 3, CPUs: 36, Segments: 2, OpsPerSegment: 2, Locks: 2,
+		UnlockedFraction: 0.5, SharedFraction: 0.8,
+	})
+	r, err := sim.Run(w.Prog, sim.Config{Model: memmodel.WO, Seed: 7, InitMemory: w.InitMemory})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := trace.FromExecution(r.Exec)
+	if tr.NumCPUs <= 32 {
+		t.Fatalf("trace has %d CPUs, want > 32", tr.NumCPUs)
+	}
+	for _, workers := range []int{1, 3} {
+		a := checkAgainstGPrimeOracle(t, fmt.Sprintf("36 CPUs, workers %d", workers), tr, core.Options{Workers: workers})
+		if len(a.Races) == 0 || a.SyncRaces == 0 {
+			t.Fatalf("36-CPU trace: %d data races, %d sync races; want both", len(a.Races), a.SyncRaces)
+		}
+		// Partners on CPUs past 31 are what the bitmask could not hold.
+		high := false
+		for _, r := range a.Races {
+			high = high || a.Ref(r.A).CPU >= 32 || a.Ref(r.B).CPU >= 32
+		}
+		if !high {
+			t.Fatal("no race involves a CPU past 31; the fallback is not exercised")
+		}
 	}
 }

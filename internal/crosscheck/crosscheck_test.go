@@ -52,7 +52,7 @@ func TestDifferentialPostMortemVsOnTheFly(t *testing.T) {
 			t.Fatal(err)
 		}
 		pm := map[core.LowerLevelRace]bool{}
-		for _, ri := range a.DataRaces {
+		for ri := range a.Races {
 			for _, ll := range a.LowerLevel(a.Races[ri]) {
 				pm[ll.Canonical()] = true
 			}
@@ -187,7 +187,7 @@ func TestDifferentialCodecs(t *testing.T) {
 				t.Fatal(err)
 			}
 			if len(a2.Races) != len(aMem.Races) ||
-				len(a2.DataRaces) != len(aMem.DataRaces) ||
+				a2.SyncRaces != aMem.SyncRaces ||
 				len(a2.Partitions) != len(aMem.Partitions) ||
 				len(a2.FirstPartitions) != len(aMem.FirstPartitions) {
 				t.Fatalf("trial %d codec %d: analysis differs after round trip", trial, i)
@@ -256,10 +256,10 @@ func TestLargePipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The detector's structural invariants at scale.
-	if (len(a.FirstPartitions) == 0) != (len(a.DataRaces) == 0) {
+	if (len(a.FirstPartitions) == 0) != (len(a.Races) == 0) {
 		t.Fatal("Theorem 4.1 violated at scale")
 	}
-	for _, ri := range a.DataRaces {
+	for ri := range a.Races {
 		race := a.Races[ri]
 		if a.HBOrdered(race.A, race.B) {
 			t.Fatal("ordered pair reported as race at scale")
@@ -268,7 +268,7 @@ func TestLargePipeline(t *testing.T) {
 	// The on-the-fly detector agrees on the coarse race set.
 	otf := onthefly.Detect(r.Exec, onthefly.Options{})
 	pm := 0
-	for _, ri := range a.DataRaces {
+	for ri := range a.Races {
 		pm += len(a.LowerLevel(a.Races[ri]))
 	}
 	if (pm == 0) != (otf.RaceCount() == 0) {

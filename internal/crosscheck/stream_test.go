@@ -76,7 +76,7 @@ func TestStreamedCorpusMatchesPostMortemOracle(t *testing.T) {
 			for _, race := range sum.Races {
 				streamed[race] = true
 			}
-			for _, ri := range a.DataRaces {
+			for ri := range a.Races {
 				for _, ll := range a.LowerLevel(a.Races[ri]) {
 					if !streamed[ll.Canonical().String()] {
 						t.Errorf("trial %d (%s, %v, seed %d): post-mortem race missing from streamed set: %v",

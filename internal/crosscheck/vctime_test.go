@@ -103,8 +103,8 @@ func comparePaths(t *testing.T, trial int, w *workload.Workload, seed int64, a, 
 		t.Fatalf("trial %d (%s, seed %d): race lists differ:\n%+v\nvs\n%+v",
 			trial, w.Name, seed, a.Races, b.Races)
 	}
-	if !reflect.DeepEqual(a.DataRaces, b.DataRaces) {
-		t.Fatalf("trial %d (%s, seed %d): data-race sets differ", trial, w.Name, seed)
+	if a.SyncRaces != b.SyncRaces {
+		t.Fatalf("trial %d (%s, seed %d): sync-race counts differ: %d vs %d", trial, w.Name, seed, a.SyncRaces, b.SyncRaces)
 	}
 	maskComp := func(ps []core.Partition) []core.Partition {
 		out := make([]core.Partition, len(ps))
@@ -130,8 +130,8 @@ func comparePaths(t *testing.T, trial int, w *workload.Workload, seed int64, a, 
 			}
 		}
 	}
-	for _, ri := range a.DataRaces {
-		for _, rj := range a.DataRaces {
+	for ri := range a.Races {
+		for rj := range a.Races {
 			if got, want := a.Affects(ri, rj), b.Affects(ri, rj); got != want {
 				t.Fatalf("trial %d (%s, seed %d): Affects(%d,%d) = %v vs %v",
 					trial, w.Name, seed, ri, rj, got, want)

@@ -169,7 +169,7 @@ func Table3(out io.Writer, cfg Config) error {
 			}
 			ms = append(ms, float64(time.Since(start).Microseconds())/1000)
 			events = tr.NumEvents()
-			races = len(a.DataRaces)
+			races = len(a.Races)
 		}
 		tbl.AddRow(segments, events, races, stats.Summarize(ms).Mean)
 	}
@@ -203,7 +203,7 @@ func Table4(out io.Writer, cfg Config) error {
 			}
 			racySeeds++
 			naiveCount := 0
-			for _, ri := range a.DataRaces {
+			for ri := range a.Races {
 				naiveCount += len(a.LowerLevel(a.Races[ri]))
 			}
 			fpCount := 0
@@ -249,7 +249,7 @@ func Table5(out io.Writer, cfg Config) error {
 					return err
 				}
 				pm := map[core.LowerLevelRace]bool{}
-				for _, ri := range a.DataRaces {
+				for ri := range a.Races {
 					for _, ll := range a.LowerLevel(a.Races[ri]) {
 						pm[ll.Canonical()] = true
 					}
@@ -305,7 +305,7 @@ func Table7(out io.Writer, cfg Config) error {
 			racySeeds++
 			pmFirst := map[core.LowerLevelRace]bool{}
 			pmAll := map[core.LowerLevelRace]bool{}
-			for _, ri := range a.DataRaces {
+			for ri := range a.Races {
 				for _, ll := range a.LowerLevel(a.Races[ri]) {
 					pmAll[ll.Canonical()] = true
 				}
@@ -373,7 +373,7 @@ func Table8(out io.Writer, cfg Config) error {
 					return 0, err
 				}
 				n := 0
-				for _, ri := range a.DataRaces {
+				for ri := range a.Races {
 					n += len(a.LowerLevel(a.Races[ri]))
 				}
 				return float64(n), nil

@@ -79,7 +79,7 @@ func Table10(out io.Writer, cfg Config) error {
 				return err
 			}
 			pm := map[core.LowerLevelRace]bool{}
-			for _, ri := range a.DataRaces {
+			for ri := range a.Races {
 				for _, ll := range a.LowerLevel(a.Races[ri]) {
 					pm[ll.Canonical()] = true
 				}

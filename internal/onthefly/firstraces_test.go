@@ -21,7 +21,7 @@ func postMortemFirstSet(t *testing.T, e *sim.Execution) (first, all map[core.Low
 	}
 	first = map[core.LowerLevelRace]bool{}
 	all = map[core.LowerLevelRace]bool{}
-	for _, ri := range a.DataRaces {
+	for ri := range a.Races {
 		for _, ll := range a.LowerLevel(a.Races[ri]) {
 			all[ll.Canonical()] = true
 		}

@@ -83,7 +83,7 @@ func TestAgreesWithPostMortem(t *testing.T) {
 				t.Fatal(err)
 			}
 			pm := map[core.LowerLevelRace]bool{}
-			for _, ri := range a.DataRaces {
+			for ri := range a.Races {
 				for _, ll := range a.LowerLevel(a.Races[ri]) {
 					pm[ll.Canonical()] = true
 				}

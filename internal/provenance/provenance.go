@@ -76,8 +76,8 @@ type Witness struct {
 	B    Side `json:"b"`
 	// Locations lists the conflicting locations.
 	Locations []int `json:"locations"`
-	// Data reports whether this is a data race (always true for
-	// witnesses produced by All, which covers the report's data races).
+	// Data reports whether this is a data race: always true, since only
+	// data races are stored and explained.
 	Data bool `json:"data"`
 	// LowerLevel lists the operation-granularity candidates (§2.1).
 	LowerLevel []string `json:"lower_level"`
@@ -137,18 +137,14 @@ func (e *Explainer) Analysis() *core.Analysis { return e.a }
 // order P. The slice is owned by the explainer.
 func (e *Explainer) ImmediateSuccessors() [][]int { return e.succ }
 
-// Explain produces the witness for race ri (an index into
-// Analysis.Races). The race must be a data race: only data races have a
-// partition to anchor the explanation to.
+// Explain produces the witness for data race ri (an index into
+// Analysis.Races).
 func (e *Explainer) Explain(ri int) (*Witness, error) {
 	a := e.a
 	if ri < 0 || ri >= len(a.Races) {
 		return nil, fmt.Errorf("provenance: race index %d out of range [0,%d)", ri, len(a.Races))
 	}
 	r := a.Races[ri]
-	if !r.Data {
-		return nil, fmt.Errorf("provenance: race %d is a synchronization race; only data races are explained", ri)
-	}
 	pi := a.RaceOfPartition(ri)
 	if pi < 0 {
 		return nil, fmt.Errorf("provenance: race %d has no partition", ri)
@@ -157,7 +153,7 @@ func (e *Explainer) Explain(ri int) (*Witness, error) {
 		Race:      ri,
 		A:         e.side(r.A),
 		B:         e.side(r.B),
-		Data:      r.Data,
+		Data:      true,
 		Partition: pi,
 		First:     a.Partitions[pi].First,
 	}
@@ -180,8 +176,8 @@ func (e *Explainer) Explain(ri int) (*Witness, error) {
 
 // All returns witnesses for every data race, in race order.
 func (e *Explainer) All() ([]*Witness, error) {
-	ws := make([]*Witness, 0, len(e.a.DataRaces))
-	for _, ri := range e.a.DataRaces {
+	ws := make([]*Witness, 0, len(e.a.Races))
+	for ri := range e.a.Races {
 		w, err := e.Explain(ri)
 		if err != nil {
 			return nil, err

@@ -17,15 +17,16 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // analyze runs a workload on the weak model with a fixed seed and
-// explains every data race. explicit selects the materialized-G′ path;
-// the witnesses must not depend on which path computed the partitions.
+// explains every data race. explicit selects the explicit hb1 closure
+// instead of the timestamps; the witnesses must not depend on which
+// oracle answered the ordering queries.
 func analyze(t *testing.T, w *workload.Workload, model memmodel.Model, seed int64, explicit bool) (*core.Analysis, []*Witness) {
 	t.Helper()
 	r, err := sim.Run(w.Prog, sim.Config{Model: model, Seed: seed, InitMemory: w.InitMemory})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := core.Analyze(trace.FromExecution(r.Exec), core.Options{ExplicitAug: explicit})
+	a, err := core.Analyze(trace.FromExecution(r.Exec), core.Options{ExplicitClosure: explicit})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,13 +77,13 @@ func sameWitnesses(t *testing.T, label string, a, b []*Witness) {
 		t.Fatal(err)
 	}
 	if string(ja) != string(jb) {
-		t.Errorf("%s: witnesses differ between implicit and explicit G′ paths:\nimplicit: %s\nexplicit: %s", label, ja, jb)
+		t.Errorf("%s: witnesses differ between the timestamp and explicit-closure oracles:\ntimestamps: %s\nclosure: %s", label, ja, jb)
 	}
 }
 
 // Figure 2 of the paper on WO with the seed that reproduces the stale
 // dequeue: the witnesses for the queue races are pinned, and the
-// explicit-G′ path must agree with the implicit one exactly.
+// explicit-closure path must agree with the timestamp path exactly.
 func TestWitnessGoldenFigure2(t *testing.T) {
 	w := workload.Figure2()
 	a, ws := analyze(t, w, memmodel.WO, 674, false)
@@ -168,7 +169,8 @@ func checkCertificateShape(t *testing.T, a *core.Analysis, w *Witness) {
 	}
 }
 
-// Explain rejects out-of-range indices and synchronization races.
+// Explain rejects out-of-range indices. Synchronization races are never
+// stored, so every in-range index is a data race with a witness.
 func TestExplainErrors(t *testing.T) {
 	w := workload.Figure2()
 	a, _ := analyze(t, w, memmodel.WO, 674, false)
@@ -179,12 +181,9 @@ func TestExplainErrors(t *testing.T) {
 	if _, err := e.Explain(len(a.Races)); err == nil {
 		t.Error("out-of-range index accepted")
 	}
-	for ri, r := range a.Races {
-		if !r.Data {
-			if _, err := e.Explain(ri); err == nil {
-				t.Errorf("sync race %d explained; only data races have partitions", ri)
-			}
-			break
+	for ri := range a.Races {
+		if _, err := e.Explain(ri); err != nil {
+			t.Errorf("data race %d: %v", ri, err)
 		}
 	}
 }

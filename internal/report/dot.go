@@ -70,7 +70,7 @@ func RenderDOT(w io.Writer, a *core.Analysis) error {
 	}
 
 	// Race edges (data races only; one double-headed edge per race).
-	for _, ri := range a.DataRaces {
+	for ri := range a.Races {
 		r := a.Races[ri]
 		fmt.Fprintf(&sb, "  %s -> %s [dir=both, color=red, label=%q, fontsize=8];\n",
 			node(r.A), node(r.B), "race "+r.Locs.String())

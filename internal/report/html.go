@@ -101,8 +101,8 @@ func buildHTMLData(a *core.Analysis, e *provenance.Explainer, ws []*provenance.W
 		Model:      t.Model.String(),
 		Seed:       t.Seed,
 		Events:     a.NumEvents,
-		NumRaces:   len(a.Races),
-		DataRaces:  len(a.DataRaces),
+		NumRaces:   len(a.Races) + a.SyncRaces,
+		DataRaces:  len(a.Races),
 		Partitions: len(a.Partitions),
 		First:      len(a.FirstPartitions),
 		RaceFree:   a.RaceFree(),

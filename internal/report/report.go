@@ -20,7 +20,7 @@ import (
 func RenderAnalysis(w io.Writer, a *core.Analysis) error {
 	t := a.Trace
 	if _, err := fmt.Fprintf(w, "race report for %q (model %s, seed %d): %d events, %d races (%d data), %d partitions (%d first)\n",
-		t.ProgramName, t.Model, t.Seed, a.NumEvents, len(a.Races), len(a.DataRaces),
+		t.ProgramName, t.Model, t.Seed, a.NumEvents, len(a.Races)+a.SyncRaces, len(a.Races),
 		len(a.Partitions), len(a.FirstPartitions)); err != nil {
 		return err
 	}
@@ -104,9 +104,6 @@ func RenderGraph(w io.Writer, a *core.Analysis) error {
 	// Index races by event for annotation.
 	raceWith := map[core.EventID][]core.EventID{}
 	for _, r := range a.Races {
-		if !r.Data {
-			continue
-		}
 		raceWith[r.A] = append(raceWith[r.A], r.B)
 		raceWith[r.B] = append(raceWith[r.B], r.A)
 	}

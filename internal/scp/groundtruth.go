@@ -35,7 +35,7 @@ func collectRaces(e *sim.Execution, into RaceSet) error {
 	if err != nil {
 		return err
 	}
-	for _, ri := range a.DataRaces {
+	for ri := range a.Races {
 		for _, ll := range a.LowerLevel(a.Races[ri]) {
 			into.Add(ll)
 		}

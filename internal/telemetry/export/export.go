@@ -46,9 +46,14 @@ const (
 
 // Edge origins.
 const (
-	OriginPO      = "po"      // program order
-	OriginSO1     = "so1"     // paired release→acquire synchronization
-	OriginPartner = "partner" // doubly-directed race edge of G′ (§4.2)
+	OriginPO  = "po"  // program order
+	OriginSO1 = "so1" // paired release→acquire synchronization
+	// OriginPartner is a race edge of G′ (§4.2) in compressed form: one
+	// directed edge from an event to its po-minimal race partner (data or
+	// synchronization race) on another CPU. With the po and so1 edges
+	// these have the same transitive closure as G′'s doubly-directed
+	// edge per race.
+	OriginPartner = "partner"
 )
 
 // Record is one flight-recorder entry. TS is nanoseconds since the

@@ -76,8 +76,33 @@ func TestFlightRecordsAnalysisStructure(t *testing.T) {
 	if edges["po"] != wantPO {
 		t.Errorf("po edges = %d, want %d", edges["po"], wantPO)
 	}
-	if edges["partner"] != len(a.Races) {
-		t.Errorf("partner edges = %d, want %d (one per race)", edges["partner"], len(a.Races))
+	// Partner edges are G′'s race edges compressed: at most one per
+	// (event, other CPU), pointing at the po-minimal race partner there,
+	// so every data race's sides each hold an edge onto the other side's
+	// CPU whose target is at or before that side.
+	type key struct{ from, cpu int }
+	minPartner := map[key]int{}
+	for _, rec := range recs {
+		if rec.Kind != export.KindEdge || rec.Edge.Origin != export.OriginPartner {
+			continue
+		}
+		k := key{rec.Edge.From, a.Ref(core.EventID(rec.Edge.To)).CPU}
+		if k.cpu == a.Ref(core.EventID(k.from)).CPU {
+			t.Errorf("partner edge %d→%d stays on one CPU", rec.Edge.From, rec.Edge.To)
+		}
+		if _, dup := minPartner[k]; dup {
+			t.Errorf("event %d has two partner edges onto CPU %d", k.from, k.cpu)
+		}
+		minPartner[k] = rec.Edge.To
+	}
+	for _, r := range a.Races {
+		for _, e := range [][2]core.EventID{{r.A, r.B}, {r.B, r.A}} {
+			m, ok := minPartner[key{int(e[0]), a.Ref(e[1]).CPU}]
+			if !ok || m > int(e[1]) {
+				t.Errorf("race %d–%d: partner edge of %d onto P%d is %d (present %v), want ≤ %d",
+					r.A, r.B, e[0], a.Ref(e[1]).CPU+1, m, ok, e[1])
+			}
+		}
 	}
 	if edges["so1"] == 0 {
 		t.Error("no so1 edges recorded; the segments workload synchronizes")

@@ -352,8 +352,8 @@ func TestRaceChainPartitionStructure(t *testing.T) {
 	for _, model := range []memmodel.Model{memmodel.SC, memmodel.WO} {
 		for seed := int64(0); seed < 15; seed++ {
 			_, a := run(t, w, model, seed)
-			if len(a.DataRaces) != stages {
-				t.Fatalf("%v seed %d: data races = %d, want %d", model, seed, len(a.DataRaces), stages)
+			if len(a.Races) != stages {
+				t.Fatalf("%v seed %d: data races = %d, want %d", model, seed, len(a.Races), stages)
 			}
 			if len(a.Partitions) != stages {
 				t.Fatalf("%v seed %d: partitions = %d, want %d", model, seed, len(a.Partitions), stages)
