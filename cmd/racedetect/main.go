@@ -54,7 +54,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		dotParts   = fs.String("dot-partitions", "", "write the partition condensation DAG in Graphviz DOT form to this file")
 		htmlOut    = fs.String("html", "", "write a single-file HTML race report to this file\n(multiple inputs get numbered suffixes)")
 		flight     = fs.String("flight", "", "write a flight-recorder directory: flight.jsonl, trace.json (Perfetto), witnesses.json")
-		workers    = fs.Int("workers", 0, "worker goroutines for every analysis phase — trace validation, the\ntimestamp pass, hb1 construction, the race sweep, and partition\nordering (0 = GOMAXPROCS); output is byte-identical for every\nworker count")
+		workers    = fs.Int("workers", 0, "worker goroutines for the hb1 graph build, the one analysis phase\nthat runs in parallel (0 = GOMAXPROCS); output is byte-identical\nfor every worker count")
 		httpAddr   = fs.String("http", "", "serve the observability plane (metrics, status, dashboard, pprof) on this address while analyzing")
 
 		wdP99X    = fs.Float64("watchdog-p99x", 0, "watchdog: fire when an analysis phase exceeds this multiple of its running p99 (0 = off)")

@@ -114,8 +114,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		htmlOut  = fs.String("html", "", "with -flight or alone: write the segments-32 run's HTML race report to this file")
 		httpAddr = fs.String("http", "", "serve the observability plane (metrics, status, dashboard, pprof) on this address while benching")
 		traject  = fs.String("trajectory", "", "standalone mode: render the checked-in BENCH_*.json files (or the\npositional arguments) into one HTML trend report at this path, then exit")
-		metrics  = fs.String("metrics", "", "dump a JSON telemetry snapshot on exit to this file (- for stdout);\nincludes the parallel-analysis counters (graph.ts.*, graph.build.*,\ntrace.validate.*, detect.sweep.*, detect.condreach.*, detect.arena.*)")
-		workers  = fs.Int("workers", 0, "worker goroutines for the parallel analysis passes in the detection\nscenarios (0 = GOMAXPROCS); output is byte-identical for every worker count")
+		metrics  = fs.String("metrics", "", "dump a JSON telemetry snapshot on exit to this file (- for stdout);\nincludes the analysis counters (graph.ts.*, graph.build.*,\ntrace.validate.*, detect.sweep.*, detect.condreach.*, detect.arena.*)")
+		workers  = fs.Int("workers", 0, "worker goroutines for the hb1 graph build in the detection scenarios\n(0 = GOMAXPROCS); output is byte-identical for every worker count")
 		profile  = fs.String("profile", "", "write a per-scenario CPU profile (<scenario>.pprof) into this directory")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -536,7 +536,7 @@ func allScenarios(workers int) []scenario {
 			return metrics, nil
 		}},
 		{"postmortem-scaling-large", func(iters int) (map[string]float64, error) {
-			// PR 8: the 30k+-event regime the parallel passes exist for.
+			// The 30k+-event regime, where the hb1 build goes parallel.
 			// Two series: analysis cost at segments 256/512/1024 with the
 			// flag's worker count, and a worker sweep {1,2,4,8} on the
 			// segments-512 trace whose speedup_Nw metrics record the

@@ -132,7 +132,7 @@ func TestRunLargeScalingScenario(t *testing.T) {
 	}
 	for _, name := range []string{
 		"graph.ts.spans", "graph.ts.span_max_events",
-		"detect.sweep.buckets", "detect.arena.shards", "detect.arena.shard_recs_highwater",
+		"detect.sweep.buckets", "detect.arena.recs_highwater",
 	} {
 		if !strings.Contains(string(data), name) {
 			t.Errorf("telemetry dump missing %q", name)
@@ -173,7 +173,7 @@ func TestRunXLScalingScenario(t *testing.T) {
 		"phase_detect.analyze_ns", "phase_detect.validate_ns",
 		"phase_trace.validate.streams_ns", "phase_trace.validate.so1_ns",
 		"phase_graph.build.count_ns", "phase_graph.build.fill_ns",
-		"phase_detect.condreach.materialize_ns",
+		"phase_detect.condreach.order_ns",
 	} {
 		if m[key] <= 0 {
 			t.Errorf("metric %q = %v, want > 0", key, m[key])
@@ -185,16 +185,16 @@ func TestRunXLScalingScenario(t *testing.T) {
 	if fi, err := os.Stat(filepath.Join(profDir, "postmortem-scaling-xl.pprof")); err != nil || fi.Size() == 0 {
 		t.Errorf("per-scenario CPU profile missing or empty: %v", err)
 	}
-	// The -metrics dump must carry the PR-10 telemetry: the parallel
-	// validator, the counted hb1 fill, and the partition ordering.
+	// The -metrics dump must carry the validator's phases, the counted
+	// hb1 fill, and the partition ordering.
 	data, err := os.ReadFile(metricsPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{
-		"trace.validate.workers", "trace.validate.streams", "trace.validate.so1",
+		"trace.validate.streams", "trace.validate.so1",
 		"graph.build.workers", "graph.build.count", "graph.build.fill",
-		"detect.condreach.workers", "detect.condreach.materialize", "detect.condreach.order",
+		"detect.condreach.order",
 	} {
 		if !strings.Contains(string(data), name) {
 			t.Errorf("telemetry dump missing %q", name)

@@ -10,6 +10,7 @@ package bitset
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 )
 
@@ -39,9 +40,14 @@ func Wrap(words []uint64) *Set {
 	return &Set{words: words}
 }
 
-// FromSlice returns a set containing exactly the given values.
+// FromSlice returns a set containing exactly the given values. The set
+// is sized once from the largest value, so building it costs one
+// allocation whatever order the values come in.
 func FromSlice(values []int) *Set {
 	s := &Set{}
+	if len(values) > 0 {
+		s.grow(slices.Max(values) / wordBits)
+	}
 	for _, v := range values {
 		s.Add(v)
 	}

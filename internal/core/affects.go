@@ -14,16 +14,14 @@ func (a *Analysis) Affects(ri, rj int) bool {
 	x, y := a.Races[ri], a.Races[rj]
 	from := [2]EventID{x.A, x.B}
 	to := [2]EventID{y.A, y.B}
-	// hb1 ⊆ G′, so when the timestamp layer is live its O(1) epoch
-	// compares get first shot at every pair before any condensation DFS:
-	// an hb1-ordered pair anywhere settles the whole relation.
-	if a.HBTime != nil {
-		for _, u := range from {
-			for _, v := range to {
-				if a.HBTime.Reaches(int(u), int(v)) {
-					vcFastpathHit()
-					return true
-				}
+	// hb1 ⊆ G′, so the timestamp layer's O(1) epoch compares get first
+	// shot at every pair before any condensation DFS: an hb1-ordered pair
+	// anywhere settles the whole relation.
+	for _, u := range from {
+		for _, v := range to {
+			if a.HBTime.Reaches(int(u), int(v)) {
+				vcFastpathHit()
+				return true
 			}
 		}
 	}

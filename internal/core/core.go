@@ -59,27 +59,13 @@ type Options struct {
 	// SkipValidate skips trace validation (for traces already validated,
 	// e.g. straight from the decoder, on hot benchmark paths).
 	SkipValidate bool
-	// Workers bounds the parallelism of every parallel pass inside one
-	// analysis: validation, the hb1 build, the timestamp layer's span
-	// fill, the (location, segment-pair)-sharded race sweep, and the
-	// partition ordering. 0 uses GOMAXPROCS; 1 forces the sequential
-	// paths. The Analysis is byte-identical for every worker count: sweep
-	// workers produce commutative partial results (data-race records,
-	// sync-race counts, G′ partner minima) that are merged and sorted
-	// deterministically, and the parallel fills write disjoint ranges of
-	// slabs whose contents do not depend on the schedule.
+	// Workers bounds the parallelism of the hb1 build, the one pass of an
+	// analysis that fans out (above hbParallelCutoff events); every other
+	// pass runs sequentially. 0 uses GOMAXPROCS; 1 forces the sequential
+	// build. The Analysis is byte-identical for every worker count: the
+	// parallel build places every edge at the slot the sequential build
+	// appends it to.
 	Workers int
-	// ExplicitClosure answers hb1 ordering queries with the lazy bitset
-	// transitive closure (graph.NewReachabilityLazy, Analysis.HBReach) the
-	// way PRs 2–3 did. The default (false) timestamps hb1 in one
-	// topological pass instead (graph.Timestamps, Analysis.HBTime): every
-	// ordering query becomes an O(1) per-CPU epoch compare and the race
-	// sweep reads its interval boundaries straight from the clocks, with
-	// no closure rows at all. The two paths produce byte-identical
-	// analyses; the closure path is kept as the reference oracle for the
-	// crosscheck harness and for callers that want HBReach for ad-hoc
-	// component-level queries.
-	ExplicitClosure bool
 	// Arena, when non-nil, supplies reusable per-Analyze scratch buffers
 	// (race records, SCC stacks, G′ partner lists). A campaign hands one
 	// arena per in-flight seed down so repeated analyses stop re-allocating
@@ -106,21 +92,17 @@ type Arena struct {
 	extras  [][]int32 // per-node race-partner lists (min partner per CPU)
 	pmask   []uint32  // per-node bitmask of partner CPUs (≤32 CPUs)
 	touched []int32   // nodes with non-empty extras, for O(touched) reset
-	// shards holds one sub-arena per sweep worker: each worker owns its
-	// shard exclusively for the duration of the scan, so appends never
-	// contend, while the shard list itself lives in the arena and keeps
-	// the campaign-level sync.Pool reuse intact (shards[0] doubles as the
-	// sequential path's buffer). Grown to the high-water worker count and
-	// reused; buildImplicitAug reads the partner candidates back out.
-	shards    []sweepShard
-	segs      []locSeg    // prep pass: per-location CPU segments, read-only during the scan
-	segOff    []int32     // sorted-location offsets into segs (len(locs)+1)
-	units     []sweepUnit // (location, segment-pair) buckets the scan workers pull
-	recsMerge []pairRec   // merge's concatenation buffer (workers > 1)
-	hbCnt     []int32     // parallel hb1 fill: per-event so1 rank counters
-	hbLess    []int32     // parallel hb1 fill: per-event acquires-below-po counts
-	digits    []int32     // radix sort's counting buffer
-	recsTmp   []pairRec   // radix sort's ping-pong buffer
+	recs    []pairRec // the scan's data-side (pair, location) records
+	// parts holds the scan's G′ partner-minimum candidates, which
+	// buildImplicitAug folds into extras.
+	parts   []partRec
+	segs    []locSeg    // prep pass: per-location CPU segments
+	segOff  []int32     // sorted-location offsets into segs (len(locs)+1)
+	units   []sweepUnit // (location, segment-pair) units the scan walks
+	hbCnt   []int32     // parallel hb1 fill: per-event so1 rank counters
+	hbLess  []int32     // parallel hb1 fill: per-event acquires-below-po counts
+	digits  []int32     // radix sort's counting buffer
+	recsTmp []pairRec   // radix sort's ping-pong buffer
 	// locSlot interns locations into stable accLists slots, so repeated
 	// analyses through one arena reuse the per-location access buffers
 	// instead of rebuilding a map of freshly grown slices every time.
@@ -186,14 +168,9 @@ type Analysis struct {
 	// pass assigns every event's SCC a forward clock and a backward
 	// frontier, making ordering queries O(1) epoch compares and giving
 	// the race sweep and the provenance certificates their per-CPU
-	// interval boundaries directly. Populated on the default path; nil
-	// under Options.ExplicitClosure. Query hb1 ordering through
-	// HBReaches/HBOrdered/HBWindow, which dispatch to whichever oracle
-	// the options built.
+	// interval boundaries directly. HBReaches/HBOrdered/HBWindow wrap it
+	// in event ids.
 	HBTime *graph.Timestamps
-	// HBReach answers hb1 ordering queries with the closure oracle.
-	// Populated only under Options.ExplicitClosure.
-	HBReach *graph.Reachability
 	// AugSCC is the component structure of the augmented graph G′ — the
 	// partitions of §4.2. G′ is never materialized: the SCCs come from a
 	// Tarjan run over hb1 plus per-CPU-minimal race partners (see
@@ -223,8 +200,7 @@ type Analysis struct {
 	augCond         *graph.CondReach // partition-order oracle over G′'s condensation
 	augEdges        int64            // G′ partner entries (per-CPU-minimal)
 	candidatePairs  int64            // conflicting pairs in the sweep's segment pairs
-	raceWorkers     int              // worker count the race search actually used
-	sweepBuckets    int64            // (location, segment-pair) units the scan was sharded into
+	sweepBuckets    int64            // (location, segment-pair) units the scan walked
 	vcWindowQueries int64            // sweep boundary lookups answered by HBTime
 	// pairShift is the bit width of this trace's event ids: packed pair
 	// keys are lo<<pairShift | hi, so they span only 2·⌈log₂ n⌉ bits and
@@ -255,16 +231,11 @@ func (a *Analysis) Event(id EventID) *trace.Event {
 // was sequentially consistent.
 func (a *Analysis) RaceFree() bool { return len(a.Races) == 0 }
 
-// HBReaches reports u ⇝ v in hb1 (reflexively: HBReaches(u, u) is true),
-// dispatching to whichever ordering oracle the options built — the
-// vector-clock timestamps by default, the explicit closure under
-// Options.ExplicitClosure. The two oracles agree on every pair (the
-// crosscheck harness pins this), so callers never need to know which ran.
+// HBReaches reports u ⇝ v in hb1 (reflexively: HBReaches(u, u) is true).
+// The crosscheck harness pins the timestamps behind it to an explicit
+// transitive closure (graph.NewReachability) on every pair.
 func (a *Analysis) HBReaches(u, v EventID) bool {
-	if a.HBTime != nil {
-		return a.HBTime.Reaches(int(u), int(v))
-	}
-	return a.HBReach.Reaches(int(u), int(v))
+	return a.HBTime.Reaches(int(u), int(v))
 }
 
 // HBOrdered reports whether u and v are hb1-ordered either way — the
@@ -279,24 +250,11 @@ func (a *Analysis) HBOrdered(u, v EventID) bool {
 // happens-before-1 (the stream length when none). Program order makes
 // the reaching events a prefix and the reached events a suffix, so
 // events strictly inside (lastPred, firstSucc) are exactly the ones
-// unordered with x — the absence certificate provenance emits. On the
-// timestamp path both bounds are two slab reads; under ExplicitClosure
-// they are recovered by binary search over the monotone closure
-// predicates.
+// unordered with x — the absence certificate provenance emits. Both
+// bounds are two slab reads off x's clocks.
 func (a *Analysis) HBWindow(x EventID, cpu int) (lastPred, firstSucc int) {
-	if a.HBTime != nil {
-		predCount, succPos := a.HBTime.Window(int(x), cpu)
-		return int(predCount) - 1, int(succPos)
-	}
-	n := len(a.Trace.PerCPU[cpu])
-	base := a.base[cpu]
-	lastPred = sort.Search(n, func(j int) bool {
-		return !a.HBReach.Reaches(base+j, int(x))
-	}) - 1
-	firstSucc = sort.Search(n, func(j int) bool {
-		return a.HBReach.Reaches(int(x), base+j)
-	})
-	return lastPred, firstSucc
+	predCount, succPos := a.HBTime.Window(int(x), cpu)
+	return int(predCount) - 1, int(succPos)
 }
 
 // Analyze runs the full post-mortem detection pipeline on a trace.
@@ -305,12 +263,8 @@ func Analyze(t *trace.Trace, opts Options) (*Analysis, error) {
 	fl := newFlight(opts.Flight)
 	defer startPhase(reg, fl, "detect.analyze")()
 	if !opts.SkipValidate {
-		// Validation shares the analysis's worker budget
-		// (ValidateParallel resolves 0 to GOMAXPROCS the same way
-		// resolveWorkers does) and reports the identical error for
-		// every worker count.
 		done := startPhase(reg, fl, "detect.validate")
-		err := t.ValidateParallel(opts.Workers)
+		err := t.Validate()
 		done()
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
@@ -340,22 +294,13 @@ func Analyze(t *trace.Trace, opts Options) (*Analysis, error) {
 	done := startPhase(reg, fl, "detect.build_hb")
 	a.buildHB()
 	done()
+	// One topological pass timestamps hb1 — O(events × CPUs) total, no
+	// closure rows, and the sweep's interval boundaries fall out of the
+	// clocks for free.
 	done = startPhase(reg, fl, "detect.hb_reach")
-	if opts.ExplicitClosure {
-		// Lazy closure oracle: the race search's pre-checks (component id,
-		// topological level) answer most ordering queries without closure
-		// rows, so sparse-race traces never materialize the full O(C²/64)
-		// closure.
-		a.HBReach = graph.NewReachabilityLazy(a.HB)
-	} else {
-		// Default path: one topological pass timestamps hb1 — O(events ×
-		// CPUs) total, no rows ever, and the sweep's interval boundaries
-		// fall out of the clocks for free. The span fill inside shares the
-		// analysis's worker budget.
-		ar := a.Options.Arena
-		a.HBTime = graph.NewTimestamps(a.HB, ar.cpuOf[:a.NumEvents], ar.posOf[:a.NumEvents],
-			t.NumCPUs, &ar.scratch, a.resolveWorkers())
-	}
+	ar := a.Options.Arena
+	a.HBTime = graph.NewTimestamps(a.HB, ar.cpuOf[:a.NumEvents], ar.posOf[:a.NumEvents],
+		t.NumCPUs, &ar.scratch)
 	done()
 	done = startPhase(reg, fl, "detect.find_races")
 	a.findRaces(reg, fl)
@@ -416,37 +361,21 @@ func (a *Analysis) flushTelemetry(reg *telemetry.Registry) {
 	reg.Counter("detect.partitions").Add(int64(len(a.Partitions)))
 	reg.Counter("detect.first_partitions").Add(int64(len(a.FirstPartitions)))
 	reg.Counter("detect.race_candidates").Add(a.candidatePairs)
-	reg.Gauge("detect.find_races.workers").SetMax(int64(a.raceWorkers))
 	// detect.sweep.buckets counts the (location, segment-pair) units the
-	// scan was sharded into; the arena gauges are per-shard high-water
-	// marks — how much record slab each worker's sub-arena has grown to
-	// across the analyses run through it.
+	// scan walked; the arena gauge is the high-water mark of the record
+	// buffer across the analyses run through one arena.
 	reg.Counter("detect.sweep.buckets").Add(a.sweepBuckets)
-	if ar := a.Options.Arena; ar != nil {
-		reg.Gauge("detect.arena.shards").SetMax(int64(len(ar.shards)))
-		maxRecs := 0
-		for i := range ar.shards {
-			if c := cap(ar.shards[i].recs); c > maxRecs {
-				maxRecs = c
-			}
-		}
-		reg.Gauge("detect.arena.shard_recs_highwater").SetMax(int64(maxRecs))
-	}
-	// detect.vc_* is the timestamp layer's footprint: analyses that used
-	// it, its component/clock sizes, and the sweep boundary lookups it
-	// answered (each replacing an amortized run of closure queries).
-	// Absent entirely when the closure path ran instead — mirroring
-	// graph.reach.*, which now only appears when a closure was actually
-	// built. detect.vc_hb_fastpath_hits (the G′ queries the hb1 clock
-	// settles before any condensation DFS) is incremented live at the
-	// query site instead: Definition-3.3 queries arrive through the
-	// Affects API after the analysis — and its flush — have finished.
-	if a.HBTime != nil {
-		reg.Counter("detect.vc_builds").Inc()
-		reg.Counter("detect.vc_components").Add(int64(a.HBTime.SCC().NumComponents()))
-		reg.Gauge("detect.vc_width").SetMax(int64(a.HBTime.Width()))
-		reg.Counter("detect.vc_window_queries").Add(a.vcWindowQueries)
-	}
+	reg.Gauge("detect.arena.recs_highwater").SetMax(int64(cap(a.Options.Arena.recs)))
+	// detect.vc_* is the timestamp layer's footprint: its component/clock
+	// sizes and the sweep boundary lookups it answered.
+	// detect.vc_hb_fastpath_hits (the G′ queries the hb1 clock settles
+	// before any condensation DFS) is incremented live at the query site
+	// instead: Definition-3.3 queries arrive through the Affects API after
+	// the analysis — and its flush — have finished.
+	reg.Counter("detect.vc_builds").Inc()
+	reg.Counter("detect.vc_components").Add(int64(a.HBTime.SCC().NumComponents()))
+	reg.Gauge("detect.vc_width").SetMax(int64(a.HBTime.Width()))
+	reg.Counter("detect.vc_window_queries").Add(a.vcWindowQueries)
 	reg.Counter("detect.scc.components").Add(int64(a.AugSCC.NumComponents()))
 	// detect.scc.max_size is the largest SCC of the AUGMENTED graph G′
 	// per analysis — the partition-structure view. The graph layer's
@@ -483,7 +412,10 @@ const hbChunk = 4096
 // serial build for every worker count.
 func (a *Analysis) buildHB() {
 	reg := telemetry.Default()
-	workers := a.resolveWorkers()
+	workers := a.Options.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	if a.NumEvents < hbParallelCutoff {
 		workers = 1
 	}
@@ -714,48 +646,18 @@ type locSeg struct {
 	syncs, syncWrites int32 // synchronization accesses / writes within
 }
 
-// sweepUnit is one bucket of sweep work: a (location, segment-pair)
-// combination with conflict potential. Sharding by segment pair — CPU
-// pair, since segments are per-CPU — instead of by whole location keeps
-// a single hot location (a contended lock word) from serializing behind
-// one worker. Units are enumerated in a fixed (location, si, ti) order;
-// which worker runs a unit never matters because the merge sorts the
-// flat records into a total order afterwards.
+// sweepUnit is one unit of sweep work: a (location, segment-pair)
+// combination with conflict potential — a CPU pair, since segments are
+// per-CPU. Units are enumerated in a fixed (location, si, ti) order.
 type sweepUnit struct {
 	li     int32 // index into the sorted locations
 	si, ti int32 // segment pair within the location, si < ti
-}
-
-// sweepShard is one worker's sub-arena: the flat buffers and counters it
-// appends to during the scan. Shards are owned exclusively by their
-// worker between fan-out and merge.
-type sweepShard struct {
-	recs      []pairRec // data-side (pair, location) records
-	parts     []partRec // partner-minimum candidates for G′
-	syncRaces int64     // synchronization races counted, never stored
-	cand, vcq int64     // conflicting pairs seen; HBTime window lookups
 }
 
 // partRec proposes v as u's po-minimal G′ partner on v's CPU: the first
 // access of one unit's window that conflicts with u. buildImplicitAug
 // keeps the minimum per (u, CPU) across units and locations.
 type partRec struct{ u, v EventID }
-
-// sweepThreshold is the access count below which the race search stays
-// sequential: fanning out goroutines costs more than the sweep itself on
-// small traces. The parallel and sequential paths produce identical
-// output, so the cutoff is purely a scheduling decision.
-const sweepThreshold = 2048
-
-// resolveWorkers returns the analysis's worker budget: Options.Workers,
-// with 0 meaning GOMAXPROCS. Individual passes may still run
-// sequentially below their own size cutoffs.
-func (a *Analysis) resolveWorkers() int {
-	if w := a.Options.Workers; w > 0 {
-		return w
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // findRaces detects all races — conflicting, hb1-unordered event pairs —
 // and stores only the data races; synchronization races are counted.
@@ -774,10 +676,8 @@ func (a *Analysis) resolveWorkers() int {
 // interval [p,q) between them. Both boundaries are monotone
 // non-decreasing as x advances through its own segment (later x is
 // reached by more of T and reaches less of it), so one two-pointer pass
-// spends O(|S|+|T|) amortized boundary work per segment pair. On the
-// default timestamp path the boundaries come from HBTime.Window — two
-// slab reads per x; under ExplicitClosure each pointer advance runs one
-// closure query.
+// spends O(|S|+|T|) amortized boundary work per segment pair. The
+// boundaries come from HBTime.Window — two slab reads per x.
 //
 // Each unit's work grows with its accesses plus its data races, not with
 // its synchronization races (see scanUnit): only pairs with a computation
@@ -788,16 +688,10 @@ func (a *Analysis) resolveWorkers() int {
 // contending spin loops, and §4.2 needs none of them beyond those
 // minima.
 //
-// The unit of parallel work is a (location, segment-pair) bucket — a CPU
-// pair, since segments are per-CPU — not a whole location: a single
-// contended lock word does not serialize behind one worker. A serial
-// prep pass enumerates segments and buckets; scan workers pull buckets
-// off an atomic index into per-shard arenas they own exclusively; the
-// record partials are concatenated and sorted into a total order, and
-// the sorted runs are coalesced into races. Every stage either
-// serializes, produces commutative partials (counts, partner minima), or
-// writes disjoint ranges of a deterministic slab, so the Analysis is
-// byte-identical for every worker count and work-stealing schedule.
+// A prep pass enumerates segments and (location, segment-pair) units;
+// the scan walks the units into the arena's record and partner buffers;
+// the records are sorted by pair and the sorted runs are coalesced into
+// races.
 func (a *Analysis) findRaces(reg *telemetry.Registry, fl *flight) {
 	// Keyed by location, sparse: traces legitimately declare large address
 	// spaces while touching few locations, and the analyzer must not
@@ -827,7 +721,6 @@ func (a *Analysis) findRaces(reg *telemetry.Registry, fl *flight) {
 		}
 		ar.accLists[slot] = append(ar.accLists[slot], acc)
 	}
-	total := 0
 	for c, evs := range a.Trace.PerCPU {
 		for i, ev := range evs {
 			id := EventID(a.base[c] + i)
@@ -838,13 +731,11 @@ func (a *Analysis) findRaces(reg *telemetry.Registry, fl *flight) {
 				// purposes).
 				ev.Writes.Range(func(loc int) bool {
 					addAccess(loc, access{ev: id, cpu: int32(c), write: true})
-					total++
 					return true
 				})
 				ev.Reads.Range(func(loc int) bool {
 					if !ev.Writes.Contains(loc) {
 						addAccess(loc, access{ev: id, cpu: int32(c), write: false})
-						total++
 					}
 					return true
 				})
@@ -852,7 +743,6 @@ func (a *Analysis) findRaces(reg *telemetry.Registry, fl *flight) {
 				addAccess(int(ev.Loc), access{
 					ev: id, cpu: int32(c), write: ev.IsWriteSync(), sync: true,
 				})
-				total++
 			}
 		}
 	}
@@ -860,12 +750,10 @@ func (a *Analysis) findRaces(reg *telemetry.Registry, fl *flight) {
 	locs := ar.locsBuf
 	slices.Sort(locs)
 
-	// Segment and bucket enumeration, serial: one pass over every sorted
-	// location records its per-CPU segments into a shared read-only slab,
-	// fills each access's jump indices and prefix counts, and emits one
-	// sweepUnit per segment pair with conflict potential. The fixed
-	// (location, si, ti) enumeration order is what the bucket telemetry
-	// and the scan's work index are defined over.
+	// Segment and unit enumeration: one pass over every sorted location
+	// records its per-CPU segments, fills each access's jump indices and
+	// prefix counts, and emits one sweepUnit per segment pair with
+	// conflict potential.
 	segs, segOff, units := ar.segs[:0], ar.segOff[:0], ar.units[:0]
 	segOff = append(segOff, 0)
 	for li, loc := range locs {
@@ -922,69 +810,23 @@ func (a *Analysis) findRaces(reg *telemetry.Registry, fl *flight) {
 	a.sweepBuckets = int64(len(units))
 	donePrep()
 
-	workers := a.resolveWorkers()
-	if workers > len(units) {
-		workers = len(units)
-	}
-	if workers < 2 || total < sweepThreshold {
-		workers = 1
-	}
-	a.raceWorkers = workers
-	for len(ar.shards) < workers {
-		ar.shards = append(ar.shards, sweepShard{})
-	}
-	shards := ar.shards[:workers]
-
-	// Scan: workers pull buckets off a shared index; a hot location's
-	// segment pairs therefore spread across the pool instead of
-	// serializing behind one worker. Each worker appends into its own
-	// shard — no maps, no per-race allocations, no contention on shared
-	// slabs — and the grown buffers stay in the shard for the next
-	// analysis through this arena.
+	// Scan: every unit appends into the arena's buffers — no maps, no
+	// per-race allocations — and the grown buffers stay in the arena for
+	// the next analysis through it.
 	doneScan := startPhase(reg, fl, "detect.sweep.scan")
 	a.pairShift = uint(bits.Len(uint(a.NumEvents)))
-	var next atomic.Int64
-	runUnits(workers, workers, func(w int) {
-		sh := &shards[w]
-		sh.recs, sh.parts = sh.recs[:0], sh.parts[:0]
-		sh.syncRaces, sh.cand, sh.vcq = 0, 0, 0
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(units) {
-				return
-			}
-			un := units[i]
-			slot := ar.locSlot[locs[un.li]]
-			base := segOff[un.li]
-			a.scanUnit(sh, ar.accLists[slot], slot, segs[base+un.si], segs[base+un.ti])
-		}
-	})
-	for i := range shards {
-		a.SyncRaces += int(shards[i].syncRaces)
-		a.candidatePairs += shards[i].cand
-		a.vcWindowQueries += shards[i].vcq
+	ar.recs, ar.parts = ar.recs[:0], ar.parts[:0]
+	for _, un := range units {
+		slot := ar.locSlot[locs[un.li]]
+		base := segOff[un.li]
+		a.scanUnit(ar.accLists[slot], slot, segs[base+un.si], segs[base+un.ti])
 	}
 	doneScan()
 
-	// Deterministic merge: concatenate the partials and sort by
-	// (pair, location) — a total order, since each (event pair, location)
-	// combination is produced at most once — so the record sequence, and
-	// with it the Analysis, is byte-identical for every worker count and
-	// work-stealing schedule. The sequential path sorts its single
-	// partial in place (no copy); the records are dead after the coalesce
-	// below, so every buffer (including the merge concatenation) returns
-	// to the arena. Only data-side pairs are records, so both the copy
-	// and the sort run serially (see DESIGN.md for the measurement).
+	// Sort by packed pair key; the records are dead after the coalesce
+	// below, so both sort buffers return to the arena.
 	doneMerge := startPhase(reg, fl, "detect.sweep.merge")
-	recs := shards[0].recs
-	if workers > 1 {
-		recs = ar.recsMerge[:0]
-		for i := range shards {
-			recs = append(recs, shards[i].recs...)
-		}
-		ar.recsMerge = recs
-	}
-	recs = sortRecsByKey(recs, ar)
+	recs := sortRecsByKey(ar.recs, ar)
 	doneMerge()
 
 	// Canonical singleton location sets, one per distinct location: races
@@ -1016,8 +858,7 @@ func (a *Analysis) findRaces(reg *telemetry.Registry, fl *flight) {
 	// Coalesce sorted runs into races. Packed keys order exactly like the
 	// (A, B) lexicographic order the report promises; within a run the
 	// record order is irrelevant — location-set insertion is commutative,
-	// which is also why the sort never needs to be stable across worker
-	// schedules. len(recs) bounds the race count tightly (each record is
+	// so the sort need not be stable. len(recs) bounds the race count tightly (each record is
 	// a distinct (pair, location) and nearly every pair has one location),
 	// so Races is allocated once at that bound and truncated — no
 	// counting pre-pass rescanning the records.
@@ -1059,29 +900,30 @@ func (a *Analysis) findRaces(reg *telemetry.Registry, fl *flight) {
 //
 // The backward walk takes T's accesses against S for the partner minima
 // of T's side. The work is O(|S|+|T|) plus one step per data record.
-func (a *Analysis) scanUnit(sh *sweepShard, accs []access, slot int32, S, T locSeg) {
+func (a *Analysis) scanUnit(accs []access, slot int32, S, T locSeg) {
+	ar := a.Options.Arena
 	// Conflicting pairs in S×T = all pairs minus read-read pairs, counted
 	// wholesale.
 	sn, tn := S.end-S.start, T.end-T.start
-	sh.cand += int64(sn*tn - (sn-S.writes)*(tn-T.writes))
+	a.candidatePairs += int64(sn*tn - (sn-S.writes)*(tn-T.writes))
 	shift := a.pairShift
 	p, q := T.start, T.start
 	for xi := S.start; xi < S.end; xi++ {
 		x := accs[xi]
-		p, q = a.window(sh, accs, x.ev, T, p, q)
+		p, q = a.window(accs, x.ev, T, p, q)
 		if p == q {
 			continue
 		}
-		sh.proposePartner(accs, x, p, q)
+		a.proposePartner(accs, x, p, q)
 		if x.sync {
 			ns, nw := T.syncs, T.syncWrites
 			if q < T.end {
 				ns, nw = accs[q].syncs, accs[q].syncWrites
 			}
 			if x.write {
-				sh.syncRaces += int64(ns - accs[p].syncs)
+				a.SyncRaces += int(ns - accs[p].syncs)
 			} else {
-				sh.syncRaces += int64(nw - accs[p].syncWrites)
+				a.SyncRaces += int(nw - accs[p].syncWrites)
 			}
 		}
 		for y := p; y < q; y++ {
@@ -1100,14 +942,14 @@ func (a *Analysis) scanUnit(sh *sweepShard, accs []access, slot int32, S, T locS
 			if lo > hi {
 				lo, hi = hi, lo
 			}
-			sh.recs = append(sh.recs, pairRec{key: uint64(lo)<<shift | uint64(hi), slot: slot})
+			ar.recs = append(ar.recs, pairRec{key: uint64(lo)<<shift | uint64(hi), slot: slot})
 		}
 	}
 	p, q = S.start, S.start
 	for yi := T.start; yi < T.end; yi++ {
-		p, q = a.window(sh, accs, accs[yi].ev, S, p, q)
+		p, q = a.window(accs, accs[yi].ev, S, p, q)
 		if p < q {
-			sh.proposePartner(accs, accs[yi], p, q)
+			a.proposePartner(accs, accs[yi], p, q)
 		}
 	}
 }
@@ -1116,30 +958,20 @@ func (a *Analysis) scanUnit(sh *sweepShard, accs []access, slot int32, S, T locS
 // T's prefix that reaches x, q past the events x does not reach. Both
 // only move forward while x advances along its own segment. On an hb1
 // cycle the prefix and the reached suffix can overlap; the clamp
-// q = max(q,p) then leaves the interval empty.
-func (a *Analysis) window(sh *sweepShard, accs []access, x EventID, T locSeg, p, q int32) (int32, int32) {
-	if a.HBTime != nil {
-		// Window gives the exact prefix count and suffix start of T's
-		// whole stream, and event ids are base+pos within a CPU, so the
-		// pointers advance by threshold compares.
-		tcpu := int(accs[T.start].cpu)
-		predCount, succPos := a.HBTime.Window(int(x), tcpu)
-		sh.vcq++
-		tbase := EventID(a.base[tcpu])
-		for p < T.end && accs[p].ev-tbase < EventID(predCount) {
-			p++
-		}
-		q = max(q, p)
-		for q < T.end && accs[q].ev-tbase < EventID(succPos) {
-			q++
-		}
-		return p, q
-	}
-	for p < T.end && a.HBReach.Reaches(int(accs[p].ev), int(x)) {
+// q = max(q,p) then leaves the interval empty. HBTime.Window gives the
+// exact prefix count and suffix start of T's whole stream, and event ids
+// are base+pos within a CPU, so the pointers advance by threshold
+// compares.
+func (a *Analysis) window(accs []access, x EventID, T locSeg, p, q int32) (int32, int32) {
+	tcpu := int(accs[T.start].cpu)
+	predCount, succPos := a.HBTime.Window(int(x), tcpu)
+	a.vcWindowQueries++
+	tbase := EventID(a.base[tcpu])
+	for p < T.end && accs[p].ev-tbase < EventID(predCount) {
 		p++
 	}
 	q = max(q, p)
-	for q < T.end && !a.HBReach.Reaches(int(x), int(accs[q].ev)) {
+	for q < T.end && accs[q].ev-tbase < EventID(succPos) {
 		q++
 	}
 	return p, q
@@ -1147,13 +979,14 @@ func (a *Analysis) window(sh *sweepShard, accs []access, x EventID, T locSeg, p,
 
 // proposePartner records the first access of the non-empty window [p,q)
 // that conflicts with x as x's partner candidate on that segment's CPU.
-func (sh *sweepShard) proposePartner(accs []access, x access, p, q int32) {
+func (a *Analysis) proposePartner(accs []access, x access, p, q int32) {
 	m := p
 	if !x.write {
 		m = accs[p].nextWrite
 	}
 	if m < q {
-		sh.parts = append(sh.parts, partRec{u: x.ev, v: accs[m].ev})
+		ar := a.Options.Arena
+		ar.parts = append(ar.parts, partRec{u: x.ev, v: accs[m].ev})
 	}
 }
 
@@ -1188,8 +1021,8 @@ func (a *Analysis) fillRace(r *Race, run []pairRec) {
 // usual record sort is two or three counting passes, not a comparison
 // sort of 16-byte structs. Ping-pong and counting buffers come from the
 // arena. The returned slice aliases either recs or the arena's buffer.
-// (Records with equal keys may arrive in schedule-dependent order from
-// the scan, but the coalesce folds equal-key runs commutatively.)
+// (The sort is not stable; the coalesce folds equal-key runs
+// commutatively.)
 func sortRecsByKey(recs []pairRec, ar *Arena) []pairRec {
 	const digitBits = 11
 	const radix = 1 << digitBits
@@ -1238,8 +1071,8 @@ func sortRecsByKey(recs []pairRec, ar *Arena) []pairRec {
 }
 
 // pairRec is one (conflicting unordered pair, location) observation with
-// a computation side — the flat intermediate the scan workers produce and
-// the merge sorts and coalesces into data races.
+// a computation side — the flat intermediate the scan produces and the
+// merge sorts and coalesces into data races.
 type pairRec struct {
 	key  uint64 // packed (A, B)
 	slot int32  // interned location slot
@@ -1293,30 +1126,28 @@ func (a *Analysis) buildImplicitAug() {
 	pmask := ar.pmask[:n]
 	useMask := a.Trace.NumCPUs <= 32
 	var nEntries int64
-	for _, sh := range ar.shards[:a.raceWorkers] {
-		for _, pr := range sh.parts {
-			u, v := pr.u, int32(pr.v)
-			vc := cpuOf[v]
-			lst := extras[u]
-			if !useMask || pmask[u]>>uint(vc)&1 != 0 {
-				i := 0
-				for i < len(lst) && cpuOf[lst[i]] != vc {
-					i++
-				}
-				if i < len(lst) {
-					lst[i] = min(lst[i], v)
-					continue
-				}
+	for _, pr := range ar.parts {
+		u, v := pr.u, int32(pr.v)
+		vc := cpuOf[v]
+		lst := extras[u]
+		if !useMask || pmask[u]>>uint(vc)&1 != 0 {
+			i := 0
+			for i < len(lst) && cpuOf[lst[i]] != vc {
+				i++
 			}
-			if useMask {
-				pmask[u] |= 1 << uint(vc)
+			if i < len(lst) {
+				lst[i] = min(lst[i], v)
+				continue
 			}
-			if len(lst) == 0 {
-				ar.touched = append(ar.touched, int32(u))
-			}
-			extras[u] = append(lst, v)
-			nEntries++
 		}
+		if useMask {
+			pmask[u] |= 1 << uint(vc)
+		}
+		if len(lst) == 0 {
+			ar.touched = append(ar.touched, int32(u))
+		}
+		extras[u] = append(lst, v)
+		nEntries++
 	}
 	for _, u := range ar.touched {
 		slices.Sort(extras[u])
@@ -1340,18 +1171,10 @@ func vcFastpathHit() {
 }
 
 // partition groups the data races by the SCCs of G′ and computes the first
-// partitions under the partial order P of Definition 4.1.
-//
-// The ordering runs in two phases. detect.condreach.materialize
-// pre-builds the condensation reachability rows of every partition
-// component that can be a non-trivial query source (all but the
-// minimum id — reverse-topological numbering answers the minimum's
-// queries without a row), with CondReach's CAS-publishing worker pool.
-// detect.condreach.order then evaluates the O(k²) "does any other
-// partition reach p" loop with partitions fanned out over the worker
-// budget: every query is a lock-free row load, each worker writes only
-// its own partition's First flag, and the flags are pure functions of
-// G′ — identical for every worker count and schedule.
+// partitions under the partial order P of Definition 4.1. The ordering
+// (detect.condreach.order) is the O(k²) "does any other partition reach
+// p" loop; each query source's condensation row is built by one memoized
+// DFS the first time it is asked (graph.CondReach).
 func (a *Analysis) partition(reg *telemetry.Registry, fl *flight) {
 	scc := a.AugSCC
 	byComp := map[int]*Partition{}
@@ -1385,34 +1208,9 @@ func (a *Analysis) partition(reg *telemetry.Registry, fl *flight) {
 	}
 	sort.Slice(parts, func(i, j int) bool { return parts[i].Events[0] < parts[j].Events[0] })
 
-	workers := a.resolveWorkers()
-	if reg.Enabled() && len(parts) > 0 {
-		reg.Gauge("detect.condreach.workers").SetMax(int64(workers))
-	}
-	// Both phases fire regardless of worker count or partition count, so
-	// flight recordings stay byte-identical across worker counts.
-	done := startPhase(reg, fl, "detect.condreach.materialize")
-	if len(parts) > 1 {
-		minComp := parts[0].Component
-		for _, p := range parts[1:] {
-			if p.Component < minComp {
-				minComp = p.Component
-			}
-		}
-		comps := make([]int, 0, len(parts)-1)
-		for _, p := range parts {
-			if p.Component != minComp {
-				comps = append(comps, p.Component)
-			}
-		}
-		a.augCond.MaterializeRows(comps, workers)
-	}
-	done()
-
 	// A partition is first iff no OTHER data-race partition reaches it.
-	done = startPhase(reg, fl, "detect.condreach.order")
-	runUnits(workers, len(parts), func(i int) {
-		p := parts[i]
+	done := startPhase(reg, fl, "detect.condreach.order")
+	for i, p := range parts {
 		p.First = true
 		for j, q := range parts {
 			if i == j {
@@ -1423,7 +1221,7 @@ func (a *Analysis) partition(reg *telemetry.Registry, fl *flight) {
 				break
 			}
 		}
-	})
+	}
 	done()
 	a.Partitions = make([]Partition, len(parts))
 	for i, p := range parts {

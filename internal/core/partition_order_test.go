@@ -1,8 +1,10 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
+	"weakrace/internal/graph"
 	"weakrace/internal/memmodel"
 	"weakrace/internal/trace"
 )
@@ -30,19 +32,88 @@ func chainTrace() *trace.Trace {
 	)
 }
 
+// explicitOrder recomputes a's data races and partition order from
+// explicit closures alone: every conflicting pair that
+// graph.NewReachability(a.HB) leaves unordered is a race and a
+// doubly-directed edge of an explicitly built G′, and partition i
+// precedes j iff the closure of that G′ reaches j's events from i's.
+func explicitOrder(a *Analysis) (races [][2]EventID, precedes func(i, j int) bool) {
+	type access struct {
+		loc   int
+		write bool
+	}
+	accesses := func(ev *trace.Event) []access {
+		if ev.Kind == trace.Sync {
+			return []access{{int(ev.Loc), ev.IsWriteSync()}}
+		}
+		var out []access
+		ev.Writes.Range(func(l int) bool { out = append(out, access{l, true}); return true })
+		ev.Reads.Range(func(l int) bool { out = append(out, access{l, false}); return true })
+		return out
+	}
+	conflict := func(x, y *trace.Event) bool {
+		for _, ax := range accesses(x) {
+			for _, ay := range accesses(y) {
+				if ax.loc == ay.loc && (ax.write || ay.write) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	hb := graph.NewReachability(a.HB)
+	gp := a.HB.Clone()
+	for u := 0; u < a.NumEvents; u++ {
+		for v := u + 1; v < a.NumEvents; v++ {
+			eu, ev := a.Event(EventID(u)), a.Event(EventID(v))
+			if hb.Ordered(u, v) || !conflict(eu, ev) {
+				continue
+			}
+			gp.AddEdge(u, v)
+			gp.AddEdge(v, u)
+			if eu.Kind == trace.Comp || ev.Kind == trace.Comp {
+				races = append(races, [2]EventID{EventID(u), EventID(v)})
+			}
+		}
+	}
+	closure := graph.NewReachability(gp)
+	return races, func(i, j int) bool {
+		return closure.Reaches(int(a.Partitions[i].Events[0]), int(a.Partitions[j].Events[0]))
+	}
+}
+
+// orderOracles are the ways the tests answer the partition order:
+// "implicit" asks the analysis (timestamps and the implicit G′);
+// "explicit" asks explicitOrder, after checking that it finds exactly
+// the analysis's data races.
+var orderOracles = []struct {
+	name  string
+	order func(t *testing.T, a *Analysis) func(i, j int) bool
+}{
+	{"implicit", func(t *testing.T, a *Analysis) func(i, j int) bool { return a.PartitionPrecedes }},
+	{"explicit", func(t *testing.T, a *Analysis) func(i, j int) bool {
+		races, precedes := explicitOrder(a)
+		var got [][2]EventID
+		for _, r := range a.Races {
+			got = append(got, [2]EventID{r.A, r.B})
+		}
+		if !reflect.DeepEqual(got, races) {
+			t.Fatalf("analysis races %v, explicit closure finds %v", got, races)
+		}
+		return precedes
+	}},
+}
+
 // TestPartitionOrderingChain pins down the partition order machinery on a
-// crafted multi-partition trace, with hb1 answered by the timestamps
-// ("implicit", the default) and by the explicit closure ("explicit"):
+// crafted multi-partition trace, with the order answered by the analysis
+// ("implicit") and by explicit closures of hb1 and G′ ("explicit"):
 // PartitionPrecedes antisymmetry, FirstPartitions minimality, and the
 // expected chain structure.
 func TestPartitionOrderingChain(t *testing.T) {
-	for _, explicit := range []bool{false, true} {
-		name := "implicit"
-		if explicit {
-			name = "explicit"
-		}
-		t.Run(name, func(t *testing.T) {
-			a := analyze(t, chainTrace(), Options{ExplicitClosure: explicit})
+	for _, o := range orderOracles {
+		t.Run(o.name, func(t *testing.T) {
+			a := analyze(t, chainTrace(), Options{})
+			precedes := o.order(t, a)
 			if len(a.Races) != 3 {
 				t.Fatalf("want 3 data races, got %d: %+v", len(a.Races), a.Races)
 			}
@@ -63,12 +134,12 @@ func TestPartitionOrderingChain(t *testing.T) {
 					if i == j {
 						continue
 					}
-					if got := a.PartitionPrecedes(i, j); got != (i < j) {
-						t.Fatalf("PartitionPrecedes(%d,%d) = %v, want %v", i, j, got, i < j)
+					if got := precedes(i, j); got != (i < j) {
+						t.Fatalf("precedes(%d,%d) = %v, want %v", i, j, got, i < j)
 					}
 					// Antisymmetry: never both directions between distinct
 					// partitions (they are distinct SCCs).
-					if a.PartitionPrecedes(i, j) && a.PartitionPrecedes(j, i) {
+					if precedes(i, j) && precedes(j, i) {
 						t.Fatalf("PartitionPrecedes not antisymmetric on (%d,%d)", i, j)
 					}
 				}
@@ -82,7 +153,7 @@ func TestPartitionOrderingChain(t *testing.T) {
 			for i := range a.Partitions {
 				preceded := false
 				for j := range a.Partitions {
-					if j != i && a.PartitionPrecedes(j, i) {
+					if j != i && precedes(j, i) {
 						preceded = true
 					}
 				}
@@ -101,7 +172,7 @@ func TestPartitionOrderingChain(t *testing.T) {
 }
 
 // TestTheorem41BothWays checks Theorem 4.1 in both directions under both
-// hb1 oracles: a racy trace has at least one first partition, and a
+// order oracles: a racy trace has at least one first partition, and a
 // properly-synchronized trace has no data races and no first partitions.
 func TestTheorem41BothWays(t *testing.T) {
 	const x, L = 0, 1
@@ -112,21 +183,32 @@ func TestTheorem41BothWays(t *testing.T) {
 			comp([]int{x}, nil),
 		},
 	)
-	for _, explicit := range []bool{false, true} {
-		name := "implicit"
-		if explicit {
-			name = "explicit"
-		}
-		t.Run(name, func(t *testing.T) {
-			racy := analyze(t, chainTrace(), Options{ExplicitClosure: explicit})
-			if len(racy.Races) == 0 || len(racy.FirstPartitions) == 0 {
-				t.Fatalf("racy trace: %d data races, %d first partitions — Theorem 4.1 (⇐) violated",
-					len(racy.Races), len(racy.FirstPartitions))
+	firsts := func(a *Analysis, precedes func(i, j int) bool) int {
+		n := 0
+		for i := range a.Partitions {
+			first := true
+			for j := range a.Partitions {
+				if j != i && precedes(j, i) {
+					first = false
+				}
 			}
-			cleanA := analyze(t, clean, Options{ExplicitClosure: explicit})
-			if len(cleanA.Races) != 0 || len(cleanA.FirstPartitions) != 0 {
+			if first {
+				n++
+			}
+		}
+		return n
+	}
+	for _, o := range orderOracles {
+		t.Run(o.name, func(t *testing.T) {
+			racy := analyze(t, chainTrace(), Options{})
+			if n := firsts(racy, o.order(t, racy)); len(racy.Races) == 0 || n == 0 {
+				t.Fatalf("racy trace: %d data races, %d first partitions — Theorem 4.1 (⇐) violated",
+					len(racy.Races), n)
+			}
+			cleanA := analyze(t, clean, Options{})
+			if n := firsts(cleanA, o.order(t, cleanA)); len(cleanA.Races) != 0 || n != 0 || len(cleanA.FirstPartitions) != 0 {
 				t.Fatalf("synchronized trace: %d data races, %d first partitions — Theorem 4.1 (⇒) violated",
-					len(cleanA.Races), len(cleanA.FirstPartitions))
+					len(cleanA.Races), n)
 			}
 		})
 	}

@@ -88,29 +88,23 @@ func TestAnalyzeEmitsTelemetry(t *testing.T) {
 	if snap.Counters["detect.race_candidates"] <= 0 {
 		t.Errorf("detect.race_candidates = %d, want > 0", snap.Counters["detect.race_candidates"])
 	}
-	if snap.Gauges["detect.find_races.workers"] < 1 {
-		t.Errorf("detect.find_races.workers = %d, want >= 1", snap.Gauges["detect.find_races.workers"])
+	// The hb1 build, the one pass with a parallel path, reports its
+	// resolved worker budget even when a small input kept it serial.
+	if snap.Gauges["graph.build.workers"] < 1 {
+		t.Errorf("graph.build.workers = %d, want >= 1", snap.Gauges["graph.build.workers"])
 	}
-	// PR-10 parallel-analysis instrumentation: every phase of the pipeline
-	// now reports its resolved worker budget, even when a small input kept
-	// it on the serial path (the budget is a scheduling fact either way).
-	for _, name := range []string{"trace.validate.workers", "graph.build.workers", "detect.condreach.workers"} {
-		if snap.Gauges[name] < 1 {
-			t.Errorf("gauge %q = %d, want >= 1", name, snap.Gauges[name])
-		}
-	}
-	// PR-8 parallel-analysis instrumentation: the timestamp layer's span
-	// statistics and the sweep's per-shard arena high-water marks.
+	// The timestamp layer's span statistics and the sweep's arena
+	// high-water mark.
 	if snap.Gauges["graph.ts.span_max_events"] < 1 {
 		t.Errorf("graph.ts.span_max_events = %d, want >= 1", snap.Gauges["graph.ts.span_max_events"])
 	}
-	if snap.Gauges["detect.arena.shards"] < 1 {
-		t.Errorf("detect.arena.shards = %d, want >= 1", snap.Gauges["detect.arena.shards"])
+	if snap.Gauges["detect.arena.recs_highwater"] < 1 {
+		t.Errorf("detect.arena.recs_highwater = %d, want >= 1", snap.Gauges["detect.arena.recs_highwater"])
 	}
 	for _, phase := range []string{"sim.run", "trace.build", "detect.analyze", "detect.find_races",
 		"detect.sweep.prep", "detect.sweep.scan", "detect.sweep.merge", "detect.sweep.coalesce",
 		"trace.validate.streams", "trace.validate.so1", "graph.build.count", "graph.build.fill",
-		"detect.condreach.materialize", "detect.condreach.order"} {
+		"detect.condreach.order"} {
 		if snap.Phases[phase].Count == 0 {
 			t.Errorf("phase %q has no observations", phase)
 		}

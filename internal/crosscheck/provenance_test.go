@@ -12,23 +12,36 @@ import (
 	"weakrace/internal/provenance"
 	"weakrace/internal/sim"
 	"weakrace/internal/trace"
+	"weakrace/internal/workload"
 )
 
 // TestCertificatesAgainstExplicitClosure verifies the witness engine's
 // absence certificates against a fully materialized transitive closure
-// of the hb1 graph. The engine computes each boundary with two binary
-// searches over CondReach; here every boundary is recomputed by linear
-// scan over graph.NewReachability, the monotonicity the searches rely
-// on is checked event by event, and the racing partner is confirmed to
+// of the hb1 graph. The engine reads each boundary off the hb1
+// timestamps (core.Analysis.HBWindow); here every boundary is recomputed
+// by linear scan over graph.NewReachability, the prefix/suffix
+// monotonicity the windows rely on is checked event by event, and the racing partner is confirmed to
 // lie strictly inside the bracket (i.e. the certificate really proves
 // hb1-unorderedness).
+//
+// Besides 40 random workloads, it covers the two workloads whose
+// witnesses the provenance package pins as golden files: Figure 2 on WO
+// at seed 674 and RaceChain(4) on WO at seed 1.
 func TestCertificatesAgainstExplicitClosure(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	witnessed := 0
-	for trial := 0; trial < 40; trial++ {
-		w := randomWorkload(rng, true)
-		model := weakModel(rng)
-		seed := rng.Int63n(1000)
+	for trial := 0; trial < 42; trial++ {
+		var w *workload.Workload
+		var model memmodel.Model
+		var seed int64
+		switch trial {
+		case 40:
+			w, model, seed = workload.Figure2(), memmodel.WO, 674
+		case 41:
+			w, model, seed = workload.RaceChain(4), memmodel.WO, 1
+		default:
+			w, model, seed = randomWorkload(rng, true), weakModel(rng), rng.Int63n(1000)
+		}
 		r, err := sim.Run(w.Prog, sim.Config{Model: model, Seed: seed, InitMemory: w.InitMemory})
 		if err != nil {
 			t.Fatal(err)
@@ -70,7 +83,7 @@ func checkBoundary(t *testing.T, a *core.Analysis, closure *graph.Reachability, 
 
 	// Brute-force bracket over the explicit closure, plus the
 	// monotonicity check: reaching-x must be a prefix of the stream and
-	// reached-by-x a suffix, or the engine's binary searches are unsound.
+	// reached-by-x a suffix, or a two-bound window cannot describe them.
 	lastPred, firstSucc := -1, len(stream)
 	for j := range stream {
 		if closure.Reaches(at(j), x) {
@@ -108,14 +121,23 @@ func checkBoundary(t *testing.T, a *core.Analysis, closure *graph.Reachability, 
 // the explicit-G′ oracle — the race's partition and first flag, and an
 // affected-by chain that starts at a first partition, ends at the
 // race's own, and steps only along immediate edges of the oracle's
-// partition order.
+// partition order. Besides 30 random workloads it covers the two
+// golden-file workloads of the provenance package.
 func TestWitnessesImplicitVsExplicitAug(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	compared, chains := 0, 0
-	for trial := 0; trial < 30; trial++ {
-		w := randomWorkload(rng, true)
-		model := weakModel(rng)
-		seed := rng.Int63n(1000)
+	for trial := 0; trial < 32; trial++ {
+		var w *workload.Workload
+		var model memmodel.Model
+		var seed int64
+		switch trial {
+		case 30:
+			w, model, seed = workload.Figure2(), memmodel.WO, 674
+		case 31:
+			w, model, seed = workload.RaceChain(4), memmodel.WO, 1
+		default:
+			w, model, seed = randomWorkload(rng, true), weakModel(rng), rng.Int63n(1000)
+		}
 		r, err := sim.Run(w.Prog, sim.Config{Model: model, Seed: seed, InitMemory: w.InitMemory})
 		if err != nil {
 			t.Fatal(err)

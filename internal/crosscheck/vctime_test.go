@@ -1,28 +1,23 @@
 package crosscheck
 
 import (
-	"bytes"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"weakrace/internal/core"
-	"weakrace/internal/report"
+	"weakrace/internal/graph"
 	"weakrace/internal/sim"
 	"weakrace/internal/trace"
 	"weakrace/internal/workload"
 )
 
-// The vector-clock hb1 path (the default: one topological pass assigns
-// every event an O(p) timestamp, ordering queries become epoch compares)
-// and the explicit lazy-closure path (Options.ExplicitClosure, the PR-3
-// oracle) must produce identical Analysis output on the same 60-trace
-// corpus the augmented-graph crosscheck uses: same races, data races,
-// partitions, first partitions, partition order — and the rendered
-// report byte-identical. On top of the end-to-end pin, every event
-// pair's ordering must agree between the timestamp layer and the bitset
-// closure, and the per-CPU windows both paths serve to provenance must
-// match index for index.
+// The vector-clock timestamps (one topological pass assigns every event
+// an O(p) timestamp; ordering queries become epoch compares) must agree
+// with the explicit transitive closure of the same hb1 graph
+// (graph.NewReachability) on the 60-trace corpus the augmented-graph
+// crosscheck uses: every event pair's ordering, through the timestamp
+// layer and through the analysis's HBReaches, and every (event, CPU)
+// window the sweep and the provenance certificates are built from.
 func TestVCTimestampsVsExplicitClosure(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	racyTraces := 0
@@ -35,56 +30,31 @@ func TestVCTimestampsVsExplicitClosure(t *testing.T) {
 			t.Fatal(err)
 		}
 		tr := trace.FromExecution(r.Exec)
-		vc, err := core.Analyze(tr, core.Options{})
+		a, err := core.Analyze(tr, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cl, err := core.Analyze(tr, core.Options{ExplicitClosure: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if vc.HBTime == nil || vc.HBReach != nil {
-			t.Fatalf("trial %d: default path did not build the timestamp oracle", trial)
-		}
-		if cl.HBTime != nil || cl.HBReach == nil {
-			t.Fatalf("trial %d: ExplicitClosure did not build the closure oracle", trial)
-		}
-		if !vc.RaceFree() {
+		if !a.RaceFree() {
 			racyTraces++
 		}
+		cl := graph.NewReachability(a.HB)
 
-		comparePaths(t, trial, w, seed, vc, cl)
-
-		// Event-pair property: the timestamp layer's ordering must equal
-		// the explicit closure's on every pair, and the reflexive dispatch
-		// helpers must agree with the oracles underneath them.
-		n := vc.NumEvents
+		n := a.NumEvents
 		for u := 0; u < n; u++ {
 			for v := 0; v < n; v++ {
-				got := vc.HBTime.Reaches(u, v)
-				want := cl.HBReach.Reaches(u, v)
-				if got != want {
+				want := cl.Reaches(u, v)
+				if got := a.HBTime.Reaches(u, v); got != want {
 					t.Fatalf("trial %d (%s, %v, seed %d): hb1 %d⇝%d = %v by clocks, %v by closure",
 						trial, w.Name, model, seed, u, v, got, want)
 				}
-				if vc.HBReaches(core.EventID(u), core.EventID(v)) != want ||
-					cl.HBReaches(core.EventID(u), core.EventID(v)) != want {
-					t.Fatalf("trial %d: HBReaches dispatch diverges from oracle on (%d,%d)", trial, u, v)
+				if a.HBReaches(core.EventID(u), core.EventID(v)) != want {
+					t.Fatalf("trial %d: HBReaches diverges from the closure on (%d,%d)", trial, u, v)
 				}
 			}
 		}
-
-		// Window property: both paths must bracket every (event, CPU) pair
-		// with the same prefix/suffix indices — the structure the
-		// provenance certificates are built from.
 		for u := 0; u < n; u++ {
 			for cpu := 0; cpu < tr.NumCPUs; cpu++ {
-				vp, vs := vc.HBWindow(core.EventID(u), cpu)
-				cp, cs := cl.HBWindow(core.EventID(u), cpu)
-				if vp != cp || vs != cs {
-					t.Fatalf("trial %d: HBWindow(%d, cpu %d) = (%d,%d) by clocks, (%d,%d) by closure",
-						trial, u, cpu, vp, vs, cp, cs)
-				}
+				checkWindow(t, trial, a, cl, u, cpu)
 			}
 		}
 	}
@@ -93,69 +63,34 @@ func TestVCTimestampsVsExplicitClosure(t *testing.T) {
 	}
 }
 
-// comparePaths pins two analyses of the same trace to identical output:
-// races, data races, partitions (Component masked — SCC numbering may
-// differ), first partitions, the partition order relation, the affect
-// relation, and the rendered report bytes.
-func comparePaths(t *testing.T, trial int, w *workload.Workload, seed int64, a, b *core.Analysis) {
+// checkWindow recomputes HBWindow(u, cpu) by linear scan over the
+// explicit closure: the last event of the stream that reaches u and the
+// first event u reaches.
+func checkWindow(t *testing.T, trial int, a *core.Analysis, cl *graph.Reachability, u, cpu int) {
 	t.Helper()
-	if !reflect.DeepEqual(a.Races, b.Races) {
-		t.Fatalf("trial %d (%s, seed %d): race lists differ:\n%+v\nvs\n%+v",
-			trial, w.Name, seed, a.Races, b.Races)
-	}
-	if a.SyncRaces != b.SyncRaces {
-		t.Fatalf("trial %d (%s, seed %d): sync-race counts differ: %d vs %d", trial, w.Name, seed, a.SyncRaces, b.SyncRaces)
-	}
-	maskComp := func(ps []core.Partition) []core.Partition {
-		out := make([]core.Partition, len(ps))
-		for i, p := range ps {
-			p.Component = 0
-			out[i] = p
-		}
-		return out
-	}
-	if !reflect.DeepEqual(maskComp(a.Partitions), maskComp(b.Partitions)) {
-		t.Fatalf("trial %d (%s, seed %d): partitions differ:\n%+v\nvs\n%+v",
-			trial, w.Name, seed, a.Partitions, b.Partitions)
-	}
-	if !reflect.DeepEqual(a.FirstPartitions, b.FirstPartitions) {
-		t.Fatalf("trial %d (%s, seed %d): first partitions differ: %v vs %v",
-			trial, w.Name, seed, a.FirstPartitions, b.FirstPartitions)
-	}
-	for i := range a.Partitions {
-		for j := range a.Partitions {
-			if got, want := a.PartitionPrecedes(i, j), b.PartitionPrecedes(i, j); got != want {
-				t.Fatalf("trial %d (%s, seed %d): PartitionPrecedes(%d,%d) = %v vs %v",
-					trial, w.Name, seed, i, j, got, want)
-			}
+	stream := len(a.Trace.PerCPU[cpu])
+	at := func(j int) int { return int(a.ID(trace.EventRef{CPU: cpu, Index: j})) }
+	lastPred, firstSucc := -1, stream
+	for j := 0; j < stream; j++ {
+		if cl.Reaches(at(j), u) {
+			lastPred = j
 		}
 	}
-	for ri := range a.Races {
-		for rj := range a.Races {
-			if got, want := a.Affects(ri, rj), b.Affects(ri, rj); got != want {
-				t.Fatalf("trial %d (%s, seed %d): Affects(%d,%d) = %v vs %v",
-					trial, w.Name, seed, ri, rj, got, want)
-			}
+	for j := stream - 1; j >= 0; j-- {
+		if cl.Reaches(u, at(j)) {
+			firstSucc = j
 		}
 	}
-	var aOut, bOut bytes.Buffer
-	if err := report.RenderAnalysis(&aOut, a); err != nil {
-		t.Fatal(err)
-	}
-	if err := report.RenderAnalysis(&bOut, b); err != nil {
-		t.Fatal(err)
-	}
-	if aOut.String() != bOut.String() {
-		t.Fatalf("trial %d (%s, seed %d): rendered reports differ:\n--- a ---\n%s\n--- b ---\n%s",
-			trial, w.Name, seed, aOut.String(), bOut.String())
+	if gp, gs := a.HBWindow(core.EventID(u), cpu); gp != lastPred || gs != firstSucc {
+		t.Fatalf("trial %d: HBWindow(%d, cpu %d) = (%d,%d) by clocks, (%d,%d) by closure",
+			trial, u, cpu, gp, gs, lastPred, firstSucc)
 	}
 }
 
 // The same pin on bigger random workloads than the corpus draws —
 // hundreds of events, denser race populations — where the timestamp
-// layer's SCC handling and the sweep's window arithmetic see real
-// stress. Pair coverage is sampled (full n² on every trace is covered
-// above); the Analysis comparison is exact.
+// layer's SCC handling sees real stress. Pair and window coverage is
+// sampled (full coverage on every trace is above).
 func TestVCTimestampsVsExplicitClosureLarge(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for trial := 0; trial < 6; trial++ {
@@ -173,21 +108,20 @@ func TestVCTimestampsVsExplicitClosureLarge(t *testing.T) {
 			t.Fatal(err)
 		}
 		tr := trace.FromExecution(r.Exec)
-		vc, err := core.Analyze(tr, core.Options{})
+		a, err := core.Analyze(tr, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cl, err := core.Analyze(tr, core.Options{ExplicitClosure: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		comparePaths(t, trial, w, r.Exec.Seed, vc, cl)
-		n := vc.NumEvents
+		cl := graph.NewReachability(a.HB)
+		n := a.NumEvents
 		for q := 0; q < 20000; q++ {
 			u, v := rng.Intn(n), rng.Intn(n)
-			if got, want := vc.HBTime.Reaches(u, v), cl.HBReach.Reaches(u, v); got != want {
+			if got, want := a.HBTime.Reaches(u, v), cl.Reaches(u, v); got != want {
 				t.Fatalf("trial %d: hb1 %d⇝%d = %v by clocks, %v by closure", trial, u, v, got, want)
 			}
+		}
+		for q := 0; q < 200; q++ {
+			checkWindow(t, trial, a, cl, rng.Intn(n), rng.Intn(tr.NumCPUs))
 		}
 	}
 }

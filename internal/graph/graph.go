@@ -13,7 +13,6 @@ package graph
 import (
 	"fmt"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"weakrace/internal/bitset"
@@ -525,56 +524,13 @@ func (r *CondReach) Reaches(u, v int) bool {
 	return r.ComponentReaches(r.scc.Comp[u], r.scc.Comp[v])
 }
 
-// MaterializeRows pre-builds the descendant rows of the given source
-// components with a pool of workers pulling an atomic cursor, so a
-// caller about to issue a batch of queries — the partition ordering's
-// O(k²) loop — pays the DFS cost up front, in parallel, and every
-// query afterwards is one lock-free load. Each row's content is a pure
-// function of the DAG, so the result is identical for every worker
-// count; concurrent materializers racing down a shared subtree may
-// duplicate work, which compare-and-swap publication discards.
-func (r *CondReach) MaterializeRows(comps []int, workers int) {
-	build := func(c int) {
-		if r.rows[c].Load() == nil {
-			r.materialize(c)
-		}
-	}
-	if workers > len(comps) {
-		workers = len(comps)
-	}
-	if workers <= 1 {
-		for _, c := range comps {
-			build(c)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(comps) {
-					return
-				}
-				build(comps[i])
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // materialize runs one DFS from c, reusing any descendant rows already
-// built, and publishes the descendant set by compare-and-swap — the
-// lazy-closure publication discipline: a row is stored only once fully
-// built, its content is a pure function of the DAG (the unique
-// descendant set of c), and every query after publication is one atomic
-// load. Concurrent materializers may duplicate a DFS; whichever row
-// publishes first wins and the duplicates are discarded, so no lock
-// ever serializes the workers and the published rows are identical for
-// any schedule.
+// built, and publishes the descendant set by compare-and-swap: a row is
+// stored only once fully built, its content is a pure function of the
+// DAG (the unique descendant set of c), and every query after
+// publication is one atomic load. Concurrent queries may duplicate a
+// DFS; whichever row publishes first wins and the duplicates are
+// discarded, so no lock ever serializes the callers.
 func (r *CondReach) materialize(c int) *bitset.Set {
 	row := bitset.New(r.dag.N())
 	row.Add(c)
@@ -605,61 +561,34 @@ func (r *CondReach) materialize(c int) *bitset.Set {
 
 // Reachability answers "is there a path u⇝v?" queries on an arbitrary
 // digraph by computing the transitive closure of the SCC condensation
-// with bit-set rows. Two construction modes share the representation:
-//
-//   - NewReachability materializes every row up front — O(C²/64) memory
-//     and one C-bit row union per condensation edge, all carved from a
-//     single slab allocation.
-//   - NewReachabilityLazy materializes a component's row (plus its not-yet
-//     -built descendants) only when a query first needs it, from pooled
-//     slabs — sparse query patterns, e.g. race searches where the level
-//     pre-check resolves most pairs, never pay for the full closure.
+// with bit-set rows: O(C²/64) memory and one C-bit row union per
+// condensation edge, all carved from a single slab allocation. It is the
+// reference the timestamp layer and the condensation queries are tested
+// against.
 //
 // Before touching a row, every query runs two O(1) pre-checks that need
 // no closure at all: Tarjan numbers components in reverse topological
 // order, so a lower id can never reach a higher id; and a component can
 // only reach components of strictly lower topological level (longest
-// path to a sink). Queries are safe for concurrent use from multiple
-// goroutines, including in lazy mode.
+// path to a sink). The closure is immutable once built, so queries are
+// safe for concurrent use.
 type Reachability struct {
 	scc   *SCC
-	dag   *Digraph
 	level []int32 // level[c] = longest path (in edges) from component c to a sink
-	rows  []atomic.Pointer[bitset.Set]
-	words int // row width in 64-bit words
-	lazy  bool
-
-	mu   sync.Mutex // serializes lazy materialization; queries on built rows never take it
-	slab []uint64   // current pooled slab lazy rows are carved from
+	rows  []*bitset.Set
 }
 
 // NewReachability precomputes the full closure for g: every row is
 // materialized at construction, queries never allocate.
 func NewReachability(g *Digraph) *Reachability {
-	return newReachability(g, false)
-}
-
-// NewReachabilityLazy prepares reachability for g without materializing
-// any closure rows; rows are built on demand, memoized, and pooled. Use
-// it when most queries are expected to be resolved by the O(1)
-// pre-checks (same component, component-id direction, topological
-// level), e.g. the detector's race search on sparse-race traces.
-func NewReachabilityLazy(g *Digraph) *Reachability {
-	return newReachability(g, true)
-}
-
-func newReachability(g *Digraph, lazy bool) *Reachability {
 	defer telemetry.Default().StartSpan("graph.reachability").End()
 	scc := StronglyConnected(g)
 	dag := Condensation(g, scc)
 	k := scc.NumComponents()
 	r := &Reachability{
 		scc:   scc,
-		dag:   dag,
 		level: make([]int32, k),
-		rows:  make([]atomic.Pointer[bitset.Set], k),
-		words: (k + wordBits - 1) / wordBits,
-		lazy:  lazy,
+		rows:  make([]*bitset.Set, k),
 	}
 	// Condensation edges go from higher to lower component ids, so
 	// ascending order sees every successor before its predecessors.
@@ -672,36 +601,30 @@ func newReachability(g *Digraph, lazy bool) *Reachability {
 		}
 		r.level[c] = lvl
 	}
-	unions, built := 0, 0
-	if !lazy && k > 0 {
-		// Eager: the whole closure in one slab, rows in ascending id order.
-		slab := make([]uint64, k*r.words)
-		for c := 0; c < k; c++ {
-			row := bitset.Wrap(slab[c*r.words : (c+1)*r.words : (c+1)*r.words])
-			row.Add(c)
-			for _, d := range dag.Succ(c) {
-				row.Union(r.rows[d].Load())
-			}
-			unions += len(dag.Succ(c))
-			r.rows[c].Store(row)
+	// The whole closure in one slab, rows in ascending id order: every
+	// successor's row is final before its predecessors read it.
+	words := (k + wordBits - 1) / wordBits
+	slab := make([]uint64, k*words)
+	unions := 0
+	for c := 0; c < k; c++ {
+		row := bitset.Wrap(slab[c*words : (c+1)*words : (c+1)*words])
+		row.Add(c)
+		for _, d := range dag.Succ(c) {
+			row.Union(r.rows[d])
 		}
-		built = k
+		unions += len(dag.Succ(c))
+		r.rows[c] = row
 	}
 	if reg := telemetry.Default(); reg.Enabled() {
 		reg.Counter("graph.reach.builds").Inc()
 		reg.Counter("graph.reach.nodes").Add(int64(g.N()))
 		reg.Counter("graph.reach.edges").Add(int64(g.M()))
 		reg.Counter("graph.reach.components").Add(int64(k))
-		// Transitive-closure work actually performed: one k-bit row union
-		// per condensation edge of a materialized row — the quadratic-ish
-		// term the lazy mode and the level pre-check exist to avoid. A lazy
-		// build that has materialized nothing yet registers no row counters
-		// at all: a zero row count in flight logs must mean "built rows,
-		// none needed", never "never touched a closure" (the misleading
-		// zeros the -metrics output used to print on the implicit path).
-		if built > 0 {
+		// Transitive-closure work performed: one k-bit row union per
+		// condensation edge.
+		if k > 0 {
 			reg.Counter("graph.reach.row_unions").Add(int64(unions))
-			reg.Counter("graph.reach.rows_built").Add(int64(built))
+			reg.Counter("graph.reach.rows_built").Add(int64(k))
 		}
 	}
 	return r
@@ -713,66 +636,9 @@ func (r *Reachability) SCC() *SCC { return r.scc }
 // wordBits mirrors the bitset word size for slab sizing.
 const wordBits = 64
 
-// newRowWords carves one row's backing storage from the pooled slab.
-// Caller must hold mu.
-func (r *Reachability) newRowWords() []uint64 {
-	if len(r.slab) < r.words {
-		// Pool slabs 64 rows at a time, capped at what is left to build.
-		n := 64 * r.words
-		if max := len(r.rows) * r.words; n > max {
-			n = max
-		}
-		r.slab = make([]uint64, n)
-	}
-	w := r.slab[:r.words:r.words]
-	r.slab = r.slab[r.words:]
-	return w
-}
-
-// materialize builds (and memoizes) the closure row of component c,
-// building any missing descendant rows first, in reverse topological
-// order. Rows are published with atomic stores so concurrent queries on
-// already-built rows never block on mu.
-func (r *Reachability) materialize(c int) *bitset.Set {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if row := r.rows[c].Load(); row != nil {
-		return row // lost the race to another materializer
-	}
-	built, unions := 0, 0
-	type frame struct{ c, ei int }
-	stack := []frame{{c, 0}}
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		succ := r.dag.Succ(f.c)
-		if f.ei < len(succ) {
-			d := succ[f.ei]
-			f.ei++
-			if r.rows[d].Load() == nil {
-				stack = append(stack, frame{d, 0})
-			}
-			continue
-		}
-		row := bitset.Wrap(r.newRowWords())
-		row.Add(f.c)
-		for _, d := range succ {
-			row.Union(r.rows[d].Load())
-		}
-		unions += len(succ)
-		built++
-		r.rows[f.c].Store(row)
-		stack = stack[:len(stack)-1]
-	}
-	if reg := telemetry.Default(); reg.Enabled() {
-		reg.Counter("graph.reach.rows_built").Add(int64(built))
-		reg.Counter("graph.reach.row_unions").Add(int64(unions))
-	}
-	return r.rows[c].Load()
-}
-
 // compReaches answers component-level reachability with the O(1)
-// pre-checks first, touching (and in lazy mode materializing) a closure
-// row only when the pre-checks cannot decide.
+// pre-checks first, touching a closure row only when the pre-checks
+// cannot decide.
 func (r *Reachability) compReaches(cu, cv int) bool {
 	if cu == cv {
 		return true
@@ -783,11 +649,7 @@ func (r *Reachability) compReaches(cu, cv int) bool {
 	if cu < cv || r.level[cu] <= r.level[cv] {
 		return false
 	}
-	row := r.rows[cu].Load()
-	if row == nil {
-		row = r.materialize(cu)
-	}
-	return row.Contains(cv)
+	return r.rows[cu].Contains(cv)
 }
 
 // Reaches reports whether there is a (possibly empty) path from u to v.

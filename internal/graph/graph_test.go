@@ -1,9 +1,7 @@
 package graph
 
 import (
-	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -300,72 +298,6 @@ func TestQuickReachabilityMatchesDFS(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Property: the lazy closure answers every query exactly like the eager
-// one (and both match brute-force DFS), on random graphs including ones
-// with cycles.
-func TestQuickLazyReachabilityMatchesEager(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(30)
-		g := randomGraph(rng, n, 0.12)
-		eager := NewReachability(g)
-		lazy := NewReachabilityLazy(g)
-		for u := 0; u < n; u++ {
-			for v := 0; v < n; v++ {
-				want := eager.Reaches(u, v)
-				if lazy.Reaches(u, v) != want {
-					return false
-				}
-				if lazy.Ordered(u, v) != eager.Ordered(u, v) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Concurrent queries against one lazy closure must agree with the eager
-// answers — run under -race this exercises the atomic row publication and
-// the materialization mutex.
-func TestLazyReachabilityConcurrent(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	n := 60
-	g := randomGraph(rng, n, 0.08)
-	eager := NewReachability(g)
-	lazy := NewReachabilityLazy(g)
-	var wg sync.WaitGroup
-	errc := make(chan string, 8)
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Each worker walks the query space from a different offset so
-			// row materializations collide.
-			for i := 0; i < n*n; i++ {
-				q := (i + w*n*n/8) % (n * n)
-				u, v := q/n, q%n
-				if lazy.Reaches(u, v) != eager.Reaches(u, v) {
-					select {
-					case errc <- fmt.Sprintf("Reaches(%d, %d) mismatch", u, v):
-					default:
-					}
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	select {
-	case msg := <-errc:
-		t.Fatal(msg)
-	default:
 	}
 }
 

@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -108,6 +110,45 @@ func TestCondReachMatchesExplicitReachability(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// Concurrent queries against one CondReach must agree with the eager
+// closure — run under -race this exercises the compare-and-swap row
+// publication that keeps PartitionPrecedes safe for concurrent callers.
+func TestCondReachConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	const n = 60
+	g := randomGraph(rng, n, 0.08)
+	scc := StronglyConnected(g)
+	cr := NewCondReach(Condensation(g, scc), scc)
+	ref := NewReachability(g)
+	var wg sync.WaitGroup
+	errc := make(chan string, 8)
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			// Each worker walks the query space from a different offset so
+			// row materializations collide.
+			for i := 0; i < n*n; i++ {
+				q := (i + w*n*n/8) % (n * n)
+				u, v := q/n, q%n
+				if cr.Reaches(u, v) != ref.Reaches(u, v) {
+					select {
+					case errc <- fmt.Sprintf("Reaches(%d, %d) mismatch", u, v):
+					default:
+					}
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	select {
+	case msg := <-errc:
+		t.Fatal(msg)
+	default:
 	}
 }
 

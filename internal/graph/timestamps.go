@@ -2,8 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"weakrace/internal/telemetry"
 	"weakrace/internal/vclock"
@@ -38,24 +36,21 @@ import (
 // the quantity the race sweep and the provenance certificates consume
 // directly.
 //
-// The clocks are computed span-parallel. A node is a forward SPAN HEAD
-// when its clock is not derivable from its program-order predecessor:
-// the first event of its stream, any event with an incoming cross edge
-// (an so1 acquire), and any event in — or immediately after — a
+// The clocks are computed over program-order spans. A node is a forward
+// SPAN HEAD when its clock is not derivable from its program-order
+// predecessor: the first event of its stream, any event with an incoming
+// cross edge (an so1 acquire), and any event in — or immediately after — a
 // multi-member SCC. Every other node v is forward-INTERIOR: its only
 // ancestors are its po-predecessor's ancestors plus itself, so its clock
 // is its span head's clock with the own-stream coordinate bumped to
 // pos(v)+1. (A same-stream event past v reaching v would close a cycle
-// and put v in a multi-member SCC — a head.) A serial SKELETON pass
+// and put v in a multi-member SCC — a head.) A SKELETON pass
 // therefore clocks only the head components, in descending Tarjan order,
 // folding in-edge contributions (an interior predecessor u contributes
-// its head's row with stream(u) ↦ pos(u)+1); the per-span FILL of all
-// interior rows then runs embarrassingly parallel over disjoint
-// singleton-component rows. Backward frontiers mirror the scheme with
-// span TAILS (outgoing cross edges — releases — stream ends, and
-// multi-member SCC boundaries) and an ascending skeleton. The slabs are
-// byte-identical for every worker count: the skeleton is serial and each
-// fill write is a pure function of the skeleton rows.
+// its head's row with stream(u) ↦ pos(u)+1); the per-span FILL then
+// copies every interior row from its head's. Backward frontiers mirror
+// the scheme with span TAILS (outgoing cross edges — releases — stream
+// ends, and multi-member SCC boundaries) and an ascending skeleton.
 //
 // The clocks are exact only when every stream's events form a
 // program-order chain in g (the span derivation rides on that chain);
@@ -78,19 +73,12 @@ const (
 	tsTail
 )
 
-// fillParallelCutoff is the node count below which the interior fill
-// stays sequential: goroutine fan-out costs more than the copies on
-// small graphs. The slabs are identical either way.
-const fillParallelCutoff = 1 << 12
-
 // NewTimestamps computes vector-clock timestamps for g, whose node u
 // belongs to stream stream[u] (< width) at position pos[u], with each
 // stream's events chained in program order. stream and pos are copied,
 // so arena-backed callers may reuse their buffers; s (optional) supplies
-// the Tarjan and span scratch. workers bounds the parallelism of the
-// interior fill (0 means GOMAXPROCS; small graphs stay sequential); the
-// resulting clocks are byte-identical for every worker count.
-func NewTimestamps(g *Digraph, stream, pos []int32, width int, s *Scratch, workers int) *Timestamps {
+// the Tarjan and span scratch.
+func NewTimestamps(g *Digraph, stream, pos []int32, width int, s *Scratch) *Timestamps {
 	defer telemetry.Default().StartSpan("graph.timestamps").End()
 	n := g.N()
 	if len(stream) != n || len(pos) != n {
@@ -336,44 +324,21 @@ func NewTimestamps(g *Digraph, stream, pos []int32, width int, s *Scratch, worke
 	// Interior fill: every non-head copies its span head's clock with the
 	// own-stream coordinate bumped; every non-tail mirrors for the
 	// backward frontier. Each write lands in the node's own singleton-
-	// component row — disjoint from every other write and from the
-	// skeleton rows — and reads only skeleton rows, so the fill
-	// parallelizes over arbitrary node ranges with no synchronization and
-	// a schedule-independent result.
-	fillRange := func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			f := flags[u]
-			if f&tsHead == 0 {
-				c, h := comp[u], comp[headOf[u]]
-				row := t.fw[c*width : (c+1)*width]
-				copy(row, t.fw[h*width:(h+1)*width])
-				row[stream[u]] = uint32(pos[u]) + 1
-			}
-			if f&tsTail == 0 {
-				c, tl := comp[u], comp[tailOf[u]]
-				row := t.bw[c*width : (c+1)*width]
-				copy(row, t.bw[tl*width:(tl+1)*width])
-				row[stream[u]] = pos[u]
-			}
+	// component row and reads only skeleton rows.
+	for u := 0; u < n; u++ {
+		f := flags[u]
+		if f&tsHead == 0 {
+			c, h := comp[u], comp[headOf[u]]
+			row := t.fw[c*width : (c+1)*width]
+			copy(row, t.fw[h*width:(h+1)*width])
+			row[stream[u]] = uint32(pos[u]) + 1
 		}
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > 1 && n >= fillParallelCutoff {
-		chunk := (n + workers - 1) / workers
-		var wg sync.WaitGroup
-		for lo := 0; lo < n; lo += chunk {
-			hi := min(lo+chunk, n)
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				fillRange(lo, hi)
-			}(lo, hi)
+		if f&tsTail == 0 {
+			c, tl := comp[u], comp[tailOf[u]]
+			row := t.bw[c*width : (c+1)*width]
+			copy(row, t.bw[tl*width:(tl+1)*width])
+			row[stream[u]] = pos[u]
 		}
-		wg.Wait()
-	} else {
-		fillRange(0, n)
 	}
 
 	if reg := telemetry.Default(); reg.Enabled() {

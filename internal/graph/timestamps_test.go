@@ -48,7 +48,7 @@ func TestQuickTimestampsMatchReachability(t *testing.T) {
 	for trial := 0; trial < 150; trial++ {
 		width := 1 + rng.Intn(5)
 		g, stream, pos := randStreamGraph(rng, width, 8, rng.Intn(25))
-		ts := NewTimestamps(g, stream, pos, width, nil, 1+trial%3)
+		ts := NewTimestamps(g, stream, pos, width, nil)
 		r := NewReachability(g)
 		n := g.N()
 		for u := 0; u < n; u++ {
@@ -76,7 +76,7 @@ func TestQuickTimestampsWindowMatchesClosure(t *testing.T) {
 	for trial := 0; trial < 150; trial++ {
 		width := 1 + rng.Intn(5)
 		g, stream, pos := randStreamGraph(rng, width, 8, rng.Intn(25))
-		ts := NewTimestamps(g, stream, pos, width, nil, 1+trial%3)
+		ts := NewTimestamps(g, stream, pos, width, nil)
 		r := NewReachability(g)
 		n := g.N()
 		// node id of stream p, position i — ids are assigned stream-major.
@@ -110,7 +110,7 @@ func TestQuickTimestampsWindowMatchesClosure(t *testing.T) {
 func TestTimestampsEpochClockConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	g, stream, pos := randStreamGraph(rng, 4, 10, 20)
-	ts := NewTimestamps(g, stream, pos, 4, nil, 1)
+	ts := NewTimestamps(g, stream, pos, 4, nil)
 	r := NewReachability(g)
 	for u := 0; u < g.N(); u++ {
 		for v := 0; v < g.N(); v++ {
@@ -130,7 +130,7 @@ func TestTimestampsSizeMismatchPanics(t *testing.T) {
 			t.Fatal("no panic for mismatched stream table")
 		}
 	}()
-	NewTimestamps(New(3), []int32{0, 0}, []int32{0, 1}, 1, nil, 1)
+	NewTimestamps(New(3), []int32{0, 0}, []int32{0, 1}, 1, nil)
 }
 
 // NewWithDegrees must behave exactly like New + AddEdge, including when a
@@ -197,29 +197,6 @@ func TestQuickNewWithDegreesMatchesNew(t *testing.T) {
 	}
 }
 
-// The clock slabs must be byte-identical for every worker count,
-// including graphs large enough to cross the parallel-fill cutoff. The
-// worker sweep runs under -race in CI, so it also proves the fill's
-// writes are disjoint.
-func TestQuickTimestampsWorkerEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(46))
-	for trial := 0; trial < 6; trial++ {
-		width := 2 + rng.Intn(5)
-		var g *Digraph
-		var stream, pos []int32
-		for g == nil || g.N() < fillParallelCutoff {
-			g, stream, pos = randStreamGraph(rng, width, 4000, 100+rng.Intn(400))
-		}
-		ref := NewTimestamps(g, stream, pos, width, nil, 1)
-		for _, workers := range []int{2, 3, 8} {
-			ts := NewTimestamps(g, stream, pos, width, nil, workers)
-			if !slices.Equal(ts.fw, ref.fw) || !slices.Equal(ts.bw, ref.bw) {
-				t.Fatalf("trial %d: clock slabs differ between workers=1 and workers=%d", trial, workers)
-			}
-		}
-	}
-}
-
 // The span skeleton must agree with a dense per-component fold on small
 // graphs too — especially cyclic ones, where every SCC member becomes a
 // span boundary.
@@ -228,7 +205,7 @@ func TestQuickTimestampsSpansMatchDense(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		width := 1 + rng.Intn(4)
 		g, stream, pos := randStreamGraph(rng, width, 12, rng.Intn(30))
-		ts := NewTimestamps(g, stream, pos, width, nil, 1)
+		ts := NewTimestamps(g, stream, pos, width, nil)
 		fw, bw := denseTimestamps(g, stream, pos, width, ts.scc)
 		if !slices.Equal(ts.fw, fw) || !slices.Equal(ts.bw, bw) {
 			t.Fatalf("trial %d: span-skeleton slabs differ from dense fold", trial)

@@ -201,9 +201,8 @@ func (e *Explainer) side(id core.EventID) Side {
 }
 
 // boundary brackets event x against processor cpu's stream via the
-// analysis's HBWindow — two slab reads off x's vector clock on the
-// default timestamp path, two binary searches over the monotone closure
-// predicates under ExplicitClosure. partnerIdx is the other racing
+// analysis's HBWindow — two slab reads off x's vector clock. partnerIdx
+// is the other racing
 // event's index on that stream; for a genuine race it lies strictly
 // inside the bracket (the crosscheck harness asserts this against the
 // explicit closure).

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"os"
 	"sort"
 
@@ -180,8 +182,9 @@ func Encode(w io.Writer, t *Trace) error {
 }
 
 type reader struct {
-	r   *bufio.Reader
-	err error
+	r    *bufio.Reader
+	err  error
+	vals []int // set's element scratch, reused across sets
 }
 
 func (rd *reader) byte() byte {
@@ -210,6 +213,27 @@ func (rd *reader) varint() int64 {
 	rd.err = err
 	return v
 }
+
+// LocationError reports an encoded access-set location at or beyond the
+// trace's declared location count. The decoders return it before they
+// allocate anything sized by the location.
+type LocationError struct {
+	// Loc is the offending location (math.MaxUint64 when the binary
+	// codec's delta sum overflows).
+	Loc          uint64
+	NumLocations int
+}
+
+func (e *LocationError) Error() string {
+	return fmt.Sprintf("access location %d out of range [0,%d)", e.Loc, e.NumLocations)
+}
+
+// InvalidError reports input that decoded but failed Validate. Its
+// message is Validate's.
+type InvalidError struct{ Err error }
+
+func (e *InvalidError) Error() string { return e.Err.Error() }
+func (e *InvalidError) Unwrap() error { return e.Err }
 
 // Per-kind limits guard length-prefixed allocations against corrupt or
 // hostile input: the analyzer allocates per-location and per-processor
@@ -245,15 +269,34 @@ func (rd *reader) str() string {
 	return string(buf)
 }
 
-func (rd *reader) set(capHint int) *bitset.Set {
+// set reads a delta-encoded access set whose elements must lie in
+// [0, numLocations). An element out of range fails the read with a
+// *LocationError before anything is sized by it; the set itself is
+// sized from its largest element, not from numLocations.
+func (rd *reader) set(numLocations int) *bitset.Set {
 	n := rd.count("set")
-	s := bitset.New(capHint)
-	v := 0
+	vals := rd.vals[:0]
+	v := uint64(0)
 	for i := 0; i < n && rd.err == nil; i++ {
-		v += int(rd.uvarint())
-		s.Add(v)
+		d := rd.uvarint()
+		if rd.err != nil {
+			break
+		}
+		// v < numLocations, so this tests v+d ≥ numLocations without
+		// overflowing.
+		if d >= uint64(numLocations)-v {
+			sum, carry := bits.Add64(v, d, 0)
+			if carry != 0 {
+				sum = math.MaxUint64
+			}
+			rd.err = &LocationError{Loc: sum, NumLocations: numLocations}
+			break
+		}
+		v += d
+		vals = append(vals, int(v))
 	}
-	return s
+	rd.vals = vals
+	return bitset.FromSlice(vals)
 }
 
 func (rd *reader) pcMap() map[program.Addr]int {
@@ -280,7 +323,7 @@ func Decode(r io.Reader) (*Trace, error) {
 		return nil, err
 	}
 	if err := t.Validate(); err != nil {
-		return nil, fmt.Errorf("trace: decode: %w", err)
+		return nil, fmt.Errorf("trace: decode: %w", &InvalidError{Err: err})
 	}
 	if bc != nil {
 		reg.Counter("trace.decode.calls").Inc()

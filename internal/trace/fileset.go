@@ -192,7 +192,7 @@ func ReadFileSet(dir string) (*Trace, error) {
 		t.PerCPU[c] = part.PerCPU[c]
 	}
 	if err := t.Validate(); err != nil {
-		return nil, fmt.Errorf("trace: fileset: %w", err)
+		return nil, fmt.Errorf("trace: fileset: %w", &InvalidError{Err: err})
 	}
 	return t, nil
 }

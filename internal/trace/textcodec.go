@@ -95,7 +95,7 @@ func (p *textParser) next() (string, bool) {
 }
 
 func (p *textParser) errf(format string, args ...any) error {
-	return fmt.Errorf("trace: text decode: line %d: %s", p.line, fmt.Sprintf(format, args...))
+	return fmt.Errorf("trace: text decode: line %d: %w", p.line, fmt.Errorf(format, args...))
 }
 
 // DecodeText parses a text-form trace and validates it.
@@ -190,7 +190,7 @@ func DecodeText(r io.Reader) (*Trace, error) {
 			}
 			ev := &Event{
 				Kind: Comp, SyncSeq: -1, Observed: NoEvent,
-				Reads: bitset.New(t.NumLocations), Writes: bitset.New(t.NumLocations),
+				Reads: &bitset.Set{}, Writes: &bitset.Set{},
 				ReadPC: map[program.Addr]int{}, WritePC: map[program.Addr]int{},
 			}
 			fields := strings.Fields(rest)
@@ -209,8 +209,8 @@ func DecodeText(r io.Reader) (*Trace, error) {
 				default:
 					return nil, p.errf("unknown comp field %q", k)
 				}
-				if err := parseAccessList(v, set, pcs); err != nil {
-					return nil, p.errf("%v", err)
+				if err := parseAccessList(v, t.NumLocations, set, pcs); err != nil {
+					return nil, p.errf("%w", err)
 				}
 			}
 			t.PerCPU[cur] = append(t.PerCPU[cur], ev)
@@ -274,15 +274,19 @@ func DecodeText(r io.Reader) (*Trace, error) {
 		}
 	}
 	if err := t.Validate(); err != nil {
-		return nil, fmt.Errorf("trace: text decode: %w", err)
+		return nil, fmt.Errorf("trace: text decode: %w", &InvalidError{Err: err})
 	}
 	return t, nil
 }
 
-func parseAccessList(s string, set *bitset.Set, pcs map[program.Addr]int) error {
+// parseAccessList adds a loc@pc list to set and pcs. Every location must
+// lie in [0, numLocations) — one out of range fails with a
+// *LocationError — and set grows once, to its largest location.
+func parseAccessList(s string, numLocations int, set *bitset.Set, pcs map[program.Addr]int) error {
 	if s == "" {
 		return nil
 	}
+	var locs []int
 	for _, item := range strings.Split(s, ",") {
 		locStr, pcStr, found := strings.Cut(item, "@")
 		if !found {
@@ -292,13 +296,17 @@ func parseAccessList(s string, set *bitset.Set, pcs map[program.Addr]int) error 
 		if err != nil || loc < 0 {
 			return fmt.Errorf("bad access location %q", locStr)
 		}
+		if loc >= numLocations {
+			return &LocationError{Loc: uint64(loc), NumLocations: numLocations}
+		}
 		pc, err := strconv.Atoi(pcStr)
 		if err != nil || pc < 0 {
 			return fmt.Errorf("bad access pc %q", pcStr)
 		}
-		set.Add(loc)
+		locs = append(locs, loc)
 		pcs[program.Addr(loc)] = pc
 	}
+	set.Union(bitset.FromSlice(locs))
 	return nil
 }
 

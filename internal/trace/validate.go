@@ -1,40 +1,8 @@
-// Trace validation (structural invariants, typically checked after
-// decoding), parallelized per stream chunk.
-//
-// The serial checker walked every stream in processor-major order and
-// returned the first violation it met. That scan order IS the spec: the
-// parallel version must report the identical error for any worker
-// count. The checks split cleanly:
-//
-//   - per-event structural checks (field/kind agreement, access-set and
-//     location ranges, pairing references) touch only the event and the
-//     immutable stream it points at — independent across streams, so
-//     chunks of one stream are checked by a worker pool, each chunk
-//     remembering its FIRST violation;
-//   - the cross-stream so1 checks (per-location SyncSeq uniqueness and
-//     density) need global state — a cheap serial epilogue over just the
-//     synchronization events, which every chunk collects as flat
-//     (loc, seq, cpu, index) records along the way.
-//
-// Determinism falls out of ordering, not scheduling: the winning error
-// is the minimum over all candidates of (cpu, index, stage), where
-// stage ranks the checks WITHIN one event exactly as the serial code
-// ran them (role/range/negative-seq before the duplicate-SyncSeq check,
-// pairing checks after it). Chunks are enumerated processor-major, so
-// the first errored chunk holds the minimal per-event candidate; the
-// epilogue sorts the sync records by (loc, seq, cpu, index), making the
-// duplicate candidate — each duplicate group's second occurrence in
-// scan order — schedule-independent too. Density errors (a missing
-// SyncSeq) only surface when nothing else failed, in ascending location
-// order.
 package trace
 
 import (
 	"fmt"
-	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
+	"slices"
 
 	"weakrace/internal/bitset"
 	"weakrace/internal/memmodel"
@@ -42,286 +10,173 @@ import (
 	"weakrace/internal/telemetry"
 )
 
-// validateCutoff is the event count below which validation stays on the
-// calling goroutine: fanning out costs more than the checks themselves
-// on small traces. Both paths produce identical errors, so the cutoff
-// is purely a scheduling decision.
-const validateCutoff = 4096
-
-// validateChunk is the number of events per parallel work unit. Chunks
-// subdivide streams so a few long streams still spread across many
-// workers.
-const validateChunk = 8192
-
-// Event-check stages, ranking the checks within one event in the order
-// the serial scan ran them. A candidate error is compared by
-// (cpu, index, stage): stage only breaks ties when one event trips both
-// a chunk-local check and the epilogue's duplicate check.
-const (
-	stagePreDup  = 0 // kind/role/range/negative-SyncSeq checks
-	stageDup     = 1 // duplicate SyncSeq (epilogue)
-	stagePostDup = 2 // pairing-reference checks
-)
-
-// syncRec is one synchronization event flattened for the so1 epilogue.
-type syncRec struct {
-	loc  program.Addr
-	seq  int
-	c, i int32
-}
-
-// vUnit is one chunk of validation work: events [lo, hi) of stream c,
-// plus the chunk's outputs — its first structural violation (if any)
-// and the sync records it passed over.
-type vUnit struct {
-	c, lo, hi int
-	errI      int
-	errStage  int
-	err       error
-	recs      []syncRec
-}
-
 // Validate checks structural invariants of a trace (typically after
 // decoding): event fields match their kind, references resolve, observed
 // events are synchronization writes on the same location, and per-location
-// synchronization sequence numbers are unique and dense.
-func (t *Trace) Validate() error { return t.ValidateParallel(1) }
-
-// ValidateParallel is Validate with a worker budget for the per-stream
-// pass (0 or negative means GOMAXPROCS). The reported error is
-// identical for every worker count.
-func (t *Trace) ValidateParallel(workers int) error {
+// synchronization sequence numbers are unique and dense. Events are
+// checked in processor-major scan order and the first violation is
+// reported; a missing SyncSeq only surfaces when nothing else failed, at
+// the lowest such location.
+func (t *Trace) Validate() error {
 	if t.NumCPUs != len(t.PerCPU) {
 		return fmt.Errorf("trace: NumCPUs=%d but %d streams", t.NumCPUs, len(t.PerCPU))
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if t.NumEvents() < validateCutoff {
-		workers = 1
-	}
-
-	// Processor-major chunk list: unit order is the serial scan order,
-	// so the first errored unit holds the minimal (cpu, index) among
-	// per-event candidates.
-	var units []vUnit
-	for c, evs := range t.PerCPU {
-		for lo := 0; lo < len(evs); lo += validateChunk {
-			hi := min(lo+validateChunk, len(evs))
-			units = append(units, vUnit{c: c, lo: lo, hi: hi})
-		}
-	}
-	if workers > len(units) {
-		workers = len(units)
-	}
-
 	reg := telemetry.Default()
-	if reg.Enabled() {
-		reg.Gauge("trace.validate.workers").SetMax(int64(workers))
-	}
 	sp := reg.StartSpan("trace.validate.streams")
-	if workers <= 1 {
-		for k := range units {
-			t.validateUnit(&units[k])
+	seen := newSyncSeen(t)
+	for c, evs := range t.PerCPU {
+		for i, ev := range evs {
+			if err := t.validateEvent(c, i, ev, seen); err != nil {
+				sp.End()
+				return err
+			}
 		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					k := int(next.Add(1)) - 1
-					if k >= len(units) {
-						return
-					}
-					t.validateUnit(&units[k])
-				}
-			}()
-		}
-		wg.Wait()
 	}
 	sp.End()
 
-	sp = reg.StartSpan("trace.validate.so1")
-	defer sp.End()
-	return t.validateEpilogue(units)
+	// Density: every SyncSeq is now unique and non-negative, so a
+	// location's n sequence numbers are exactly 0..n-1 iff its bitset
+	// holds all of them.
+	defer reg.StartSpan("trace.validate.so1").End()
+	locs := make([]program.Addr, 0, len(seen.dense))
+	for loc := range seen.dense {
+		locs = append(locs, loc)
+	}
+	slices.Sort(locs)
+	for _, loc := range locs {
+		d := seen.dense[loc]
+		for seq := 0; seq < d.n; seq++ {
+			if !d.seqs.Contains(seq) {
+				return fmt.Errorf("trace: location %d: SyncSeq %d missing (%d sync events)", loc, seq, d.n)
+			}
+		}
+	}
+	return nil
 }
 
-// validateUnit runs the per-event structural checks on one chunk,
-// recording the chunk's first violation and collecting sync records for
-// the epilogue. Sync records keep accumulating past a violation: any
-// duplicate they later imply sits at a larger (cpu, index) than this
-// chunk's error and loses the candidate comparison anyway.
-func (t *Trace) validateUnit(u *vUnit) {
-	evs := t.PerCPU[u.c]
-	fail := func(i, stage int, err error) {
-		if u.err == nil {
-			u.errI, u.errStage, u.err = i, stage, err
-		}
-	}
-	for i := u.lo; i < u.hi; i++ {
-		ev := evs[i]
-		if ev.Kind == Sync {
-			u.recs = append(u.recs, syncRec{loc: ev.Loc, seq: ev.SyncSeq, c: int32(u.c), i: int32(i)})
-		}
-		if u.err != nil {
-			continue
-		}
-		switch ev.Kind {
-		case Comp:
-			if ev.Reads == nil || ev.Writes == nil {
-				fail(i, stagePreDup, fmt.Errorf("%s: computation event with nil access sets", u.where(i)))
-				continue
-			}
-			if ev.Reads.Empty() && ev.Writes.Empty() {
-				fail(i, stagePreDup, fmt.Errorf("%s: empty computation event", u.where(i)))
-				continue
-			}
-			check := func(set *bitset.Set) error {
-				var err error
-				set.Range(func(v int) bool {
-					if v >= t.NumLocations {
-						err = fmt.Errorf("%s: location %d out of range [0,%d)", u.where(i), v, t.NumLocations)
-						return false
-					}
-					return true
-				})
-				return err
-			}
-			if err := check(ev.Reads); err != nil {
-				fail(i, stagePreDup, err)
-				continue
-			}
-			if err := check(ev.Writes); err != nil {
-				fail(i, stagePreDup, err)
-				continue
-			}
-		case Sync:
-			if !ev.Role.IsSync() {
-				fail(i, stagePreDup, fmt.Errorf("%s: sync event with role %v", u.where(i), ev.Role))
-				continue
-			}
-			if ev.Loc < 0 || int(ev.Loc) >= t.NumLocations {
-				fail(i, stagePreDup, fmt.Errorf("%s: sync location %d out of range", u.where(i), ev.Loc))
-				continue
-			}
-			if ev.SyncSeq < 0 {
-				fail(i, stagePreDup, fmt.Errorf("%s: negative SyncSeq", u.where(i)))
-				continue
-			}
-			if ev.Observed.Valid() {
-				obs := t.Event(ev.Observed)
-				if obs == nil {
-					fail(i, stagePostDup, fmt.Errorf("%s: dangling pairing reference %s", u.where(i), ev.Observed))
-					continue
-				}
-				if !obs.IsWriteSync() {
-					fail(i, stagePostDup, fmt.Errorf("%s: paired event %s is not a synchronization write", u.where(i), ev.Observed))
-					continue
-				}
-				if obs.Loc != ev.Loc {
-					fail(i, stagePostDup, fmt.Errorf("%s: paired event %s is on location %d, want %d", u.where(i), ev.Observed, obs.Loc, ev.Loc))
-					continue
-				}
-				if ev.Role != memmodel.RoleAcquire {
-					fail(i, stagePostDup, fmt.Errorf("%s: non-acquire event carries a pairing", u.where(i)))
-					continue
-				}
-			}
-		default:
-			fail(i, stagePreDup, fmt.Errorf("%s: unknown kind %d", u.where(i), ev.Kind))
-		}
-	}
+// syncSeen records the (location, SyncSeq) pairs validation has passed.
+// A valid trace numbers a location's n synchronization events 0..n-1,
+// so an n-bit set per location holds every one of them; a larger SyncSeq
+// can never be dense and goes to a map that exists only to catch
+// duplicates. Memory stays linear in the trace's synchronization events
+// whatever SyncSeq values it carries.
+type syncSeen struct {
+	dense  map[program.Addr]*locSeqs
+	sparse map[syncKey]struct{}
 }
 
-// where renders the error-message position prefix. Only called on a
-// violation — the serial checker formatted it per event, which was a
-// measurable slice of validation time on large clean traces.
-func (u *vUnit) where(i int) string {
-	return fmt.Sprintf("trace: event P%d.%d", u.c+1, i)
+// locSeqs holds one location's synchronization-event count n and the
+// SyncSeqs below n seen so far.
+type locSeqs struct {
+	n    int
+	seqs *bitset.Set
 }
 
-// validateEpilogue resolves the winning error across the chunks' local
-// candidates and the cross-stream so1 checks.
-func (t *Trace) validateEpilogue(units []vUnit) error {
-	// Minimal per-event candidate: first errored unit in scan order.
-	var best *vUnit
-	for k := range units {
-		if units[k].err != nil {
-			best = &units[k]
-			break
-		}
-	}
+// syncKey identifies one synchronization operation: its location and
+// its per-location sequence number.
+type syncKey struct {
+	loc program.Addr
+	seq int
+}
 
-	// Flatten and sort the sync records; groups with equal (loc, seq)
-	// become adjacent, ordered by scan position within the group.
-	total := 0
-	for k := range units {
-		total += len(units[k].recs)
+func newSyncSeen(t *Trace) *syncSeen {
+	dense := map[program.Addr]*locSeqs{}
+	for _, evs := range t.PerCPU {
+		for _, ev := range evs {
+			if ev.Kind != Sync {
+				continue
+			}
+			d := dense[ev.Loc]
+			if d == nil {
+				d = &locSeqs{}
+				dense[ev.Loc] = d
+			}
+			d.n++
+		}
 	}
-	recs := make([]syncRec, 0, total)
-	for k := range units {
-		recs = append(recs, units[k].recs...)
+	for _, d := range dense {
+		d.seqs = bitset.New(d.n)
 	}
-	sort.Slice(recs, func(a, b int) bool {
-		ra, rb := recs[a], recs[b]
-		if ra.loc != rb.loc {
-			return ra.loc < rb.loc
-		}
-		if ra.seq != rb.seq {
-			return ra.seq < rb.seq
-		}
-		if ra.c != rb.c {
-			return ra.c < rb.c
-		}
-		return ra.i < rb.i
-	})
+	return &syncSeen{dense: dense}
+}
 
-	// Duplicate candidate: the serial scan errored at a duplicate
-	// group's SECOND occurrence in scan order; the winner is the minimal
-	// such position across groups.
-	dup := syncRec{c: -1}
-	for j := 1; j < len(recs); j++ {
-		if recs[j].loc != recs[j-1].loc || recs[j].seq != recs[j-1].seq {
-			continue
-		}
-		if j >= 2 && recs[j].loc == recs[j-2].loc && recs[j].seq == recs[j-2].seq {
-			continue // third-or-later occurrence, not the group's trip point
-		}
-		if dup.c < 0 || recs[j].c < dup.c || (recs[j].c == dup.c && recs[j].i < dup.i) {
-			dup = recs[j]
-		}
+// add records (loc, seq) and reports whether it was already present.
+func (s *syncSeen) add(loc program.Addr, seq int) (dup bool) {
+	if d := s.dense[loc]; seq < d.n {
+		dup = d.seqs.Contains(seq)
+		d.seqs.Add(seq)
+		return dup
 	}
-	if dup.c >= 0 {
-		dupBeatsBest := best == nil ||
-			int(dup.c) < best.c ||
-			(int(dup.c) == best.c && (int(dup.i) < best.errI ||
-				(int(dup.i) == best.errI && stageDup < best.errStage)))
-		if dupBeatsBest {
-			return fmt.Errorf("trace: event P%d.%d: duplicate SyncSeq %d for location %d",
-				dup.c+1, dup.i, dup.seq, dup.loc)
-		}
+	k := syncKey{loc, seq}
+	if s.sparse == nil {
+		s.sparse = map[syncKey]struct{}{}
 	}
-	if best != nil {
-		return best.err
-	}
+	_, dup = s.sparse[k]
+	s.sparse[k] = struct{}{}
+	return dup
+}
 
-	// Density: with no duplicates, each location's seqs must be exactly
-	// 0..n-1; the sorted per-location run exposes the first gap.
-	start := 0
-	for j := 1; j <= len(recs); j++ {
-		if j < len(recs) && recs[j].loc == recs[start].loc {
-			continue
+// ValidateParallel is Validate; the worker count is ignored.
+//
+// Deprecated: use Validate.
+func (t *Trace) ValidateParallel(int) error { return t.Validate() }
+
+// validateEvent checks event i of stream c, recording a synchronization
+// event's (location, SyncSeq) in seen. The position prefix of an error
+// message is formatted only on a violation.
+func (t *Trace) validateEvent(c, i int, ev *Event, seen *syncSeen) error {
+	where := func() string { return fmt.Sprintf("trace: event P%d.%d", c+1, i) }
+	switch ev.Kind {
+	case Comp:
+		if ev.Reads == nil || ev.Writes == nil {
+			return fmt.Errorf("%s: computation event with nil access sets", where())
 		}
-		for k := start; k < j; k++ {
-			if recs[k].seq != k-start {
-				return fmt.Errorf("trace: location %d: SyncSeq %d missing (%d sync events)",
-					recs[start].loc, k-start, j-start)
+		if ev.Reads.Empty() && ev.Writes.Empty() {
+			return fmt.Errorf("%s: empty computation event", where())
+		}
+		for _, set := range []*bitset.Set{ev.Reads, ev.Writes} {
+			bad := -1
+			set.Range(func(v int) bool {
+				if v >= t.NumLocations {
+					bad = v
+					return false
+				}
+				return true
+			})
+			if bad >= 0 {
+				return fmt.Errorf("%s: location %d out of range [0,%d)", where(), bad, t.NumLocations)
 			}
 		}
-		start = j
+	case Sync:
+		if !ev.Role.IsSync() {
+			return fmt.Errorf("%s: sync event with role %v", where(), ev.Role)
+		}
+		if ev.Loc < 0 || int(ev.Loc) >= t.NumLocations {
+			return fmt.Errorf("%s: sync location %d out of range", where(), ev.Loc)
+		}
+		if ev.SyncSeq < 0 {
+			return fmt.Errorf("%s: negative SyncSeq", where())
+		}
+		if seen.add(ev.Loc, ev.SyncSeq) {
+			return fmt.Errorf("%s: duplicate SyncSeq %d for location %d", where(), ev.SyncSeq, ev.Loc)
+		}
+		if ev.Observed.Valid() {
+			obs := t.Event(ev.Observed)
+			if obs == nil {
+				return fmt.Errorf("%s: dangling pairing reference %s", where(), ev.Observed)
+			}
+			if !obs.IsWriteSync() {
+				return fmt.Errorf("%s: paired event %s is not a synchronization write", where(), ev.Observed)
+			}
+			if obs.Loc != ev.Loc {
+				return fmt.Errorf("%s: paired event %s is on location %d, want %d", where(), ev.Observed, obs.Loc, ev.Loc)
+			}
+			if ev.Role != memmodel.RoleAcquire {
+				return fmt.Errorf("%s: non-acquire event carries a pairing", where())
+			}
+		}
+	default:
+		return fmt.Errorf("%s: unknown kind %d", where(), ev.Kind)
 	}
 	return nil
 }

@@ -9,13 +9,32 @@ import (
 	"weakrace/internal/program"
 )
 
-// validateWorkerSet is the worker counts every validation result must
-// agree across, straddling the chunk count on both sides.
-var validateWorkerSet = []int{1, 2, 3, 8, 16}
+// validateWorkerSet is the worker counts the deprecated ValidateParallel
+// forwarder is called with; every one must report Validate's error.
+var validateWorkerSet = []int{0, 1, 2, 3, 8, 16}
 
-// synthTrace builds a deterministic valid trace large enough to clear
-// validateCutoff and span several chunks per stream: cpus streams of
-// roughly perCPU events each, mixing computation events with paired
+// checkValidateError asserts that Validate, and ValidateParallel at every
+// worker count, report exactly want ("" for a valid trace).
+func checkValidateError(t *testing.T, tr *Trace, want string) {
+	t.Helper()
+	msg := func(err error) string {
+		if err == nil {
+			return ""
+		}
+		return err.Error()
+	}
+	if got := msg(tr.Validate()); got != want {
+		t.Fatalf("Validate: error %q, want %q", got, want)
+	}
+	for _, w := range validateWorkerSet {
+		if got := msg(tr.ValidateParallel(w)); got != want {
+			t.Errorf("ValidateParallel(%d): error %q, want %q", w, got, want)
+		}
+	}
+}
+
+// synthTrace builds a deterministic valid trace of several thousand
+// events: cpus streams of roughly perCPU events each, mixing computation events with paired
 // sync traffic over locs locations (dense per-location SyncSeqs, every
 // odd sync an acquire observing the preceding release on its location).
 func synthTrace(cpus, perCPU, locs int) *Trace {
@@ -53,23 +72,17 @@ func synthTrace(cpus, perCPU, locs int) *Trace {
 	return tr
 }
 
-// TestValidateParallelWorkerEquivalence pins the parallel validator's
-// determinism contract: the reported error (or its absence) is
-// byte-identical for every worker count, on a clean trace and across a
-// catalog of corruptions planted at different streams, depths, and
-// check stages.
+// TestValidateParallelWorkerEquivalence pins the exact error the
+// validator reports — through Validate and through the ValidateParallel
+// forwarder at every worker count — on a clean trace and across a catalog
+// of corruptions planted at different streams, depths, and check stages:
+// the first violation in processor-major scan order wins, a duplicate
+// SyncSeq beats a pairing error on the same event, and a missing SyncSeq
+// is reported only when nothing else failed.
 func TestValidateParallelWorkerEquivalence(t *testing.T) {
 	const cpus, perCPU, locs = 5, 1400, 7
 
-	clean := synthTrace(cpus, perCPU, locs)
-	if clean.NumEvents() < validateCutoff {
-		t.Fatalf("synthetic trace too small to engage the parallel path: %d events", clean.NumEvents())
-	}
-	for _, w := range validateWorkerSet {
-		if err := clean.ValidateParallel(w); err != nil {
-			t.Fatalf("workers=%d: clean trace rejected: %v", w, err)
-		}
-	}
+	checkValidateError(t, synthTrace(cpus, perCPU, locs), "")
 
 	firstSyncAt := func(tr *Trace, c, from int) int {
 		for i := from; i < len(tr.PerCPU[c]); i++ {
@@ -84,6 +97,7 @@ func TestValidateParallelWorkerEquivalence(t *testing.T) {
 	cases := []struct {
 		name   string
 		mutate func(tr *Trace)
+		want   string
 	}{
 		{"duplicate within stream", func(tr *Trace) {
 			i := firstSyncAt(tr, 2, 900)
@@ -91,23 +105,23 @@ func TestValidateParallelWorkerEquivalence(t *testing.T) {
 			tr.PerCPU[2][j].Loc = tr.PerCPU[2][i].Loc
 			tr.PerCPU[2][j].SyncSeq = tr.PerCPU[2][i].SyncSeq
 			tr.PerCPU[2][j].Observed = NoEvent
-		}},
+		}, "trace: event P3.901: duplicate SyncSeq 482 for location 3"},
 		{"duplicate across streams", func(tr *Trace) {
 			i := firstSyncAt(tr, 1, 100)
 			j := firstSyncAt(tr, 4, 1200)
 			tr.PerCPU[4][j].Loc = tr.PerCPU[1][i].Loc
 			tr.PerCPU[4][j].SyncSeq = tr.PerCPU[1][i].SyncSeq
 			tr.PerCPU[4][j].Observed = NoEvent
-		}},
+		}, "trace: event P5.1200: duplicate SyncSeq 53 for location 5"},
 		{"negative seq deep in stream", func(tr *Trace) {
 			i := firstSyncAt(tr, 3, 1300)
 			tr.PerCPU[3][i].SyncSeq = -4
-		}},
+		}, "trace: event P4.1300: negative SyncSeq"},
 		{"dangling pairing", func(tr *Trace) {
 			i := firstSyncAt(tr, 1, 700)
 			tr.PerCPU[1][i].Role = memmodel.RoleAcquire
 			tr.PerCPU[1][i].Observed = EventRef{CPU: 9, Index: 0}
-		}},
+		}, "trace: event P2.700: dangling pairing reference P10.0"},
 		{"comp location out of range", func(tr *Trace) {
 			for i, ev := range tr.PerCPU[3] {
 				if ev.Kind == Comp && i > 400 {
@@ -116,7 +130,7 @@ func TestValidateParallelWorkerEquivalence(t *testing.T) {
 				}
 			}
 			t.Fatal("no comp event found")
-		}},
+		}, "trace: event P4.401: location 14 out of range [0,9)"},
 		{"empty comp event", func(tr *Trace) {
 			for i, ev := range tr.PerCPU[0] {
 				if ev.Kind == Comp && i > 200 {
@@ -126,7 +140,7 @@ func TestValidateParallelWorkerEquivalence(t *testing.T) {
 				}
 			}
 			t.Fatal("no comp event found")
-		}},
+		}, "trace: event P1.201: empty computation event"},
 		{"duplicate and bad pairing on one event", func(tr *Trace) {
 			// The duplicate check ran before the pairing checks in the
 			// serial scan; the duplicate must win the tie.
@@ -136,7 +150,7 @@ func TestValidateParallelWorkerEquivalence(t *testing.T) {
 			tr.PerCPU[2][j].SyncSeq = tr.PerCPU[2][i].SyncSeq
 			tr.PerCPU[2][j].Role = memmodel.RoleAcquire
 			tr.PerCPU[2][j].Observed = EventRef{CPU: 9, Index: 0}
-		}},
+		}, "trace: event P3.501: duplicate SyncSeq 268 for location 1"},
 		{"two errors in different streams", func(tr *Trace) {
 			// Scan order picks the smaller (cpu, index) — the role error
 			// in stream 1 beats the negative seq in stream 4.
@@ -146,34 +160,24 @@ func TestValidateParallelWorkerEquivalence(t *testing.T) {
 			_ = j
 			k := firstSyncAt(tr, 4, 1100)
 			tr.PerCPU[4][k].SyncSeq = -1
-		}},
+		}, "trace: event P2.1000: sync event with role data"},
 		{"missing seq", func(tr *Trace) {
 			i := firstSyncAt(tr, 2, 600)
 			tr.PerCPU[2][i].SyncSeq = 1 << 20
-		}},
+		}, "trace: location 5: SyncSeq 321 missing (750 sync events)"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			tr := synthTrace(cpus, perCPU, locs)
 			c.mutate(tr)
-			want := tr.ValidateParallel(1)
-			if want == nil {
-				t.Fatal("mutated trace unexpectedly valid")
-			}
-			for _, w := range validateWorkerSet[1:] {
-				got := tr.ValidateParallel(w)
-				if got == nil || got.Error() != want.Error() {
-					t.Errorf("workers=%d: error %q, want %q", w, got, want)
-				}
-			}
+			checkValidateError(t, tr, c.want)
 		})
 	}
 }
 
 // TestValidateParallelDuplicateTiePicksScanOrder pins the duplicate
 // winner on a trace whose duplicate groups resolve at different scan
-// positions: the reported duplicate is the one the serial scan would
-// have hit first, for every worker count.
+// positions: the reported duplicate is the one the scan hits first.
 func TestValidateParallelDuplicateTiePicksScanOrder(t *testing.T) {
 	tr := synthTrace(4, 1200, 5)
 	// Group A trips (second occurrence) at stream 3's tail; group B at
@@ -205,10 +209,5 @@ func TestValidateParallelDuplicateTiePicksScanOrder(t *testing.T) {
 
 	want := fmt.Sprintf("trace: event P%d.%d: duplicate SyncSeq %d for location %d",
 		1+1, iB, bT.SyncSeq, bT.Loc)
-	for _, w := range validateWorkerSet {
-		err := tr.ValidateParallel(w)
-		if err == nil || err.Error() != want {
-			t.Errorf("workers=%d: error %q, want %q", w, err, want)
-		}
-	}
+	checkValidateError(t, tr, want)
 }
