@@ -15,6 +15,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"flag"
@@ -36,7 +37,17 @@ import (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+	// Buffered: a contended trace's report runs to thousands of lines,
+	// each of which would otherwise be its own write(2).
+	stdout := bufio.NewWriter(os.Stdout)
+	code := run(os.Args[1:], stdout, os.Stderr)
+	// A failed write inside run already printed its error and returned
+	// 2; the buffered writer then fails the flush with that same error.
+	if err := stdout.Flush(); err != nil && code != 2 {
+		fmt.Fprintf(os.Stderr, "racedetect: %v\n", err)
+		code = 2
+	}
+	os.Exit(code)
 }
 
 func run(args []string, stdout, stderr io.Writer) int {

@@ -11,7 +11,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"strings"
+	"strconv"
 )
 
 const wordBits = 64
@@ -214,18 +214,22 @@ func (s *Set) Range(fn func(v int) bool) {
 }
 
 // String renders the set as {a, b, c} for debugging and reports.
-func (s *Set) String() string {
-	var sb strings.Builder
-	sb.WriteByte('{')
+func (s *Set) String() string { return string(s.AppendTo(nil)) }
+
+// AppendTo appends the set as String renders it.
+func (s *Set) AppendTo(b []byte) []byte {
+	b = append(b, '{')
 	first := true
-	s.Range(func(v int) bool {
-		if !first {
-			sb.WriteString(", ")
+	for i, w := range s.words {
+		for w != 0 {
+			t := bits.TrailingZeros64(w)
+			if !first {
+				b = append(b, ',', ' ')
+			}
+			first = false
+			b = strconv.AppendInt(b, int64(i*wordBits+t), 10)
+			w &^= 1 << uint(t)
 		}
-		first = false
-		fmt.Fprintf(&sb, "%d", v)
-		return true
-	})
-	sb.WriteByte('}')
-	return sb.String()
+	}
+	return append(b, '}')
 }

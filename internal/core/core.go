@@ -32,6 +32,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -1260,31 +1261,47 @@ func (l LowerLevelRace) Canonical() LowerLevelRace {
 }
 
 // String renders the lower-level race.
-func (l LowerLevelRace) String() string {
-	mode := func(w bool) string {
+func (l LowerLevelRace) String() string { return string(l.AppendTo(nil)) }
+
+// AppendTo appends the lower-level race as String renders it:
+// ⟨mode:op, mode:op⟩@loc, with mode R or W.
+func (l LowerLevelRace) AppendTo(b []byte) []byte {
+	mode := func(w bool) byte {
 		if w {
-			return "W"
+			return 'W'
 		}
-		return "R"
+		return 'R'
 	}
-	return fmt.Sprintf("⟨%s:%s, %s:%s⟩@%d",
-		mode(l.XWrites), l.X, mode(l.YWrites), l.Y, l.Loc)
+	b = append(b, "⟨"...)
+	b = append(b, mode(l.XWrites), ':')
+	b = l.X.AppendTo(b)
+	b = append(b, ',', ' ', mode(l.YWrites), ':')
+	b = l.Y.AppendTo(b)
+	b = append(b, "⟩@"...)
+	return strconv.AppendInt(b, int64(l.Loc), 10)
 }
 
 // LowerLevel expands a higher-level race into its lower-level candidates,
 // one per conflicting (location, access-mode) combination.
 func (a *Analysis) LowerLevel(r Race) []LowerLevelRace {
-	var out []LowerLevelRace
+	return a.AppendLowerLevel(nil, r)
+}
+
+// AppendLowerLevel appends LowerLevel(r) to dst, so a caller expanding
+// many races can reuse one buffer.
+func (a *Analysis) AppendLowerLevel(dst []LowerLevelRace, r Race) []LowerLevelRace {
 	evA, evB := a.Event(r.A), a.Event(r.B)
 	refA, refB := a.Ref(r.A), a.Ref(r.B)
 	r.Locs.Range(func(loc int) bool {
 		addr := program.Addr(loc)
-		for _, xa := range sideAccesses(evA, refA.CPU, addr) {
-			for _, ya := range sideAccesses(evB, refB.CPU, addr) {
+		xs, nx := sideAccesses(evA, addr)
+		ys, ny := sideAccesses(evB, addr)
+		for _, xa := range xs[:nx] {
+			for _, ya := range ys[:ny] {
 				if !xa.writes && !ya.writes {
 					continue
 				}
-				out = append(out, LowerLevelRace{
+				dst = append(dst, LowerLevelRace{
 					Loc:     addr,
 					X:       sim.StaticOp{CPU: refA.CPU, PC: xa.pc, Loc: addr},
 					Y:       sim.StaticOp{CPU: refB.CPU, PC: ya.pc, Loc: addr},
@@ -1294,7 +1311,7 @@ func (a *Analysis) LowerLevel(r Race) []LowerLevelRace {
 		}
 		return true
 	})
-	return out
+	return dst
 }
 
 type sideAccess struct {
@@ -1302,21 +1319,26 @@ type sideAccess struct {
 	writes bool
 }
 
-// sideAccesses lists an event's accesses to loc with their PC provenance.
-func sideAccesses(ev *trace.Event, cpu int, loc program.Addr) []sideAccess {
-	var out []sideAccess
+// sideAccesses lists an event's accesses to loc with their PC
+// provenance: the first n entries of out, a write before a read.
+func sideAccesses(ev *trace.Event, loc program.Addr) (out [2]sideAccess, n int) {
 	switch ev.Kind {
 	case trace.Comp:
 		if ev.Writes.Contains(int(loc)) {
-			out = append(out, sideAccess{pc: ev.WritePC[loc], writes: true})
+			pc, _ := ev.WritePC.Lookup(loc)
+			out[n] = sideAccess{pc: pc, writes: true}
+			n++
 		}
 		if ev.Reads.Contains(int(loc)) {
-			out = append(out, sideAccess{pc: ev.ReadPC[loc], writes: false})
+			pc, _ := ev.ReadPC.Lookup(loc)
+			out[n] = sideAccess{pc: pc, writes: false}
+			n++
 		}
 	case trace.Sync:
 		if ev.Loc == loc {
-			out = append(out, sideAccess{pc: ev.PC, writes: ev.IsWriteSync()})
+			out[n] = sideAccess{pc: ev.PC, writes: ev.IsWriteSync()}
+			n++
 		}
 	}
-	return out
+	return out, n
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -19,18 +21,25 @@ func comp(reads, writes []int) *trace.Event {
 		Kind:     trace.Comp,
 		Reads:    bitset.FromSlice(reads),
 		Writes:   bitset.FromSlice(writes),
-		ReadPC:   map[program.Addr]int{},
-		WritePC:  map[program.Addr]int{},
+		ReadPC:   locPCs(reads),
+		WritePC:  locPCs(writes),
 		SyncSeq:  -1,
 		Observed: trace.NoEvent,
 	}
-	for _, l := range reads {
-		ev.ReadPC[program.Addr(l)] = l
-	}
-	for _, l := range writes {
-		ev.WritePC[program.Addr(l)] = l
-	}
 	return ev
+}
+
+// locPCs returns the synthetic PC provenance pc = location for locs, in
+// location order, one entry per location.
+func locPCs(locs []int) trace.PCs {
+	var out trace.PCs
+	for _, l := range locs {
+		if _, ok := out.Lookup(program.Addr(l)); !ok {
+			out = append(out, trace.LocPC{Loc: program.Addr(l), PC: l})
+			slices.SortFunc(out, func(a, b trace.LocPC) int { return cmp.Compare(a.Loc, b.Loc) })
+		}
+	}
+	return out
 }
 
 // syncEv builds a synchronization event.
@@ -460,16 +469,8 @@ func randomTrace(rng *rand.Rand) *trace.Trace {
 				prev := out[len(out)-1]
 				prev.Reads.Union(ev.Reads)
 				prev.Writes.Union(ev.Writes)
-				for k, v := range ev.ReadPC {
-					if _, ok := prev.ReadPC[k]; !ok {
-						prev.ReadPC[k] = v
-					}
-				}
-				for k, v := range ev.WritePC {
-					if _, ok := prev.WritePC[k]; !ok {
-						prev.WritePC[k] = v
-					}
-				}
+				prev.ReadPC = locPCs(append(pcLocs(prev.ReadPC), pcLocs(ev.ReadPC)...))
+				prev.WritePC = locPCs(append(pcLocs(prev.WritePC), pcLocs(ev.WritePC)...))
 				continue
 			}
 			out = append(out, ev)
@@ -549,4 +550,13 @@ func TestQuickDetectorInvariants(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// pcLocs lists the locations of synthetic PC provenance.
+func pcLocs(pcs trace.PCs) []int {
+	var out []int
+	for _, e := range pcs {
+		out = append(out, int(e.Loc))
+	}
+	return out
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -29,11 +31,12 @@ func permuteTrace(t *trace.Trace, perm []int) *trace.Trace {
 		})
 		return n
 	}
-	mapPCs := func(m map[program.Addr]int) map[program.Addr]int {
-		out := make(map[program.Addr]int, len(m))
-		for k, v := range m {
-			out[program.Addr(perm[k])] = v
+	mapPCs := func(pcs trace.PCs) trace.PCs {
+		var out trace.PCs
+		for _, e := range pcs {
+			out = append(out, trace.LocPC{Loc: program.Addr(perm[e.Loc]), PC: e.PC})
 		}
+		slices.SortFunc(out, func(a, b trace.LocPC) int { return cmp.Compare(a.Loc, b.Loc) })
 		return out
 	}
 	for c, evs := range t.PerCPU {

@@ -7,6 +7,7 @@ package report
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"weakrace/internal/core"
@@ -16,85 +17,131 @@ import (
 
 // RenderAnalysis writes the programmer-facing race report: Theorem 4.1's
 // verdict, then each partition (first partitions lead) with its races and
-// their lower-level provenance.
+// their lower-level provenance. Each line is built in one reused buffer
+// and written with one Write.
 func RenderAnalysis(w io.Writer, a *core.Analysis) error {
+	rw := &lineWriter{w: w}
 	t := a.Trace
-	if _, err := fmt.Fprintf(w, "race report for %q (model %s, seed %d): %d events, %d races (%d data), %d partitions (%d first)\n",
-		t.ProgramName, t.Model, t.Seed, a.NumEvents, len(a.Races)+a.SyncRaces, len(a.Races),
-		len(a.Partitions), len(a.FirstPartitions)); err != nil {
-		return err
-	}
+	b := append(rw.b[:0], "race report for "...)
+	b = strconv.AppendQuote(b, t.ProgramName)
+	b = append(b, " (model "...)
+	b = append(b, t.Model.String()...)
+	b = append(b, ", seed "...)
+	b = strconv.AppendInt(b, t.Seed, 10)
+	b = append(b, "): "...)
+	b = strconv.AppendInt(b, int64(a.NumEvents), 10)
+	b = append(b, " events, "...)
+	b = strconv.AppendInt(b, int64(len(a.Races)+a.SyncRaces), 10)
+	b = append(b, " races ("...)
+	b = strconv.AppendInt(b, int64(len(a.Races)), 10)
+	b = append(b, " data), "...)
+	b = strconv.AppendInt(b, int64(len(a.Partitions)), 10)
+	b = append(b, " partitions ("...)
+	b = strconv.AppendInt(b, int64(len(a.FirstPartitions)), 10)
+	rw.line(append(b, " first)\n"...))
 	if a.RaceFree() {
-		_, err := fmt.Fprintf(w, "NO DATA RACES: by Condition 3.4(1) this execution was sequentially consistent.\n")
-		return err
+		rw.line(append(rw.b[:0], "NO DATA RACES: by Condition 3.4(1) this execution was sequentially consistent.\n"...))
+		return rw.err
 	}
-	if _, err := fmt.Fprintf(w, "report the first partitions; by Theorem 4.2 each contains a race that\noccurs in a sequentially consistent execution.\n"); err != nil {
-		return err
-	}
-	render := func(pi int) error {
+	rw.line(append(rw.b[:0], "report the first partitions; by Theorem 4.2 each contains a race that\noccurs in a sequentially consistent execution.\n"...))
+	var lls []core.LowerLevelRace
+	render := func(pi int) {
+		if rw.err != nil {
+			return
+		}
 		p := a.Partitions[pi]
 		tag := "non-first"
 		if p.First {
 			tag = "FIRST"
 		}
-		if _, err := fmt.Fprintf(w, "partition %d [%s]: %d race(s) over events %s\n",
-			pi, tag, len(p.Races), eventList(a, p.Events)); err != nil {
-			return err
-		}
+		b := append(rw.b[:0], "partition "...)
+		b = strconv.AppendInt(b, int64(pi), 10)
+		b = append(b, " ["...)
+		b = append(b, tag...)
+		b = append(b, "]: "...)
+		b = strconv.AppendInt(b, int64(len(p.Races)), 10)
+		b = append(b, " race(s) over events "...)
+		b = appendEventList(b, a, p.Events)
+		rw.line(append(b, '\n'))
 		for _, ri := range p.Races {
 			r := a.Races[ri]
-			if _, err := fmt.Fprintf(w, "  race ⟨%s, %s⟩ on locations %s\n",
-				a.Ref(r.A), a.Ref(r.B), r.Locs); err != nil {
-				return err
-			}
-			for _, ll := range a.LowerLevel(r) {
-				if _, err := fmt.Fprintf(w, "    %s\n", ll); err != nil {
-					return err
-				}
+			b := append(rw.b[:0], "  race ⟨"...)
+			b = a.Ref(r.A).AppendTo(b)
+			b = append(b, ", "...)
+			b = a.Ref(r.B).AppendTo(b)
+			b = append(b, "⟩ on locations "...)
+			b = r.Locs.AppendTo(b)
+			rw.line(append(b, '\n'))
+			lls = a.AppendLowerLevel(lls[:0], r)
+			for _, ll := range lls {
+				b := append(rw.b[:0], "    "...)
+				b = ll.AppendTo(b)
+				rw.line(append(b, '\n'))
 			}
 		}
-		return nil
 	}
 	for _, pi := range a.FirstPartitions {
-		if err := render(pi); err != nil {
-			return err
-		}
+		render(pi)
 	}
 	for pi := range a.Partitions {
 		if !a.Partitions[pi].First {
-			if err := render(pi); err != nil {
-				return err
-			}
+			render(pi)
 		}
 	}
 	// The partial order P (Definition 4.1) among partitions, so the
 	// programmer can see which races are downstream of which.
 	printedHeader := false
-	for i := range a.Partitions {
+	for i := 0; i < len(a.Partitions) && rw.err == nil; i++ {
 		for j := range a.Partitions {
 			if i == j || !a.PartitionPrecedes(i, j) {
 				continue
 			}
 			if !printedHeader {
-				if _, err := fmt.Fprintf(w, "partition order (P):\n"); err != nil {
-					return err
-				}
+				rw.line(append(rw.b[:0], "partition order (P):\n"...))
 				printedHeader = true
 			}
-			if _, err := fmt.Fprintf(w, "  partition %d precedes partition %d\n", i, j); err != nil {
-				return err
-			}
+			b := append(rw.b[:0], "  partition "...)
+			b = strconv.AppendInt(b, int64(i), 10)
+			b = append(b, " precedes partition "...)
+			b = strconv.AppendInt(b, int64(j), 10)
+			rw.line(append(b, '\n'))
 		}
 	}
-	return nil
+	return rw.err
+}
+
+// appendEventList appends ids as {P1.0, P2.3}.
+func appendEventList(b []byte, a *core.Analysis, ids []core.EventID) []byte {
+	b = append(b, '{')
+	for i, id := range ids {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = a.Ref(id).AppendTo(b)
+	}
+	return append(b, '}')
 }
 
 func eventList(a *core.Analysis, ids []core.EventID) string {
-	parts := make([]string, len(ids))
-	for i, id := range ids {
-		parts[i] = a.Ref(id).String()
+	return string(appendEventList(nil, a, ids))
+}
+
+// lineWriter writes whole lines built in its reused buffer b, one Write
+// per line, and keeps the first write error; after an error it writes
+// nothing more.
+type lineWriter struct {
+	w   io.Writer
+	b   []byte
+	err error
+}
+
+// line writes b, which the caller built on rw.b[:0], and keeps the
+// (possibly grown) buffer for the next line.
+func (rw *lineWriter) line(b []byte) {
+	rw.b = b
+	if rw.err == nil {
+		_, rw.err = rw.w.Write(b)
 	}
-	return "{" + strings.Join(parts, ", ") + "}"
 }
 
 // RenderGraph writes a Figure-3-style view of the augmented

@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
@@ -139,5 +140,27 @@ func TestTable(t *testing.T) {
 	// Columns aligned: header and rows start "model" / "SC   ".
 	if !strings.HasPrefix(lines[3], "SC ") {
 		t.Fatalf("alignment wrong: %q", lines[3])
+	}
+}
+
+// BenchmarkRenderAnalysis renders the report of a contended 4-CPU
+// trace of about 50k events, the size of the postmortem benchmark's
+// median trace.
+func BenchmarkRenderAnalysis(b *testing.B) {
+	w := workload.Random(workload.RandomParams{CPUs: 4, Locks: 2, UnlockedFraction: 0.3, Segments: 1540, Seed: 1})
+	r, err := sim.Run(w.Prog, sim.Config{Model: memmodel.WO, Seed: 1, InitMemory: w.InitMemory})
+	if err != nil {
+		b.Fatal(err)
+	}
+	a, err := core.Analyze(trace.FromExecution(r.Exec), core.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := RenderAnalysis(io.Discard, a); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -14,6 +14,7 @@ package sim
 
 import (
 	"fmt"
+	"strconv"
 
 	"weakrace/internal/memmodel"
 	"weakrace/internal/program"
@@ -136,8 +137,17 @@ type StaticOp struct {
 }
 
 // String renders the static identity.
-func (s StaticOp) String() string {
-	return fmt.Sprintf("P%d@%d[%d]", s.CPU+1, s.PC, s.Loc)
+func (s StaticOp) String() string { return string(s.AppendTo(nil)) }
+
+// AppendTo appends the static identity as String renders it: Pc@pc[loc].
+func (s StaticOp) AppendTo(b []byte) []byte {
+	b = append(b, 'P')
+	b = strconv.AppendInt(b, int64(s.CPU+1), 10)
+	b = append(b, '@')
+	b = strconv.AppendInt(b, int64(s.PC), 10)
+	b = append(b, '[')
+	b = strconv.AppendInt(b, int64(s.Loc), 10)
+	return append(b, ']')
 }
 
 // Execution is the complete, value-annotated record of one simulated run.

@@ -3,12 +3,12 @@ package trace
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"math/bits"
 	"os"
-	"sort"
 
 	"weakrace/internal/atomicio"
 	"weakrace/internal/bitset"
@@ -25,10 +25,11 @@ import (
 //	header: name, model, seed, numCPUs, numLocations
 //	per CPU: event count, then events:
 //	  kind byte
-//	  comp: reads set, writes set, readPC map, writePC map
+//	  comp: reads set, writes set, readPC list, writePC list
 //	  sync: role, loc, syncSeq, pc, observed (valid, cpu, index, role)
 //
-// Sets are encoded as a count followed by delta-encoded ascending values.
+// Sets are encoded as a count followed by delta-encoded ascending values;
+// PC lists as a count followed by (location, pc) pairs in location order.
 
 const magic = "WRT1"
 
@@ -38,8 +39,7 @@ type countingWriter struct {
 	// buf is the varint staging area. A stack `var buf [...]byte` would
 	// escape into w.Write on every call — one heap allocation per varint,
 	// the dominant cost of encoding — so it lives on the writer instead.
-	buf  [binary.MaxVarintLen64]byte
-	keys []int // pcMap's sorted-keys scratch, reused across events
+	buf [binary.MaxVarintLen64]byte
 }
 
 func (cw *countingWriter) byte(b byte) {
@@ -81,17 +81,11 @@ func (cw *countingWriter) set(s *bitset.Set) {
 	})
 }
 
-func (cw *countingWriter) pcMap(m map[program.Addr]int) {
-	keys := cw.keys[:0]
-	for k := range m {
-		keys = append(keys, int(k))
-	}
-	sort.Ints(keys)
-	cw.keys = keys
-	cw.uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		cw.uvarint(uint64(k))
-		cw.uvarint(uint64(m[program.Addr(k)]))
+func (cw *countingWriter) pcList(p PCs) {
+	cw.uvarint(uint64(len(p)))
+	for _, e := range p {
+		cw.uvarint(uint64(e.Loc))
+		cw.uvarint(uint64(e.PC))
 	}
 }
 
@@ -104,18 +98,6 @@ type byteCounter struct {
 
 func (b *byteCounter) Write(p []byte) (int, error) {
 	n, err := b.w.Write(p)
-	b.n += int64(n)
-	return n, err
-}
-
-// byteCountReader counts bytes consumed from an io.Reader.
-type byteCountReader struct {
-	r io.Reader
-	n int64
-}
-
-func (b *byteCountReader) Read(p []byte) (int, error) {
-	n, err := b.r.Read(p)
 	b.n += int64(n)
 	return n, err
 }
@@ -147,8 +129,8 @@ func Encode(w io.Writer, t *Trace) error {
 			case Comp:
 				cw.set(ev.Reads)
 				cw.set(ev.Writes)
-				cw.pcMap(ev.ReadPC)
-				cw.pcMap(ev.WritePC)
+				cw.pcList(ev.ReadPC)
+				cw.pcList(ev.WritePC)
 			case Sync:
 				cw.byte(byte(ev.Role))
 				cw.uvarint(uint64(ev.Loc))
@@ -181,37 +163,60 @@ func Encode(w io.Writer, t *Trace) error {
 	return nil
 }
 
+// reader decodes the binary format from a byte slice holding the whole
+// input. Every field reader is a no-op once err is set, so a decode loop
+// checks err once per event instead of per field.
 type reader struct {
-	r    *bufio.Reader
+	b    []byte
+	off  int
 	err  error
-	vals []int // set's element scratch, reused across sets
+	vals []int   // set's element scratch, reused across sets
+	pcs  []LocPC // chunk the events' PC lists are carved from
 }
 
 func (rd *reader) byte() byte {
 	if rd.err != nil {
 		return 0
 	}
-	b, err := rd.r.ReadByte()
-	rd.err = err
-	return b
+	if rd.off >= len(rd.b) {
+		rd.err = io.ErrUnexpectedEOF
+		return 0
+	}
+	c := rd.b[rd.off]
+	rd.off++
+	return c
 }
+
+var errVarintOverflow = errors.New("varint overflows a 64-bit integer")
 
 func (rd *reader) uvarint() uint64 {
 	if rd.err != nil {
 		return 0
 	}
-	v, err := binary.ReadUvarint(rd.r)
-	rd.err = err
+	if rd.off < len(rd.b) && rd.b[rd.off] < 0x80 {
+		v := rd.b[rd.off]
+		rd.off++
+		return uint64(v)
+	}
+	v, n := binary.Uvarint(rd.b[rd.off:])
+	if n <= 0 {
+		rd.err = io.ErrUnexpectedEOF
+		if n < 0 {
+			rd.err = errVarintOverflow
+		}
+		return 0
+	}
+	rd.off += n
 	return v
 }
 
 func (rd *reader) varint() int64 {
-	if rd.err != nil {
-		return 0
+	ux := rd.uvarint()
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
 	}
-	v, err := binary.ReadVarint(rd.r)
-	rd.err = err
-	return v
+	return x
 }
 
 // LocationError reports an encoded access-set location at or beyond the
@@ -235,38 +240,77 @@ type InvalidError struct{ Err error }
 func (e *InvalidError) Error() string { return e.Err.Error() }
 func (e *InvalidError) Unwrap() error { return e.Err }
 
-// Per-kind limits guard length-prefixed allocations against corrupt or
-// hostile input: the analyzer allocates per-location and per-processor
-// state, so these bound its worst-case footprint too.
-var maxCounts = map[string]uint64{
-	"cpu":      1 << 16,
-	"location": 1 << 20,
-	"event":    1 << 26,
-	"set":      1 << 20,
-	"pc map":   1 << 20,
-	"string":   1 << 20,
+// CountError reports a declared count — of processors, locations,
+// events, set elements, PC entries or string bytes — above its limit.
+// The binary decoders return it before they allocate anything sized by
+// the count.
+type CountError struct {
+	What  string
+	Count uint64
+	// Limit is the kind's fixed limit or, when smaller, the most
+	// elements the input left after the count could encode.
+	Limit uint64
 }
 
-func (rd *reader) count(what string) int {
-	v := rd.uvarint()
-	limit, ok := maxCounts[what]
-	if !ok {
-		limit = 1 << 26
+func (e *CountError) Error() string {
+	return fmt.Sprintf("%s count %d exceeds limit %d", e.What, e.Count, e.Limit)
+}
+
+// countKind names a length-prefixed field, its fixed limit, and the
+// fewest bytes one of its elements encodes in.
+type countKind struct {
+	what     string
+	limit    uint64
+	minBytes int
+}
+
+// Per-kind limits guard length-prefixed allocations against corrupt or
+// hostile input: the analyzer allocates per-location and per-processor
+// state, so these bound its worst-case footprint too. A location count
+// sizes nothing in the decoder, so it alone is not capped by the bytes
+// left; an event's fewest bytes are an empty computation event's (kind
+// and four zero counts).
+var (
+	cpuCount      = countKind{"cpu", 1 << 16, 1}
+	locationCount = countKind{"location", 1 << 20, 0}
+	eventCount    = countKind{"event", 1 << 26, 5}
+	setCount      = countKind{"set", 1 << 20, 1}
+	pcCount       = countKind{"pc list", 1 << 20, 2}
+	stringCount   = countKind{"string", 1 << 20, 1}
+)
+
+// check reports a declared count v above k's limit or above what left
+// bytes of input can encode; left < 0 means the input's size is unknown.
+func (k countKind) check(v uint64, left int) error {
+	limit := k.limit
+	if left >= 0 && k.minBytes > 0 {
+		limit = min(limit, uint64(left/k.minBytes))
 	}
-	if rd.err == nil && v > limit {
-		rd.err = fmt.Errorf("%s count %d exceeds limit %d", what, v, limit)
+	if v > limit {
+		return &CountError{What: k.what, Count: v, Limit: limit}
+	}
+	return nil
+}
+
+func (rd *reader) count(k countKind) int {
+	v := rd.uvarint()
+	if rd.err == nil {
+		rd.err = k.check(v, len(rd.b)-rd.off)
+	}
+	if rd.err != nil {
+		return 0
 	}
 	return int(v)
 }
 
 func (rd *reader) str() string {
-	n := rd.count("string")
+	n := rd.count(stringCount)
 	if rd.err != nil {
 		return ""
 	}
-	buf := make([]byte, n)
-	_, rd.err = io.ReadFull(rd.r, buf)
-	return string(buf)
+	s := string(rd.b[rd.off : rd.off+n])
+	rd.off += n
+	return s
 }
 
 // set reads a delta-encoded access set whose elements must lie in
@@ -274,7 +318,7 @@ func (rd *reader) str() string {
 // *LocationError before anything is sized by it; the set itself is
 // sized from its largest element, not from numLocations.
 func (rd *reader) set(numLocations int) *bitset.Set {
-	n := rd.count("set")
+	n := rd.count(setCount)
 	vals := rd.vals[:0]
 	v := uint64(0)
 	for i := 0; i < n && rd.err == nil; i++ {
@@ -299,86 +343,155 @@ func (rd *reader) set(numLocations int) *bitset.Set {
 	return bitset.FromSlice(vals)
 }
 
-func (rd *reader) pcMap() map[program.Addr]int {
-	n := rd.count("pc map")
-	m := make(map[program.Addr]int, n)
-	for i := 0; i < n && rd.err == nil; i++ {
-		k := program.Addr(rd.uvarint())
-		m[k] = int(rd.uvarint())
+// pcChunk is how many PC entries one shared allocation holds.
+const pcChunk = 4096
+
+// pcList reads an event's PC provenance for one access mode. The lists
+// are carved from shared chunks; entries out of location order are
+// sorted, the last of a repeated location winning.
+func (rd *reader) pcList() PCs {
+	n := rd.count(pcCount)
+	if n == 0 || rd.err != nil {
+		return nil
 	}
-	return m
+	if cap(rd.pcs)-len(rd.pcs) < n {
+		rd.pcs = make([]LocPC, 0, max(n, pcChunk))
+	}
+	from := len(rd.pcs)
+	sorted := true
+	for i := 0; i < n; i++ {
+		e := LocPC{Loc: program.Addr(rd.uvarint()), PC: int(rd.uvarint())}
+		if rd.err != nil {
+			return nil
+		}
+		if i > 0 && e.Loc <= rd.pcs[len(rd.pcs)-1].Loc {
+			sorted = false
+		}
+		rd.pcs = append(rd.pcs, e)
+	}
+	p := PCs(rd.pcs[from:len(rd.pcs):len(rd.pcs)])
+	if !sorted {
+		p = sortPCs(p)
+	}
+	return p
 }
 
 // Decode reads a binary trace and validates it.
 func Decode(r io.Reader) (*Trace, error) {
 	reg := telemetry.Default()
 	defer reg.StartSpan("trace.decode").End()
-	var bc *byteCountReader
-	if reg.Enabled() {
-		bc = &byteCountReader{r: r}
-		r = bc
+	data, err := readAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("trace: decode: %w", err)
 	}
-	t, err := decodeNoValidate(r)
+	return decodeValid(data)
+}
+
+// readAll reads r to its end into one buffer, sized up front when r
+// reports its length (bytes.Reader, strings.Reader, bytes.Buffer).
+func readAll(r io.Reader) ([]byte, error) {
+	size := 512
+	if l, ok := r.(interface{ Len() int }); ok {
+		size = l.Len() + 1 // +1: the final read that sees EOF needs room
+	}
+	b := make([]byte, 0, size)
+	for {
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
+}
+
+// decodeValid decodes a whole binary trace held in data and validates it.
+func decodeValid(data []byte) (*Trace, error) {
+	t, err := decodeNoValidate(data)
 	if err != nil {
 		return nil, err
 	}
 	if err := t.Validate(); err != nil {
 		return nil, fmt.Errorf("trace: decode: %w", &InvalidError{Err: err})
 	}
-	if bc != nil {
+	if reg := telemetry.Default(); reg.Enabled() {
 		reg.Counter("trace.decode.calls").Inc()
-		reg.Counter("trace.decode.bytes").Add(bc.n)
+		reg.Counter("trace.decode.bytes").Add(int64(len(data)))
 		reg.Counter("trace.decode.events").Add(int64(t.NumEvents()))
 	}
 	return t, nil
 }
 
-// decodeNoValidate reads a binary trace without whole-trace validation;
-// per-processor file-set parts need this because their pairing references
-// point into other files.
-func decodeNoValidate(r io.Reader) (*Trace, error) {
-	rd := &reader{r: bufio.NewReader(r)}
-	var mg [4]byte
-	if _, err := io.ReadFull(rd.r, mg[:]); err != nil {
-		return nil, fmt.Errorf("trace: decode: %w", err)
+// decodeNoValidate decodes a binary trace without whole-trace
+// validation; per-processor file-set parts need this because their
+// pairing references point into other files. Each processor's events are
+// carved from one Event slab, sized by the declared count once the bytes
+// left have shown it plausible.
+func decodeNoValidate(data []byte) (*Trace, error) {
+	if len(data) < len(magic) {
+		return nil, fmt.Errorf("trace: decode: %w", io.ErrUnexpectedEOF)
 	}
-	if string(mg[:]) != magic {
-		return nil, fmt.Errorf("trace: decode: bad magic %q", mg)
+	if string(data[:len(magic)]) != magic {
+		return nil, fmt.Errorf("trace: decode: bad magic %q", data[:len(magic)])
 	}
+	rd := &reader{b: data, off: len(magic)}
 	t := &Trace{}
 	t.ProgramName = rd.str()
 	t.Model = memmodel.Model(rd.uvarint())
 	t.Seed = rd.varint()
-	t.NumCPUs = rd.count("cpu")
-	t.NumLocations = rd.count("location")
+	t.NumCPUs = rd.count(cpuCount)
+	t.NumLocations = rd.count(locationCount)
 	if rd.err != nil {
 		return nil, fmt.Errorf("trace: decode header: %w", rd.err)
 	}
 	t.PerCPU = make([][]*Event, t.NumCPUs)
 	for c := 0; c < t.NumCPUs; c++ {
-		n := rd.count("event")
-		for i := 0; i < n && rd.err == nil; i++ {
-			ev := &Event{Kind: EventKind(rd.byte()), Observed: NoEvent, SyncSeq: -1}
+		n := rd.count(eventCount)
+		if n == 0 {
+			continue
+		}
+		slab := make([]Event, n)
+		evs := make([]*Event, n)
+		for i := range slab {
+			ev := &slab[i]
+			evs[i] = ev
+			ev.Kind = EventKind(rd.byte())
+			ev.Observed = NoEvent
 			switch ev.Kind {
 			case Comp:
+				ev.SyncSeq = -1
 				ev.Reads = rd.set(t.NumLocations)
 				ev.Writes = rd.set(t.NumLocations)
-				ev.ReadPC = rd.pcMap()
-				ev.WritePC = rd.pcMap()
+				ev.ReadPC = rd.pcList()
+				ev.WritePC = rd.pcList()
 			case Sync:
 				ev.Role = memmodel.Role(rd.byte())
 				ev.Loc = program.Addr(rd.uvarint())
 				ev.SyncSeq = int(rd.uvarint())
 				ev.PC = int(rd.uvarint())
 				if rd.byte() == 1 {
-					ev.Observed = EventRef{CPU: int(rd.uvarint()), Index: int(rd.uvarint())}
+					cpu, index := rd.uvarint(), rd.uvarint()
+					if rd.err == nil && (cpu >= uint64(t.NumCPUs) || index >= eventCount.limit) {
+						return nil, fmt.Errorf("trace: decode: P%d event %d: pairing reference (cpu %d, index %d) out of range", c+1, i, cpu, index)
+					}
+					ev.Observed = EventRef{CPU: int(cpu), Index: int(index)}
 					ev.ObservedRole = memmodel.Role(rd.byte())
 				}
 			default:
-				return nil, fmt.Errorf("trace: decode: P%d event %d: unknown kind %d", c+1, i, ev.Kind)
+				if rd.err == nil {
+					return nil, fmt.Errorf("trace: decode: P%d event %d: unknown kind %d", c+1, i, ev.Kind)
+				}
 			}
-			t.PerCPU[c] = append(t.PerCPU[c], ev)
+			if rd.err != nil {
+				return nil, fmt.Errorf("trace: decode: %w", rd.err)
+			}
 		}
+		t.PerCPU[c] = evs
 	}
 	if rd.err != nil {
 		return nil, fmt.Errorf("trace: decode: %w", rd.err)
@@ -398,10 +511,10 @@ func WriteFile(path string, t *Trace) error {
 
 // ReadFile decodes the trace at path.
 func ReadFile(path string) (*Trace, error) {
-	f, err := os.Open(path)
+	defer telemetry.Default().StartSpan("trace.decode").End()
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
-	defer f.Close()
-	return Decode(f)
+	return decodeValid(data)
 }

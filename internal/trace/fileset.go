@@ -200,12 +200,11 @@ func ReadFileSet(dir string) (*Trace, error) {
 // readPart decodes one per-processor file without whole-trace validation
 // (pairing references point into other processors' files).
 func readPart(path string) (*Trace, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("trace: fileset: %w", err)
 	}
-	defer f.Close()
-	part, err := decodeNoValidate(f)
+	part, err := decodeNoValidate(data)
 	if err != nil {
 		return nil, fmt.Errorf("trace: fileset: %s: %w", path, err)
 	}

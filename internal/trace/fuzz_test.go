@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -40,19 +41,27 @@ func seedCorpus(tb testing.TB) [][]byte {
 // or allocate far beyond its size; the decoder must instead return an
 // error of the given type.
 type hostileInput struct {
-	name       string
-	binary     []byte
-	text       string
-	locErr     bool // *trace.LocationError; else *trace.InvalidError
+	name   string
+	binary []byte
+	text   string // "" when the input has no text form
+	// locErr wants a *trace.LocationError, countErr a *trace.CountError
+	// for wantCount; neither wants a *trace.InvalidError.
+	locErr     bool
 	wantLoc    uint64
 	declaredLs int
+	countErr   bool
+	wantCount  string
 }
 
-// hostileInputs returns the crafted inputs, each in both encodings:
-// an access-set element of 2^63 (the binary decoder panicked in
-// bitset.Add), one of 2^33 (a 1 GB bitset before validation ran), and
-// 20,000 empty computation events declaring 2^20 locations (two
-// pre-sized 128 KB bitsets per event, 5 GB in all).
+// hostileInputs returns the crafted inputs: an access-set element of
+// 2^63 (the binary decoder panicked in bitset.Add), one of 2^33 (a 1 GB
+// bitset before validation ran), 20,000 empty computation events
+// declaring 2^20 locations (two pre-sized 128 KB bitsets per event, 5 GB
+// in all), each in both encodings; and, in the binary encoding only,
+// whose counts the text form does not declare, a read-PC list declaring
+// 2^20 entries (the decoder pre-sized a 38 MB map before reading any)
+// and 2^26 events with a 20-byte body (an event slab sized from that
+// count would take 9 GB).
 func hostileInputs() []hostileInput {
 	header := func(numLocs, events uint64) []byte {
 		b := []byte("WRT1")
@@ -77,6 +86,13 @@ func hostileInputs() []hostileInput {
 	for i := 0; i < 20000; i++ {
 		empty = append(empty, byte(trace.Comp), 0, 0, 0, 0)
 	}
+	pcList := header(4, 1)
+	pcList = append(pcList, byte(trace.Comp), 1, 0, 0) // reads {0}, no writes
+	pcList = binary.AppendUvarint(pcList, 1<<20)       // read PCs: 2^20 entries declared
+	manyEvents := header(4, 1<<26)
+	for i := 0; i < 4; i++ {
+		manyEvents = append(manyEvents, byte(trace.Comp), 0, 0, 0, 0)
+	}
 	return []hostileInput{
 		{name: "element 2^63", binary: oneRead(1 << 63), locErr: true, wantLoc: 1 << 63, declaredLs: 4,
 			text: textHeader(4) + "comp reads=9223372036854775807@0 writes=\nend\n"},
@@ -84,6 +100,8 @@ func hostileInputs() []hostileInput {
 			text: textHeader(4) + "comp reads=8589934592@0 writes=\nend\n"},
 		{name: "20000 empty events over 2^20 locations", binary: empty,
 			text: textHeader(1<<20) + strings.Repeat("comp reads= writes=\n", 20000) + "end\n"},
+		{name: "2^20 PC entries declared", binary: pcList, countErr: true, wantCount: "pc list"},
+		{name: "2^26 events over 20 bytes", binary: manyEvents, countErr: true, wantCount: "event"},
 	}
 }
 
@@ -92,13 +110,15 @@ func hostileInputs() []hostileInput {
 func TestDecodeHostileInputs(t *testing.T) {
 	const budget = 16 << 20
 	for _, in := range hostileInputs() {
-		for _, codec := range []struct {
+		type codec struct {
 			name   string
 			decode func() error
-		}{
-			{"binary", func() error { _, err := trace.Decode(bytes.NewReader(in.binary)); return err }},
-			{"text", func() error { _, err := trace.DecodeText(strings.NewReader(in.text)); return err }},
-		} {
+		}
+		codecs := []codec{{"binary", func() error { _, err := trace.Decode(bytes.NewReader(in.binary)); return err }}}
+		if in.text != "" {
+			codecs = append(codecs, codec{"text", func() error { _, err := trace.DecodeText(strings.NewReader(in.text)); return err }})
+		}
+		for _, codec := range codecs {
 			t.Run(in.name+"/"+codec.name, func(t *testing.T) {
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
@@ -123,6 +143,13 @@ func TestDecodeHostileInputs(t *testing.T) {
 					}
 					return
 				}
+				if in.countErr {
+					var ce *trace.CountError
+					if !errors.As(err, &ce) || ce.What != in.wantCount {
+						t.Fatalf("error %v, want a *trace.CountError for the %s count", err, in.wantCount)
+					}
+					return
+				}
 				var ie *trace.InvalidError
 				if !errors.As(err, &ie) || !strings.Contains(err.Error(), "empty computation event") {
 					t.Fatalf("error %v, want a *trace.InvalidError for an empty computation event", err)
@@ -133,7 +160,9 @@ func TestDecodeHostileInputs(t *testing.T) {
 }
 
 // FuzzDecode: arbitrary bytes must never panic the binary decoder, and
-// anything it accepts must survive validation and analysis.
+// anything it accepts must survive validation and analysis, and
+// re-encode to bytes that decode to an equal trace and re-encode to
+// themselves.
 func FuzzDecode(f *testing.F) {
 	for _, seed := range seedCorpus(f) {
 		f.Add(seed)
@@ -154,7 +183,46 @@ func FuzzDecode(f *testing.F) {
 		if _, err := core.Analyze(tr, core.Options{SkipValidate: true}); err != nil {
 			t.Fatalf("analysis failed on decoded trace: %v", err)
 		}
+		var enc bytes.Buffer
+		if err := trace.Encode(&enc, tr); err != nil {
+			t.Fatalf("re-encoding a decoded trace: %v", err)
+		}
+		again, err := trace.Decode(bytes.NewReader(enc.Bytes()))
+		if err != nil {
+			t.Fatalf("decoding a re-encoded trace: %v", err)
+		}
+		if !reflect.DeepEqual(tr, again) {
+			t.Fatalf("re-encoded trace decodes differently:\n%s", diffTraces(tr, again))
+		}
+		var enc2 bytes.Buffer
+		if err := trace.Encode(&enc2, again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc.Bytes(), enc2.Bytes()) {
+			t.Fatal("re-encoding is not a fixed point")
+		}
 	})
+}
+
+// diffTraces describes the first difference between two traces.
+func diffTraces(a, b *trace.Trace) string {
+	if a.ProgramName != b.ProgramName || a.Model != b.Model || a.Seed != b.Seed ||
+		a.NumCPUs != b.NumCPUs || a.NumLocations != b.NumLocations || len(a.PerCPU) != len(b.PerCPU) {
+		return fmt.Sprintf("headers %q/%v/%d/%d/%d vs %q/%v/%d/%d/%d",
+			a.ProgramName, a.Model, a.Seed, a.NumCPUs, a.NumLocations,
+			b.ProgramName, b.Model, b.Seed, b.NumCPUs, b.NumLocations)
+	}
+	for c := range a.PerCPU {
+		if len(a.PerCPU[c]) != len(b.PerCPU[c]) {
+			return fmt.Sprintf("P%d: %d vs %d events", c+1, len(a.PerCPU[c]), len(b.PerCPU[c]))
+		}
+		for i, ev := range a.PerCPU[c] {
+			if !reflect.DeepEqual(ev, b.PerCPU[c][i]) {
+				return fmt.Sprintf("P%d.%d: %+v vs %+v", c+1, i, *ev, *b.PerCPU[c][i])
+			}
+		}
+	}
+	return "PerCPU nil/empty mismatch"
 }
 
 // FuzzDecodeText: same contract for the text codec.
@@ -173,7 +241,9 @@ func FuzzDecodeText(f *testing.F) {
 	f.Add("weakrace-trace 1\n")
 	f.Add("")
 	for _, in := range hostileInputs() {
-		f.Add(in.text)
+		if in.text != "" {
+			f.Add(in.text)
+		}
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		tr, err := trace.DecodeText(bytes.NewReader([]byte(src)))

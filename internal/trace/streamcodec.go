@@ -201,12 +201,12 @@ func NewStreamReader(r io.Reader) (*StreamReader, error) {
 	if string(mg[:]) != streamMagic {
 		return nil, fmt.Errorf("trace: stream decode: bad magic %q", mg)
 	}
-	rd := &reader{r: sr.r}
+	rd := &headerReader{r: sr.r}
 	sr.hdr.ProgramName = rd.str()
 	sr.hdr.Model = memmodel.Model(rd.uvarint())
 	sr.hdr.Seed = rd.varint()
-	sr.hdr.NumCPUs = rd.count("cpu")
-	sr.hdr.NumLocations = rd.count("location")
+	sr.hdr.NumCPUs = rd.count(cpuCount)
+	sr.hdr.NumLocations = rd.count(locationCount)
 	sr.hdr.TraceID = rd.uvarint()
 	sr.hdr.ParentSpan = rd.uvarint()
 	if rd.err != nil {
@@ -216,6 +216,54 @@ func NewStreamReader(r io.Reader) (*StreamReader, error) {
 		return nil, fmt.Errorf("trace: stream decode header: %d CPUs / %d locations", sr.hdr.NumCPUs, sr.hdr.NumLocations)
 	}
 	return sr, nil
+}
+
+// headerReader reads the WRS1 header's fields straight off the
+// connection: unlike a WRT1 file, a stream cannot be read to its end
+// before its header is decoded. Counts go through the WRT1 codec's
+// limits; the input's size is unknown, so only the fixed limits apply.
+type headerReader struct {
+	r   *bufio.Reader
+	err error
+}
+
+func (h *headerReader) uvarint() uint64 {
+	if h.err != nil {
+		return 0
+	}
+	v, err := binary.ReadUvarint(h.r)
+	h.err = err
+	return v
+}
+
+func (h *headerReader) varint() int64 {
+	if h.err != nil {
+		return 0
+	}
+	v, err := binary.ReadVarint(h.r)
+	h.err = err
+	return v
+}
+
+func (h *headerReader) count(k countKind) int {
+	v := h.uvarint()
+	if h.err == nil {
+		h.err = k.check(v, -1)
+	}
+	if h.err != nil {
+		return 0
+	}
+	return int(v)
+}
+
+func (h *headerReader) str() string {
+	n := h.count(stringCount)
+	if h.err != nil {
+		return ""
+	}
+	buf := make([]byte, n)
+	_, h.err = io.ReadFull(h.r, buf)
+	return string(buf)
 }
 
 // Header returns the stream's header.

@@ -3,9 +3,7 @@ package trace
 import (
 	"fmt"
 	"io"
-	"sort"
-
-	"weakrace/internal/program"
+	"strconv"
 )
 
 // Dump writes a human-readable rendering of the trace — the debugging view
@@ -37,34 +35,31 @@ func Dump(w io.Writer, t *Trace) error {
 	return nil
 }
 
+// pcAnnotations renders a computation event's PC provenance in location
+// order, a location's read entry before its write entry.
 func pcAnnotations(ev *Event) string {
 	if len(ev.ReadPC) == 0 && len(ev.WritePC) == 0 {
 		return ""
 	}
-	type kv struct {
-		loc program.Addr
-		pc  int
-		rw  byte
-	}
-	var items []kv
-	for loc, pc := range ev.ReadPC {
-		items = append(items, kv{loc, pc, 'r'})
-	}
-	for loc, pc := range ev.WritePC {
-		items = append(items, kv{loc, pc, 'w'})
-	}
-	sort.Slice(items, func(i, j int) bool {
-		if items[i].loc != items[j].loc {
-			return items[i].loc < items[j].loc
+	b := []byte(" pcs[")
+	entry := func(rw byte, e LocPC) {
+		if len(b) > len(" pcs[") {
+			b = append(b, ' ')
 		}
-		return items[i].rw < items[j].rw
-	})
-	s := " pcs["
-	for i, it := range items {
-		if i > 0 {
-			s += " "
-		}
-		s += fmt.Sprintf("%c%d@%d", it.rw, it.loc, it.pc)
+		b = append(b, rw)
+		b = strconv.AppendInt(b, int64(e.Loc), 10)
+		b = append(b, '@')
+		b = strconv.AppendInt(b, int64(e.PC), 10)
 	}
-	return s + "]"
+	r, w := ev.ReadPC, ev.WritePC
+	for len(r) > 0 || len(w) > 0 {
+		if len(w) == 0 || (len(r) > 0 && r[0].Loc <= w[0].Loc) {
+			entry('r', r[0])
+			r = r[1:]
+		} else {
+			entry('w', w[0])
+			w = w[1:]
+		}
+	}
+	return string(append(b, ']'))
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -66,14 +65,19 @@ func EncodeText(w io.Writer, t *Trace) error {
 	return bw.Flush()
 }
 
-func encodeAccessList(set *bitset.Set, pcs map[program.Addr]int) string {
-	locs := set.Slice()
-	sort.Ints(locs)
-	parts := make([]string, len(locs))
-	for i, loc := range locs {
-		parts[i] = fmt.Sprintf("%d@%d", loc, pcs[program.Addr(loc)])
-	}
-	return strings.Join(parts, ",")
+func encodeAccessList(set *bitset.Set, pcs PCs) string {
+	var b []byte
+	set.Range(func(loc int) bool {
+		if len(b) > 0 {
+			b = append(b, ',')
+		}
+		pc, _ := pcs.Lookup(program.Addr(loc))
+		b = strconv.AppendInt(b, int64(loc), 10)
+		b = append(b, '@')
+		b = strconv.AppendInt(b, int64(pc), 10)
+		return true
+	})
+	return string(b)
 }
 
 // textParser tracks position for error messages.
@@ -191,7 +195,6 @@ func DecodeText(r io.Reader) (*Trace, error) {
 			ev := &Event{
 				Kind: Comp, SyncSeq: -1, Observed: NoEvent,
 				Reads: &bitset.Set{}, Writes: &bitset.Set{},
-				ReadPC: map[program.Addr]int{}, WritePC: map[program.Addr]int{},
 			}
 			fields := strings.Fields(rest)
 			for _, f := range fields {
@@ -200,12 +203,12 @@ func DecodeText(r io.Reader) (*Trace, error) {
 					return nil, p.errf("bad comp field %q", f)
 				}
 				var set *bitset.Set
-				var pcs map[program.Addr]int
+				var pcs *PCs
 				switch k {
 				case "reads":
-					set, pcs = ev.Reads, ev.ReadPC
+					set, pcs = ev.Reads, &ev.ReadPC
 				case "writes":
-					set, pcs = ev.Writes, ev.WritePC
+					set, pcs = ev.Writes, &ev.WritePC
 				default:
 					return nil, p.errf("unknown comp field %q", k)
 				}
@@ -281,8 +284,9 @@ func DecodeText(r io.Reader) (*Trace, error) {
 
 // parseAccessList adds a loc@pc list to set and pcs. Every location must
 // lie in [0, numLocations) — one out of range fails with a
-// *LocationError — and set grows once, to its largest location.
-func parseAccessList(s string, numLocations int, set *bitset.Set, pcs map[program.Addr]int) error {
+// *LocationError — and set grows once, to its largest location. A
+// location listed again takes its last PC.
+func parseAccessList(s string, numLocations int, set *bitset.Set, pcs *PCs) error {
 	if s == "" {
 		return nil
 	}
@@ -304,9 +308,10 @@ func parseAccessList(s string, numLocations int, set *bitset.Set, pcs map[progra
 			return fmt.Errorf("bad access pc %q", pcStr)
 		}
 		locs = append(locs, loc)
-		pcs[program.Addr(loc)] = pc
+		*pcs = append(*pcs, LocPC{Loc: program.Addr(loc), PC: pc})
 	}
 	set.Union(bitset.FromSlice(locs))
+	*pcs = sortPCs(*pcs)
 	return nil
 }
 

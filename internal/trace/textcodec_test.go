@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"weakrace/internal/memmodel"
+	"weakrace/internal/program"
 	"weakrace/internal/sim"
 	"weakrace/internal/workload"
 )
@@ -95,7 +96,7 @@ end
 		t.Fatalf("sync fields parsed wrong: %+v", acq)
 	}
 	comp := tr.PerCPU[1][1]
-	if !comp.Reads.Contains(0) || !comp.Reads.Contains(1) || comp.ReadPC[1] != 2 {
+	if !comp.Reads.Contains(0) || !comp.Reads.Contains(1) || !pcIs(comp.ReadPC, 1, 2) {
 		t.Fatalf("comp access parsed wrong: %+v", comp)
 	}
 }
@@ -128,4 +129,10 @@ func TestTextDecodeErrors(t *testing.T) {
 
 func header() string {
 	return "weakrace-trace 1\nprogram \"x\"\nmodel WO\nseed 0\ncpus 2\nlocations 3\n"
+}
+
+// pcIs reports whether pcs records pc for loc.
+func pcIs(pcs PCs, loc program.Addr, pc int) bool {
+	got, ok := pcs.Lookup(loc)
+	return ok && got == pc
 }

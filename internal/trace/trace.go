@@ -21,7 +21,10 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"strconv"
 
 	"weakrace/internal/bitset"
 	"weakrace/internal/memmodel"
@@ -62,11 +65,57 @@ var NoEvent = EventRef{CPU: -1, Index: -1}
 func (r EventRef) Valid() bool { return r.CPU >= 0 }
 
 // String renders the reference as Pc.e.
-func (r EventRef) String() string {
+func (r EventRef) String() string { return string(r.AppendTo(nil)) }
+
+// AppendTo appends the reference as String renders it.
+func (r EventRef) AppendTo(b []byte) []byte {
 	if !r.Valid() {
-		return "-"
+		return append(b, '-')
 	}
-	return fmt.Sprintf("P%d.%d", r.CPU+1, r.Index)
+	b = append(b, 'P')
+	b = strconv.AppendInt(b, int64(r.CPU+1), 10)
+	b = append(b, '.')
+	return strconv.AppendInt(b, int64(r.Index), 10)
+}
+
+// LocPC is one location's program-counter provenance.
+type LocPC struct {
+	Loc program.Addr
+	PC  int
+}
+
+// PCs is a computation event's PC provenance for one access mode: one
+// entry per location, sorted by location. An event with no entries holds
+// nil.
+type PCs []LocPC
+
+// Lookup returns the PC recorded for loc.
+func (p PCs) Lookup(loc program.Addr) (pc int, ok bool) {
+	i, ok := slices.BinarySearchFunc(p, loc, func(e LocPC, loc program.Addr) int {
+		return cmp.Compare(e.Loc, loc)
+	})
+	if !ok {
+		return 0, false
+	}
+	return p[i].PC, true
+}
+
+// sortPCs puts p in location order and keeps the last entry of each
+// location, as repeated assignments to a map would; it returns the
+// deduplicated prefix, nil when empty.
+func sortPCs(p PCs) PCs {
+	slices.SortStableFunc(p, func(a, b LocPC) int { return cmp.Compare(a.Loc, b.Loc) })
+	out := p[:0]
+	for i, e := range p {
+		if i+1 < len(p) && p[i+1].Loc == e.Loc {
+			continue
+		}
+		out = append(out, e)
+	}
+	if len(out) == 0 {
+		return nil
+	}
+	return out[:len(out):len(out)]
 }
 
 // Event is one node of a processor's event stream.
@@ -80,7 +129,7 @@ type Event struct {
 	// ReadPC and WritePC record, per location, the program counter of the
 	// first data operation in this event that read/wrote it. Pure
 	// provenance for race reports; the detector never consults them.
-	ReadPC, WritePC map[program.Addr]int
+	ReadPC, WritePC PCs
 
 	// Synchronization events.
 
@@ -154,10 +203,10 @@ func (t *Trace) Event(ref EventRef) *Event {
 }
 
 // Arena holds the slabs FromExecutionInto carves a Trace out of — the
-// event array, the access-set words, the per-CPU event-pointer lists,
-// and the pairing-resolution maps — so a caller that builds traces in a
-// loop (a campaign worker iterating over seeds) reuses them instead of
-// reallocating per execution. Unlike core.Arena's scratch, these slabs
+// event array, the access-set words, the PC provenance, the per-CPU
+// event-pointer lists, and the pairing-resolution maps — so a caller
+// that builds traces in a loop (a campaign worker iterating over seeds)
+// reuses them instead of reallocating per execution. Unlike core.Arena's scratch, these slabs
 // ARE retained by the returned Trace: reusing an arena invalidates every
 // Trace previously built through it, so an arena must only be recycled
 // after its trace (and any Analysis holding it) is dead, and must not be
@@ -165,6 +214,7 @@ func (t *Trace) Event(ref EventRef) *Event {
 type Arena struct {
 	events  []Event
 	words   []uint64
+	pcs     []LocPC
 	refs    []*Event
 	counts  []int // perCPUEvents ∥ perCPUSyncs, one buffer
 	syncEvs []*Event
@@ -216,10 +266,11 @@ func FromExecutionInto(e *sim.Execution, ar *Arena) *Trace {
 	clear(ar.counts)
 	perCPUEvents := ar.counts[:e.NumCPUs]
 	perCPUSyncs := ar.counts[e.NumCPUs:]
-	syncWrites := 0
+	syncWrites, dataReads, dataWrites := 0, 0, 0
 	for c := 0; c < e.NumCPUs; c++ {
 		inComp := false
-		for _, op := range e.OpsOf(c) {
+		for _, id := range e.PerCPU[c] {
+			op := &e.Ops[id]
 			if op.Kind.IsSync() {
 				if inComp {
 					perCPUEvents[c]++
@@ -232,6 +283,11 @@ func FromExecutionInto(e *sim.Execution, ar *Arena) *Trace {
 				}
 			} else {
 				inComp = true
+				if op.Kind.IsRead() {
+					dataReads++
+				} else {
+					dataWrites++
+				}
 			}
 		}
 		if inComp {
@@ -258,26 +314,34 @@ func FromExecutionInto(e *sim.Execution, ar *Arena) *Trace {
 	wordsPer := (e.NumLocations + 63) / 64
 	// One Event slab for all processors, one word slab backing every
 	// computation event's two access sets, one pointer slab carved into
-	// the per-CPU streams. The word slab must be re-zeroed on reuse — the
-	// builder only ORs bits in.
+	// the per-CPU streams, and one PC slab holding every event's PC
+	// provenance (reads region first, then writes; each data op adds at
+	// most one entry, so the op counts bound the regions). The word slab
+	// must be re-zeroed on reuse — the builder only ORs bits in.
 	ar.events = grow(ar.events, totalEvents)
 	ar.refs = grow(ar.refs, totalEvents)
 	ar.words = grow(ar.words, 2*wordsPer*totalComp)
 	clear(ar.words)
+	ar.pcs = grow(ar.pcs, dataReads+dataWrites)
 	eventsLeft, refsLeft, words := ar.events, ar.refs, ar.words
+	readPCs, writePCs := ar.pcs[:0:dataReads], ar.pcs[dataReads:dataReads]
 	for c := 0; c < e.NumCPUs; c++ {
 		slab := eventsLeft[:perCPUEvents[c]]
 		eventsLeft = eventsLeft[perCPUEvents[c]:]
 		t.PerCPU[c] = refsLeft[:0:perCPUEvents[c]]
 		refsLeft = refsLeft[perCPUEvents[c]:]
 		var cur *Event // open computation event, if any
+		var readsFrom, writesFrom int
 		flush := func() {
 			if cur != nil {
+				cur.ReadPC = sortPCs(readPCs[readsFrom:])
+				cur.WritePC = sortPCs(writePCs[writesFrom:])
 				t.PerCPU[c] = append(t.PerCPU[c], cur)
 				cur = nil
 			}
 		}
-		for _, op := range e.OpsOf(c) {
+		for _, id := range e.PerCPU[c] {
+			op := &e.Ops[id]
 			if op.Kind.IsSync() {
 				flush()
 				ev := &slab[len(t.PerCPU[c])]
@@ -306,20 +370,19 @@ func FromExecutionInto(e *sim.Execution, ar *Arena) *Trace {
 					Kind:     Comp,
 					Reads:    reads,
 					Writes:   writes,
-					ReadPC:   map[program.Addr]int{},
-					WritePC:  map[program.Addr]int{},
 					SyncSeq:  -1,
 					Observed: NoEvent,
 				}
+				readsFrom, writesFrom = len(readPCs), len(writePCs)
 			}
 			if op.Kind.IsRead() {
 				if !cur.Reads.Contains(int(op.Loc)) {
-					cur.ReadPC[op.Loc] = op.PC
+					readPCs = append(readPCs, LocPC{Loc: op.Loc, PC: op.PC})
 				}
 				cur.Reads.Add(int(op.Loc))
 			} else {
 				if !cur.Writes.Contains(int(op.Loc)) {
-					cur.WritePC[op.Loc] = op.PC
+					writePCs = append(writePCs, LocPC{Loc: op.Loc, PC: op.PC})
 				}
 				cur.Writes.Add(int(op.Loc))
 			}
@@ -338,7 +401,8 @@ func FromExecutionInto(e *sim.Execution, ar *Arena) *Trace {
 		}
 		ar.syncEvs = syncEvents
 		si := 0
-		for _, op := range e.OpsOf(c) {
+		for _, id := range e.PerCPU[c] {
+			op := &e.Ops[id]
 			if !op.Kind.IsSync() {
 				continue
 			}

@@ -128,13 +128,13 @@ func TestTestAndSetPairsObserveSyncWrites(t *testing.T) {
 func TestReadWritePCProvenance(t *testing.T) {
 	tr := runFig1b(t, 7)
 	p1 := tr.PerCPU[0]
-	if p1[0].WritePC[0] != 0 || p1[0].WritePC[1] != 1 {
-		t.Fatalf("P1 WritePC = %v, want {0:0, 1:1}", p1[0].WritePC)
+	if want := (PCs{{Loc: 0, PC: 0}, {Loc: 1, PC: 1}}); !reflect.DeepEqual(p1[0].WritePC, want) {
+		t.Fatalf("P1 WritePC = %v, want %v", p1[0].WritePC, want)
 	}
 	p2 := tr.PerCPU[1]
 	last := p2[len(p2)-1]
-	if last.ReadPC[1] != 2 || last.ReadPC[0] != 3 {
-		t.Fatalf("P2 ReadPC = %v, want {1:2, 0:3}", last.ReadPC)
+	if want := (PCs{{Loc: 0, PC: 3}, {Loc: 1, PC: 2}}); !reflect.DeepEqual(last.ReadPC, want) {
+		t.Fatalf("P2 ReadPC = %v, want %v", last.ReadPC, want)
 	}
 }
 
@@ -174,7 +174,7 @@ func assertTracesEqual(t *testing.T, want, got *Trace) {
 					t.Fatalf("P%d.%d access sets mismatch", c+1, i)
 				}
 				if !reflect.DeepEqual(w.ReadPC, g.ReadPC) || !reflect.DeepEqual(w.WritePC, g.WritePC) {
-					t.Fatalf("P%d.%d pc maps mismatch", c+1, i)
+					t.Fatalf("P%d.%d PC provenance mismatch", c+1, i)
 				}
 			}
 		}
