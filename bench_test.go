@@ -89,10 +89,8 @@ func BenchmarkT3PostMortemScaling(b *testing.B) {
 	}
 }
 
-// T3 (large) — the 10k–40k-event regime the PR-8 parallel passes target:
-// analysis cost at segments 256/512/1024, plus a worker sweep on the
-// segments-512 trace. Sub-benchmark names carry the worker count so
-// `-bench T3PostMortemLarge` prints the speedup series directly.
+// T3 (large) — the 10k–40k-event regime: analysis cost at segments
+// 256/512/1024.
 func BenchmarkT3PostMortemLarge(b *testing.B) {
 	traces := map[int]*weakrace.Trace{}
 	for _, segments := range []int{256, 512, 1024} {
@@ -116,17 +114,6 @@ func BenchmarkT3PostMortemLarge(b *testing.B) {
 				events = a.NumEvents
 			}
 			b.ReportMetric(float64(events), "events")
-		})
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("segments-512-workers-%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := weakrace.Detect(traces[512], weakrace.DetectOptions{
-					SkipValidate: true, Workers: workers,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
 		})
 	}
 }

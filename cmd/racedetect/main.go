@@ -23,7 +23,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 
 	"weakrace/internal/core"
@@ -55,17 +54,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		graph   = fs.Bool("graph", false, "also render the augmented happens-before-1 graph")
-		dot     = fs.String("dot", "", "write the augmented graph in Graphviz DOT form to this file")
+		dot     = fs.String("dot", "", "write the augmented graph in Graphviz DOT form to this file\n(multiple inputs get numbered suffixes)")
 		pairing = fs.String("pairing", "conservative",
 			"release pairing policy: conservative (the paper's) or liberal")
 		metrics    = fs.String("metrics", "", "dump a JSON telemetry snapshot on exit to this file (- for stdout)")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
 		explain    = fs.Bool("explain", false, "print per-race witness explanations (certificates, first-partition chains)")
-		dotParts   = fs.String("dot-partitions", "", "write the partition condensation DAG in Graphviz DOT form to this file")
+		dotParts   = fs.String("dot-partitions", "", "write the partition condensation DAG in Graphviz DOT form to this file\n(multiple inputs get numbered suffixes)")
 		htmlOut    = fs.String("html", "", "write a single-file HTML race report to this file\n(multiple inputs get numbered suffixes)")
 		flight     = fs.String("flight", "", "write a flight-recorder directory: flight.jsonl, trace.json (Perfetto), witnesses.json")
-		workers    = fs.Int("workers", 0, "worker goroutines for the hb1 graph build, the one analysis phase\nthat runs in parallel (0 = GOMAXPROCS); output is byte-identical\nfor every worker count")
 		httpAddr   = fs.String("http", "", "serve the observability plane (metrics, status, dashboard, pprof) on this address while analyzing")
 
 		wdP99X    = fs.Float64("watchdog-p99x", 0, "watchdog: fire when an analysis phase exceeds this multiple of its running p99 (0 = off)")
@@ -125,11 +123,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *metrics != "" {
 		defer telemetry.EnableDefault()()
-		if *workers <= 0 {
-			// The worker gauges in the snapshot reflect this resolution;
-			// say it up front so a -workers 0 run is self-describing.
-			fmt.Fprintf(stderr, "racedetect: -workers 0 resolved to GOMAXPROCS=%d\n", runtime.GOMAXPROCS(0))
-		}
 	}
 	stopProfiles, err := telemetry.StartProfiles(*cpuprofile, *memprofile, stderr)
 	if err != nil {
@@ -157,7 +150,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "racedetect: %s: %v\n", path, err)
 			return 2
 		}
-		a, err := core.Analyze(tr, core.Options{Pairing: policy, SkipValidate: true, Flight: fr, Workers: *workers})
+		a, err := core.Analyze(tr, core.Options{Pairing: policy, SkipValidate: true, Flight: fr})
 		if err != nil {
 			fmt.Fprintf(stderr, "racedetect: %s: %v\n", path, err)
 			return 2
@@ -170,7 +163,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 		if *dot != "" {
-			f, err := os.Create(*dot)
+			name := numberedName(*dot, i, fs.NArg())
+			f, err := os.Create(name)
 			if err == nil {
 				err = report.RenderDOT(f, a)
 				if cerr := f.Close(); err == nil {
@@ -181,7 +175,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintf(stderr, "racedetect: %v\n", err)
 				return 2
 			}
-			fmt.Fprintf(stdout, "DOT graph written to %s\n", *dot)
+			fmt.Fprintf(stdout, "DOT graph written to %s\n", name)
 		}
 		if err := report.RenderAnalysis(stdout, a); err != nil {
 			fmt.Fprintf(stderr, "racedetect: %v\n", err)
@@ -192,7 +186,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			ex = provenance.NewExplainer(a)
 		}
 		if *dotParts != "" {
-			f, err := os.Create(*dotParts)
+			name := numberedName(*dotParts, i, fs.NArg())
+			f, err := os.Create(name)
 			if err == nil {
 				err = report.RenderPartitionDOT(f, ex)
 				if cerr := f.Close(); err == nil {
@@ -203,7 +198,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintf(stderr, "racedetect: %v\n", err)
 				return 2
 			}
-			fmt.Fprintf(stdout, "partition DOT written to %s\n", *dotParts)
+			fmt.Fprintf(stdout, "partition DOT written to %s\n", name)
 		}
 		if *explain {
 			if err := report.RenderExplanations(stdout, ex); err != nil {
@@ -267,7 +262,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // numberedName returns base unchanged for a single input and inserts a
 // 1-based index before the extension otherwise, so several inputs each
-// get their own HTML report.
+// get their own HTML report and DOT files.
 func numberedName(base string, i, n int) string {
 	if n == 1 {
 		return base

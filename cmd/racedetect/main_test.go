@@ -170,16 +170,20 @@ func TestRunCorruptTrace(t *testing.T) {
 	}
 }
 
-// TestRunProvenanceFlags: -explain prints witnesses, -html writes one
-// report per input (numbered when there are several), and -flight writes
-// a parseable flight directory with a witnesses.json entry per input.
+// TestRunProvenanceFlags: -explain prints witnesses, -html, -dot and
+// -dot-partitions write one file per input (numbered when there are
+// several), and -flight writes a parseable flight directory with a
+// witnesses.json entry per input.
 func TestRunProvenanceFlags(t *testing.T) {
 	dir := t.TempDir()
 	racy, clean, _, _ := writeTraces(t, dir)
 	htmlPath := filepath.Join(dir, "report.html")
+	dotPath := filepath.Join(dir, "g.dot")
+	partsPath := filepath.Join(dir, "parts.dot")
 	flightDir := filepath.Join(dir, "flight")
 	var out, errb bytes.Buffer
-	got := run([]string{"-explain", "-html", htmlPath, "-flight", flightDir, racy, clean}, &out, &errb)
+	got := run([]string{"-explain", "-html", htmlPath, "-dot", dotPath, "-dot-partitions", partsPath,
+		"-flight", flightDir, racy, clean}, &out, &errb)
 	if got != 1 {
 		t.Fatalf("exit = %d (stderr: %s)", got, errb.String())
 	}
@@ -196,6 +200,33 @@ func TestRunProvenanceFlags(t *testing.T) {
 		}
 		if !strings.Contains(string(data), want) {
 			t.Fatalf("HTML %d missing %q", i+1, want)
+		}
+	}
+	// Numbered DOT files too: each input's graph survives, and stdout
+	// names each file once.
+	for _, base := range []string{"g", "parts"} {
+		var files [2]string
+		for i := range files {
+			name := filepath.Join(dir, base+"."+string(rune('1'+i))+".dot")
+			data, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(string(data), "digraph") {
+				t.Fatalf("%s is not a DOT graph:\n%s", name, data)
+			}
+			if strings.Count(out.String(), "written to "+name+"\n") != 1 {
+				t.Fatalf("stdout does not name %s once:\n%s", name, out.String())
+			}
+			files[i] = string(data)
+		}
+		if files[0] == files[1] {
+			t.Fatalf("%s.1.dot and %s.2.dot are identical; the inputs differ", base, base)
+		}
+	}
+	for _, name := range []string{dotPath, partsPath} {
+		if _, err := os.Stat(name); !os.IsNotExist(err) {
+			t.Fatalf("unnumbered %s written with two inputs (stat err %v)", name, err)
 		}
 	}
 	// Flight directory: a parseable JSONL log covering both analyses, a

@@ -114,8 +114,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		htmlOut  = fs.String("html", "", "with -flight or alone: write the segments-32 run's HTML race report to this file")
 		httpAddr = fs.String("http", "", "serve the observability plane (metrics, status, dashboard, pprof) on this address while benching")
 		traject  = fs.String("trajectory", "", "standalone mode: render the checked-in BENCH_*.json files (or the\npositional arguments) into one HTML trend report at this path, then exit")
-		metrics  = fs.String("metrics", "", "dump a JSON telemetry snapshot on exit to this file (- for stdout);\nincludes the analysis counters (graph.ts.*, graph.build.*,\ntrace.validate.*, detect.sweep.*, detect.condreach.*, detect.arena.*)")
-		workers  = fs.Int("workers", 0, "worker goroutines for the hb1 graph build in the detection scenarios\n(0 = GOMAXPROCS); output is byte-identical for every worker count")
+		metrics  = fs.String("metrics", "", "dump a JSON telemetry snapshot on exit to this file (- for stdout);\nincludes the analysis counters (graph.vc.*, trace.validate.*,\ndetect.sweep.*, detect.condreach.*, detect.arena.*)")
 		profile  = fs.String("profile", "", "write a per-scenario CPU profile (<scenario>.pprof) into this directory")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -136,7 +135,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "wrbench: observability plane on http://%s/\n", srv.Addr())
 	}
 
-	scenarios := allScenarios(*workers)
+	scenarios := allScenarios()
 	if *list {
 		for _, s := range scenarios {
 			fmt.Fprintln(stdout, s.name)
@@ -419,11 +418,40 @@ func checkGuards(guards string, base, cur *Output, stderr io.Writer) int {
 	return 0
 }
 
+// detectSeries times iters detections of the postmortem-scaling trace
+// at each segment count under opts, recording segments_<n>_ns_per_iter
+// and segments_<n>_events in metrics. It returns the last trace.
+func detectSeries(metrics map[string]float64, segments []int, iters int, opts weakrace.DetectOptions) (*weakrace.Trace, error) {
+	var tr *weakrace.Trace
+	for _, n := range segments {
+		w := weakrace.RandomWorkload(weakrace.RandomParams{
+			Seed: 5, CPUs: 4, Segments: n, UnlockedFraction: 0.3,
+		})
+		res, err := weakrace.Simulate(w.Prog, weakrace.SimConfig{Model: weakrace.WO, Seed: 1})
+		if err != nil {
+			return nil, err
+		}
+		tr = weakrace.TraceExecution(res.Exec)
+		start := time.Now()
+		events := 0
+		for i := 0; i < iters; i++ {
+			a, err := weakrace.Detect(tr, opts)
+			if err != nil {
+				return nil, err
+			}
+			events = a.NumEvents
+		}
+		key := fmt.Sprintf("segments_%d", n)
+		metrics[key+"_ns_per_iter"] = float64(time.Since(start).Nanoseconds()) / float64(iters)
+		metrics[key+"_events"] = float64(events)
+	}
+	return tr, nil
+}
+
 // allScenarios mirrors the T1–T3 benchmark families in bench_test.go plus
 // the end-to-end pipeline, parameterized by iteration count instead of
-// b.N so the same paths run outside the testing framework. workers is
-// the -workers flag, applied to the detection scenarios (0 = GOMAXPROCS).
-func allScenarios(workers int) []scenario {
+// b.N so the same paths run outside the testing framework.
+func allScenarios() []scenario {
 	return []scenario{
 		{"model-throughput", func(iters int) (map[string]float64, error) {
 			// T1: write-burst on every model; cycles/op per model.
@@ -502,27 +530,9 @@ func allScenarios(workers int) []scenario {
 			// the closure path — vc_builds would drop to zero).
 			metrics := map[string]float64{}
 			before := telemetry.Default().Snapshot()
-			for _, segments := range []int{4, 8, 16, 32, 64, 128} {
-				w := weakrace.RandomWorkload(weakrace.RandomParams{
-					Seed: 5, CPUs: 4, Segments: segments, UnlockedFraction: 0.3,
-				})
-				res, err := weakrace.Simulate(w.Prog, weakrace.SimConfig{Model: weakrace.WO, Seed: 1})
-				if err != nil {
-					return nil, err
-				}
-				tr := weakrace.TraceExecution(res.Exec)
-				start := time.Now()
-				events := 0
-				for i := 0; i < iters; i++ {
-					a, err := weakrace.Detect(tr, weakrace.DetectOptions{SkipValidate: true, Workers: workers})
-					if err != nil {
-						return nil, err
-					}
-					events = a.NumEvents
-				}
-				key := fmt.Sprintf("segments_%d", segments)
-				metrics[key+"_ns_per_iter"] = float64(time.Since(start).Nanoseconds()) / float64(iters)
-				metrics[key+"_events"] = float64(events)
+			if _, err := detectSeries(metrics, []int{4, 8, 16, 32, 64, 128}, iters,
+				weakrace.DetectOptions{SkipValidate: true}); err != nil {
+				return nil, err
 			}
 			delta := telemetry.Default().Snapshot().Delta(before)
 			for _, name := range []string{
@@ -536,115 +546,31 @@ func allScenarios(workers int) []scenario {
 			return metrics, nil
 		}},
 		{"postmortem-scaling-large", func(iters int) (map[string]float64, error) {
-			// The 30k+-event regime, where the hb1 build goes parallel.
-			// Two series: analysis cost at segments 256/512/1024 with the
-			// flag's worker count, and a worker sweep {1,2,4,8} on the
-			// segments-512 trace whose speedup_Nw metrics record the
-			// wall-clock scaling on this machine (≈1 on a single core —
-			// the Meta.GOMAXPROCS block says which regime a file is
-			// from). Large traces amortize quickly, so iterations are
-			// capped to keep the whole scenario in seconds.
+			// The 30k+-event regime: analysis cost at segments
+			// 256/512/1024. Large traces amortize quickly, so iterations
+			// are capped to keep the whole scenario in seconds.
 			metrics := map[string]float64{}
-			li := iters
-			if li > 10 {
-				li = 10
-			}
-			var tr512 *weakrace.Trace
-			for _, segments := range []int{256, 512, 1024} {
-				w := weakrace.RandomWorkload(weakrace.RandomParams{
-					Seed: 5, CPUs: 4, Segments: segments, UnlockedFraction: 0.3,
-				})
-				res, err := weakrace.Simulate(w.Prog, weakrace.SimConfig{Model: weakrace.WO, Seed: 1})
-				if err != nil {
-					return nil, err
-				}
-				tr := weakrace.TraceExecution(res.Exec)
-				if segments == 512 {
-					tr512 = tr
-				}
-				start := time.Now()
-				events := 0
-				for i := 0; i < li; i++ {
-					a, err := weakrace.Detect(tr, weakrace.DetectOptions{SkipValidate: true, Workers: workers})
-					if err != nil {
-						return nil, err
-					}
-					events = a.NumEvents
-				}
-				key := fmt.Sprintf("segments_%d", segments)
-				metrics[key+"_ns_per_iter"] = float64(time.Since(start).Nanoseconds()) / float64(li)
-				metrics[key+"_events"] = float64(events)
-			}
-			for _, n := range []int{1, 2, 4, 8} {
-				start := time.Now()
-				for i := 0; i < li; i++ {
-					if _, err := weakrace.Detect(tr512, weakrace.DetectOptions{SkipValidate: true, Workers: n}); err != nil {
-						return nil, err
-					}
-				}
-				metrics[fmt.Sprintf("workers_%d_ns_per_iter", n)] =
-					float64(time.Since(start).Nanoseconds()) / float64(li)
-			}
-			for _, n := range []int{2, 4, 8} {
-				if p := metrics[fmt.Sprintf("workers_%d_ns_per_iter", n)]; p > 0 {
-					metrics[fmt.Sprintf("speedup_%dw", n)] = metrics["workers_1_ns_per_iter"] / p
-				}
+			if _, err := detectSeries(metrics, []int{256, 512, 1024}, min(iters, 10),
+				weakrace.DetectOptions{SkipValidate: true}); err != nil {
+				return nil, err
 			}
 			return metrics, nil
 		}},
 		{"postmortem-scaling-xl", func(iters int) (map[string]float64, error) {
-			// PR 10: the regime where the formerly serial phases —
-			// validation, hb1 construction, partition ordering — dominate.
-			// Full Analyze (validation on) over segments 2048/4096 with a
-			// worker sweep {1,2,4,8,16} on each, plus a per-phase
-			// breakdown of one segments-4096 analysis taken from the
-			// telemetry phase histograms (phase_<name>_ns metrics). These
-			// traces run hundreds of ms per analysis, so iterations are
-			// capped at 3.
+			// The 67k–134k-event regime: full Analyze (validation on)
+			// over segments 2048/4096, plus a per-phase breakdown of one
+			// segments-4096 analysis taken from the telemetry phase
+			// histograms (phase_<name>_ns metrics). These traces run
+			// hundreds of ms per analysis, so iterations are capped at 3.
 			metrics := map[string]float64{}
-			li := iters
-			if li > 3 {
-				li = 3
+			tr4096, err := detectSeries(metrics, []int{2048, 4096}, min(iters, 3), weakrace.DetectOptions{})
+			if err != nil {
+				return nil, err
 			}
-			var tr4096 *weakrace.Trace
-			for _, segments := range []int{2048, 4096} {
-				w := weakrace.RandomWorkload(weakrace.RandomParams{
-					Seed: 5, CPUs: 4, Segments: segments, UnlockedFraction: 0.3,
-				})
-				res, err := weakrace.Simulate(w.Prog, weakrace.SimConfig{Model: weakrace.WO, Seed: 1})
-				if err != nil {
-					return nil, err
-				}
-				tr := weakrace.TraceExecution(res.Exec)
-				if segments == 4096 {
-					tr4096 = tr
-				}
-				key := fmt.Sprintf("segments_%d", segments)
-				for _, n := range []int{1, 2, 4, 8, 16} {
-					start := time.Now()
-					events := 0
-					for i := 0; i < li; i++ {
-						a, err := weakrace.Detect(tr, weakrace.DetectOptions{Workers: n})
-						if err != nil {
-							return nil, err
-						}
-						events = a.NumEvents
-					}
-					metrics[fmt.Sprintf("%s_workers_%d_ns_per_iter", key, n)] =
-						float64(time.Since(start).Nanoseconds()) / float64(li)
-					metrics[key+"_events"] = float64(events)
-				}
-				for _, n := range []int{2, 4, 8, 16} {
-					if p := metrics[fmt.Sprintf("%s_workers_%d_ns_per_iter", key, n)]; p > 0 {
-						metrics[fmt.Sprintf("%s_speedup_%dw", key, n)] =
-							metrics[fmt.Sprintf("%s_workers_1_ns_per_iter", key)] / p
-					}
-				}
-			}
-			// Per-phase breakdown: one more segments-4096 analysis at the
-			// flag's worker count, bracketed by telemetry snapshots.
+			// Per-phase breakdown: one more segments-4096 analysis,
+			// bracketed by telemetry snapshots.
 			before := telemetry.Default().Snapshot()
-			if _, err := weakrace.Detect(tr4096, weakrace.DetectOptions{Workers: workers}); err != nil {
+			if _, err := weakrace.Detect(tr4096, weakrace.DetectOptions{}); err != nil {
 				return nil, err
 			}
 			delta := telemetry.Default().Snapshot().Delta(before)

@@ -91,15 +91,15 @@ func TestRunAllScenarios(t *testing.T) {
 	}
 }
 
-// TestRunLargeScalingScenario: the PR-8 scenario reports the 30k+-event
-// series plus the segments-512 worker sweep with its speedup metrics,
-// and -metrics dumps a snapshot carrying the parallel-analysis counters.
+// TestRunLargeScalingScenario: the scenario reports the 30k+-event
+// series, and -metrics dumps a snapshot carrying the timestamp and sweep
+// counters.
 func TestRunLargeScalingScenario(t *testing.T) {
 	dir := t.TempDir()
 	metricsPath := filepath.Join(dir, "metrics.json")
 	var out, errb bytes.Buffer
 	got := run([]string{"-scenario", "postmortem-scaling-large", "-iters", "1", "-o", "-",
-		"-workers", "2", "-metrics", metricsPath}, &out, &errb)
+		"-metrics", metricsPath}, &out, &errb)
 	if got != 0 {
 		t.Fatalf("exit = %d (stderr: %s)", got, errb.String())
 	}
@@ -114,8 +114,6 @@ func TestRunLargeScalingScenario(t *testing.T) {
 	for _, key := range []string{
 		"segments_256_ns_per_iter", "segments_512_ns_per_iter", "segments_1024_ns_per_iter",
 		"segments_512_events", "segments_1024_events",
-		"workers_1_ns_per_iter", "workers_8_ns_per_iter",
-		"speedup_2w", "speedup_4w", "speedup_8w",
 	} {
 		if m[key] <= 0 {
 			t.Errorf("metric %q = %v, want > 0", key, m[key])
@@ -124,14 +122,14 @@ func TestRunLargeScalingScenario(t *testing.T) {
 	if m["segments_1024_events"] < 30000 {
 		t.Errorf("segments_1024_events = %v, want the 30k+-event regime", m["segments_1024_events"])
 	}
-	// The -metrics dump must carry the PR-8 telemetry: span statistics
-	// from the timestamp layer and the sweep's bucket counter.
+	// The -metrics dump must carry the timestamp layer's counters and the
+	// sweep's bucket counter.
 	data, err := os.ReadFile(metricsPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{
-		"graph.ts.spans", "graph.ts.span_max_events",
+		"graph.vc.builds", "graph.vc.components",
 		"detect.sweep.buckets", "detect.arena.recs_highwater",
 	} {
 		if !strings.Contains(string(data), name) {
@@ -140,20 +138,20 @@ func TestRunLargeScalingScenario(t *testing.T) {
 	}
 }
 
-// TestRunXLScalingScenario: the PR-10 scenario reports the 67k–134k-event
-// series with worker sweeps through 16 workers, a per-phase breakdown of
-// one segments-4096 analysis, and profiles per scenario under -profile;
-// -metrics dumps a snapshot carrying the new parallel-phase telemetry.
+// TestRunXLScalingScenario: the scenario reports the 67k–134k-event
+// series, a per-phase breakdown of one segments-4096 analysis, and
+// profiles per scenario under -profile; -metrics dumps a snapshot
+// carrying the validator, hb1 and partition-ordering phases.
 func TestRunXLScalingScenario(t *testing.T) {
 	if testing.Short() {
-		t.Skip("multi-minute scenario at full worker sweep")
+		t.Skip("100k+-event analyses")
 	}
 	dir := t.TempDir()
 	metricsPath := filepath.Join(dir, "metrics.json")
 	profDir := filepath.Join(dir, "prof")
 	var out, errb bytes.Buffer
 	got := run([]string{"-scenario", "postmortem-scaling-xl", "-iters", "1", "-o", "-",
-		"-workers", "2", "-metrics", metricsPath, "-profile", profDir}, &out, &errb)
+		"-metrics", metricsPath, "-profile", profDir}, &out, &errb)
 	if got != 0 {
 		t.Fatalf("exit = %d (stderr: %s)", got, errb.String())
 	}
@@ -167,12 +165,10 @@ func TestRunXLScalingScenario(t *testing.T) {
 	m := o.Scenarios[0].Metrics
 	for _, key := range []string{
 		"segments_2048_events", "segments_4096_events",
-		"segments_2048_workers_1_ns_per_iter", "segments_2048_workers_16_ns_per_iter",
-		"segments_4096_workers_1_ns_per_iter", "segments_4096_workers_16_ns_per_iter",
-		"segments_2048_speedup_4w", "segments_4096_speedup_16w",
+		"segments_2048_ns_per_iter", "segments_4096_ns_per_iter",
 		"phase_detect.analyze_ns", "phase_detect.validate_ns",
 		"phase_trace.validate.streams_ns", "phase_trace.validate.so1_ns",
-		"phase_graph.build.count_ns", "phase_graph.build.fill_ns",
+		"phase_detect.build_hb_ns", "phase_graph.timestamps_ns",
 		"phase_detect.condreach.order_ns",
 	} {
 		if m[key] <= 0 {
@@ -185,15 +181,15 @@ func TestRunXLScalingScenario(t *testing.T) {
 	if fi, err := os.Stat(filepath.Join(profDir, "postmortem-scaling-xl.pprof")); err != nil || fi.Size() == 0 {
 		t.Errorf("per-scenario CPU profile missing or empty: %v", err)
 	}
-	// The -metrics dump must carry the validator's phases, the counted
-	// hb1 fill, and the partition ordering.
+	// The -metrics dump must carry the validator's phases, the hb1 build
+	// and timestamps, and the partition ordering.
 	data, err := os.ReadFile(metricsPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{
 		"trace.validate.streams", "trace.validate.so1",
-		"graph.build.workers", "graph.build.count", "graph.build.fill",
+		"detect.build_hb", "graph.timestamps",
 		"detect.condreach.order",
 	} {
 		if !strings.Contains(string(data), name) {

@@ -340,14 +340,11 @@ func RunWithOptions(cfg Config, opts Options) (*Report, error) {
 				races:      map[core.LowerLevelRace]bool{},
 				firsts:     map[core.LowerLevelRace]bool{},
 			}
-			// Workers: 1 — the campaign already saturates the machine across
-			// seeds; nesting the per-location race-search pool inside the
-			// seed pool would only oversubscribe it.
 			scratch := scratches.Get().(*seedScratch)
 			defer scratches.Put(scratch)
 			anStart := time.Now()
 			a, err := core.Analyze(trace.FromExecutionInto(r.Exec, scratch.trace),
-				core.Options{Pairing: cfg.Pairing, Workers: 1, Arena: scratch.core})
+				core.Options{Pairing: cfg.Pairing, Arena: scratch.core})
 			str.Record("analyze", -1, anStart, time.Since(anStart))
 			if err != nil {
 				errs[seed] = err

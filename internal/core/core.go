@@ -29,12 +29,10 @@ import (
 	"cmp"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"slices"
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"weakrace/internal/bitset"
 	"weakrace/internal/graph"
@@ -60,12 +58,8 @@ type Options struct {
 	// SkipValidate skips trace validation (for traces already validated,
 	// e.g. straight from the decoder, on hot benchmark paths).
 	SkipValidate bool
-	// Workers bounds the parallelism of the hb1 build, the one pass of an
-	// analysis that fans out (above hbParallelCutoff events); every other
-	// pass runs sequentially. 0 uses GOMAXPROCS; 1 forces the sequential
-	// build. The Analysis is byte-identical for every worker count: the
-	// parallel build places every edge at the slot the sequential build
-	// appends it to.
+	// Workers is ignored: every pass of an analysis runs on the calling
+	// goroutine. It remains only so existing callers keep compiling.
 	Workers int
 	// Arena, when non-nil, supplies reusable per-Analyze scratch buffers
 	// (race records, SCC stacks, G′ partner lists). A campaign hands one
@@ -100,8 +94,6 @@ type Arena struct {
 	segs    []locSeg    // prep pass: per-location CPU segments
 	segOff  []int32     // sorted-location offsets into segs (len(locs)+1)
 	units   []sweepUnit // (location, segment-pair) units the scan walks
-	hbCnt   []int32     // parallel hb1 fill: per-event so1 rank counters
-	hbLess  []int32     // parallel hb1 fill: per-event acquires-below-po counts
 	digits  []int32     // radix sort's counting buffer
 	recsTmp []pairRec   // radix sort's ping-pong buffer
 	// locSlot interns locations into stable accLists slots, so repeated
@@ -394,55 +386,21 @@ func (a *Analysis) pairs(ev *trace.Event) bool {
 		ev.Observed.Valid() && a.Options.Pairing.CanPair(ev.ObservedRole)
 }
 
-// hbParallelCutoff is the event count below which hb1 construction
-// stays on the calling goroutine; both paths build byte-identical
-// graphs, so the cutoff is purely a scheduling decision.
-const hbParallelCutoff = 1 << 13
-
-// hbChunk is the number of source events per parallel counting unit.
-const hbChunk = 4096
-
 // buildHB constructs the happens-before-1 graph: po edges between
 // consecutive events of each processor, so1 edges from each paired release
 // to its acquire (Definition 2.2), subject to the pairing policy. A
 // counting pass sizes every adjacency list first, so edge insertion fills
 // one slab — two allocations per analysis instead of one per event.
-//
-// Above hbParallelCutoff the two passes fan out over the worker budget
-// (see buildHBParallel); the resulting Digraph is byte-identical to the
-// serial build for every worker count.
+// Edges are appended in processor-major scan order; G′'s Tarjan walks
+// them in that order, so the order fixes the component ids.
 func (a *Analysis) buildHB() {
-	reg := telemetry.Default()
-	workers := a.Options.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if a.NumEvents < hbParallelCutoff {
-		workers = 1
-	}
-	if reg.Enabled() {
-		reg.Gauge("graph.build.workers").SetMax(int64(workers))
-	}
-	if workers <= 1 {
-		a.buildHBSerial(reg)
-	} else {
-		a.buildHBParallel(reg, workers)
-	}
-}
-
-// buildHBSerial is the sequential build: count degrees, carve the slab,
-// append every edge in processor-major scan order.
-func (a *Analysis) buildHBSerial(reg *telemetry.Registry) {
 	ar := a.Options.Arena
 	n := a.NumEvents
 	if cap(ar.degOf) < n {
 		ar.degOf = make([]int32, n)
 	}
 	deg := ar.degOf[:n]
-	for i := range deg {
-		deg[i] = 0
-	}
-	sp := reg.StartSpan("graph.build.count")
+	clear(deg)
 	for c, evs := range a.Trace.PerCPU {
 		for i := range evs {
 			if i+1 < len(evs) {
@@ -454,8 +412,6 @@ func (a *Analysis) buildHBSerial(reg *telemetry.Registry) {
 		}
 	}
 	g := graph.NewWithDegrees(deg)
-	sp.End()
-	sp = reg.StartSpan("graph.build.fill")
 	for c, evs := range a.Trace.PerCPU {
 		for i := range evs {
 			if i+1 < len(evs) {
@@ -466,161 +422,7 @@ func (a *Analysis) buildHBSerial(reg *telemetry.Registry) {
 			}
 		}
 	}
-	sp.End()
 	a.HB = g
-}
-
-// soRec is one so1 edge in flight during the parallel build: obs is the
-// observed synchronization write (the edge's source), v the acquire
-// that contributes the edge (its scan-order position).
-type soRec struct{ obs, v int32 }
-
-// buildHBParallel builds the same Digraph as buildHBSerial with the
-// passes fanned out, reproducing the serial adjacency order exactly.
-//
-// The serial scan appends each node u's edges in ascending order of the
-// CONTRIBUTING event's id: a po edge u→u+1 is appended while scanning u
-// itself, an so1 edge u→v while scanning the acquire v. So adj[u] is
-// {u's po successor} ∪ {observing acquires v}, merge-sorted by
-// contributor id — a position every edge can compute locally:
-//
-//	so1 slot of (u, v) = rank of v among u's acquires (v-ascending)
-//	                     + 1 if u has a po edge and u < v
-//	po  slot of u      = number of u's acquires with v < u
-//
-// Three phases keep every write disjoint: source-chunk units collect
-// so1 records bucketed by the observed event's stream; per-stream
-// workers concatenate their buckets in unit order (= v-ascending),
-// count degrees (po edges and record targets both live in the owned
-// stream), and — after a serial slab carve — place every edge at its
-// computed slot. No ordering ever depends on which worker ran first.
-func (a *Analysis) buildHBParallel(reg *telemetry.Registry, workers int) {
-	ar := a.Options.Arena
-	t := a.Trace
-	n := a.NumEvents
-	if cap(ar.degOf) < n {
-		ar.degOf = make([]int32, n)
-	}
-	deg := ar.degOf[:n]
-	clear(deg)
-
-	sp := reg.StartSpan("graph.build.count")
-	// Phase 1: source chunks collect so1 records, bucketed by the
-	// observed event's stream — the slab range the edge lands in.
-	type hbUnit struct {
-		c, lo, hi int
-		recs      [][]soRec
-	}
-	var units []hbUnit
-	for c, evs := range t.PerCPU {
-		for lo := 0; lo < len(evs); lo += hbChunk {
-			hi := min(lo+hbChunk, len(evs))
-			units = append(units, hbUnit{c: c, lo: lo, hi: hi})
-		}
-	}
-	runUnits(workers, len(units), func(k int) {
-		u := &units[k]
-		u.recs = make([][]soRec, t.NumCPUs)
-		evs := t.PerCPU[u.c]
-		base := a.base[u.c]
-		for i := u.lo; i < u.hi; i++ {
-			if ev := evs[i]; a.pairs(ev) {
-				s := ev.Observed.CPU
-				u.recs[s] = append(u.recs[s], soRec{obs: int32(a.ID(ev.Observed)), v: int32(base + i)})
-			}
-		}
-	})
-
-	// Phase 2: per-stream workers concatenate their buckets in unit
-	// order — units are enumerated processor-major, so the result is
-	// ascending in v — and count degrees. Both the po targets and the
-	// record targets of stream s lie in s's slab range, so the deg
-	// writes are disjoint across workers.
-	recsBy := make([][]soRec, t.NumCPUs)
-	runUnits(workers, t.NumCPUs, func(s int) {
-		total := 0
-		for k := range units {
-			total += len(units[k].recs[s])
-		}
-		recs := make([]soRec, 0, total)
-		for k := range units {
-			recs = append(recs, units[k].recs[s]...)
-		}
-		recsBy[s] = recs
-		base, evs := a.base[s], t.PerCPU[s]
-		for i := 0; i+1 < len(evs); i++ {
-			deg[base+i]++
-		}
-		for _, r := range recs {
-			deg[r.obs]++
-		}
-	})
-	g := graph.NewPlaced(deg)
-	sp.End()
-
-	sp = reg.StartSpan("graph.build.fill")
-	// Phase 3: place each edge at the slot the serial builder would
-	// have appended it to. One v-ascending pass over a stream's records
-	// yields each record's rank (cnt) and each event's below-po acquire
-	// count (less); the po edges then land at their final slots.
-	if cap(ar.hbCnt) < n {
-		ar.hbCnt = make([]int32, n)
-		ar.hbLess = make([]int32, n)
-	}
-	runUnits(workers, t.NumCPUs, func(s int) {
-		base, evs := a.base[s], t.PerCPU[s]
-		cnt := ar.hbCnt[base : base+len(evs)]
-		less := ar.hbLess[base : base+len(evs)]
-		clear(cnt)
-		clear(less)
-		for _, r := range recsBy[s] {
-			o := int(r.obs) - base
-			slot := int(cnt[o])
-			cnt[o]++
-			if r.v < r.obs {
-				less[o]++
-			} else if o+1 < len(evs) {
-				slot++ // the po edge's contributor (u itself) precedes this acquire
-			}
-			g.Place(int(r.obs), slot, int(r.v))
-		}
-		for i := 0; i+1 < len(evs); i++ {
-			g.Place(base+i, int(less[i]), base+i+1)
-		}
-	})
-	sp.End()
-	a.HB = g
-}
-
-// runUnits fans k units out over a worker pool pulling an atomic
-// cursor; fn must only write unit-owned state. With one worker (or one
-// unit) everything runs on the calling goroutine.
-func runUnits(workers, k int, fn func(int)) {
-	if workers > k {
-		workers = k
-	}
-	if workers <= 1 {
-		for i := 0; i < k; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= k {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // access is one (event, location) access used during race detection.

@@ -33,7 +33,7 @@ func spinTrace(t *testing.T, critical int) *trace.Trace {
 // per-analysis allocation is the retained result plus per-call buffers.
 func allocatedBytes(t *testing.T, tr *trace.Trace) (*core.Analysis, uint64) {
 	t.Helper()
-	opts := core.Options{Workers: 1, Arena: core.NewArena()}
+	opts := core.Options{Arena: core.NewArena()}
 	if _, err := core.Analyze(tr, opts); err != nil {
 		t.Fatal(err)
 	}

@@ -13,16 +13,15 @@ import (
 	"weakrace/internal/workload"
 )
 
-// TestParallelAnalysisCorpusEquivalent pins the worker count's
-// invisibility on the frozen 60-trace corpus: for worker counts
-// {1, 2, 3, 8, 16} the Analysis, the rendered report, and the flight
-// recording (partner edges included) must be byte-identical.
-// Phase records carry wall-clock durations that legitimately vary
-// run-to-run, so they are compared structurally (the per-analysis phase
-// name sequence must match exactly) while every other record is compared
-// as serialized JSONL bytes with the emission timestamp zeroed. The
-// corpus traces stay below hbParallelCutoff; TestParallelBuildHBEquivalent
-// covers traces large enough to engage the parallel hb1 build.
+// TestParallelAnalysisCorpusEquivalent pins that repeated analyses of
+// one trace are byte-identical on the frozen 60-trace corpus: five
+// analyses run back to back through the pooled arena (Options.Workers
+// varies across them but is ignored), and the Analysis, the rendered
+// report, and the flight recording (partner edges included) must match
+// the first. Phase records carry wall-clock durations that legitimately
+// vary run-to-run, so they are compared structurally (the per-analysis
+// phase name sequence must match exactly) while every other record is
+// compared as serialized JSONL bytes with the emission timestamp zeroed.
 func TestParallelAnalysisCorpusEquivalent(t *testing.T) {
 	for trial, c := range workload.Corpus(60, 1) {
 		w, model, seed := c.Workload, c.Model, c.Seed

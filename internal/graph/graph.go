@@ -22,25 +22,11 @@ import (
 // Digraph is a directed graph over nodes 0..N-1 with adjacency lists.
 // Parallel edges are permitted (and harmless for reachability/SCC);
 // AddEdgeUnique suppresses them where the caller prefers.
-//
-// A Digraph is not safe for concurrent use while it is being mutated;
-// HasEdge and AddEdgeUnique may build a per-node successor index on
-// high-degree nodes, so even query methods count as mutation here.
+// A Digraph is not safe for concurrent use while it is being mutated.
 type Digraph struct {
 	adj  [][]int
 	nEdg int
-	// idx[u] is a successor set for node u, built lazily once u's degree
-	// crosses idxThreshold so HasEdge/AddEdgeUnique stay O(1) instead of
-	// O(out-degree) — the linear scan is a quadratic trap when a caller
-	// funnels many unique edges through one hub node. nil until any node
-	// needs it; maintained by AddEdge once built.
-	idx []map[int]struct{}
 }
-
-// idxThreshold is the out-degree at which HasEdge/AddEdgeUnique switch
-// from a linear adjacency scan to a per-node successor set. Below it the
-// scan wins on constant factors (and most nodes stay below it).
-const idxThreshold = 16
 
 // New returns a digraph with n nodes and no edges.
 func New(n int) *Digraph {
@@ -72,38 +58,6 @@ func NewWithDegrees(deg []int32) *Digraph {
 	return &Digraph{adj: adj}
 }
 
-// NewPlaced returns a digraph with len(deg) nodes whose adjacency
-// lists are carved at FULL length deg[u] out of one edge slab, for
-// callers that compute every edge's final slot up front and write them
-// with Place. It produces the same slab layout as NewWithDegrees; a
-// builder that places edge u→v at the slot AddEdge would have appended
-// it to yields a byte-identical adjacency structure — the detector's
-// parallel hb1 fill relies on exactly this. The edge count assumes
-// every slot is placed.
-func NewPlaced(deg []int32) *Digraph {
-	total := 0
-	for _, d := range deg {
-		total += int(d)
-	}
-	slab := make([]int, total)
-	adj := make([][]int, len(deg))
-	off := 0
-	for u, d := range deg {
-		end := off + int(d)
-		adj[u] = slab[off:end:end]
-		off = end
-	}
-	return &Digraph{adj: adj, nEdg: total}
-}
-
-// Place writes v into slot k of node u's pre-sized adjacency list (see
-// NewPlaced). Concurrent Place calls are safe whenever their (u, k)
-// slots are disjoint — the slab-disjointness discipline of the parallel
-// graph fill.
-func (g *Digraph) Place(u, k, v int) {
-	g.adj[u][k] = v
-}
-
 // N returns the number of nodes.
 func (g *Digraph) N() int { return len(g.adj) }
 
@@ -122,49 +76,14 @@ func (g *Digraph) AddEdge(u, v int) {
 	g.check(v)
 	g.adj[u] = append(g.adj[u], v)
 	g.nEdg++
-	if g.idx != nil && g.idx[u] != nil {
-		g.idx[u][v] = struct{}{}
-	}
 }
 
-// succSet returns node u's successor set, building it on first use once
-// u's degree reaches idxThreshold; nil for low-degree nodes.
-func (g *Digraph) succSet(u int) map[int]struct{} {
-	if len(g.adj[u]) < idxThreshold {
-		return nil
-	}
-	if g.idx == nil {
-		g.idx = make([]map[int]struct{}, len(g.adj))
-	}
-	if g.idx[u] == nil {
-		m := make(map[int]struct{}, 2*len(g.adj[u]))
-		for _, w := range g.adj[u] {
-			m[w] = struct{}{}
-		}
-		g.idx[u] = m
-	}
-	return g.idx[u]
-}
-
-// AddEdgeUnique adds u→v unless an identical edge already exists. For
-// low-degree nodes it is an O(out-degree) scan; past idxThreshold it
-// switches to a per-node successor set, so bulk unique insertion through
-// one node is linear overall, not quadratic.
+// AddEdgeUnique adds u→v unless an identical edge already exists: an
+// O(out-degree) scan.
 func (g *Digraph) AddEdgeUnique(u, v int) {
-	g.check(u)
-	g.check(v)
-	if m := g.succSet(u); m != nil {
-		if _, dup := m[v]; dup {
-			return
-		}
-	} else {
-		for _, w := range g.adj[u] {
-			if w == v {
-				return
-			}
-		}
+	if !g.HasEdge(u, v) {
+		g.AddEdge(u, v)
 	}
-	g.AddEdge(u, v)
 }
 
 // Succ returns the successor list of u. The slice is owned by the graph and
@@ -174,27 +93,17 @@ func (g *Digraph) Succ(u int) []int {
 	return g.adj[u]
 }
 
-// HasEdge reports whether the edge u→v exists. O(out-degree) for
-// low-degree nodes; O(1) via the successor set past idxThreshold.
+// HasEdge reports whether the edge u→v exists, by an O(out-degree)
+// adjacency scan.
 func (g *Digraph) HasEdge(u, v int) bool {
 	g.check(u)
 	g.check(v)
-	if m := g.succSet(u); m != nil {
-		_, ok := m[v]
-		return ok
-	}
-	for _, w := range g.adj[u] {
-		if w == v {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(g.adj[u], v)
 }
 
 // Clone returns a deep copy of the graph. The detector clones the
 // happens-before-1 graph before augmenting it with race edges so callers
-// keep an unaugmented view. The clone's successor index is rebuilt lazily
-// rather than copied.
+// keep an unaugmented view.
 func (g *Digraph) Clone() *Digraph {
 	c := &Digraph{adj: make([][]int, len(g.adj)), nEdg: g.nEdg}
 	for i, a := range g.adj {
@@ -253,35 +162,11 @@ type Scratch struct {
 	stack              []int
 	callNode, callEdge []int
 	keys               []uint64
-	// Timestamp-pass scratch (NewTimestamps): per-node span flags and
-	// span anchors, the stream-major node index, per-component frontier
-	// flags, and the in-edge CSR the forward skeleton pass folds over.
-	tsFlags            []uint8
-	tsHeadOf, tsTailOf []int32
-	tsNodeAt           []int32
-	tsStrStart         []int32
-	tsCompFlags        []uint8
-	tsInOff, tsInCur   []int32
-	tsInSrc            []int32
 }
 
 func (s *Scratch) ints(buf *[]int, n int) []int {
 	if cap(*buf) < n {
 		*buf = make([]int, n)
-	}
-	return (*buf)[:n]
-}
-
-func (s *Scratch) i32s(buf *[]int32, n int) []int32 {
-	if cap(*buf) < n {
-		*buf = make([]int32, n)
-	}
-	return (*buf)[:n]
-}
-
-func (s *Scratch) bytes(buf *[]uint8, n int) []uint8 {
-	if cap(*buf) < n {
-		*buf = make([]uint8, n)
 	}
 	return (*buf)[:n]
 }

@@ -196,9 +196,14 @@ func TestCondensationOverlayMatchesExplicit(t *testing.T) {
 	}
 }
 
-// AddEdgeUnique and HasEdge must stay correct across the degree threshold
-// where the per-node index kicks in, including plain AddEdge calls
-// interleaved after the index is built.
+// idxThreshold is a hub out-degree the edge-semantics tests below
+// cross, so a per-node successor index kicking in at that degree would
+// have to keep HasEdge and AddEdgeUnique exactly as the plain scan has
+// them.
+const idxThreshold = 16
+
+// AddEdgeUnique and HasEdge must stay correct on high-degree nodes,
+// including plain AddEdge calls interleaved after many unique inserts.
 func TestEdgeIndexAcrossThreshold(t *testing.T) {
 	g := New(200)
 	// Push node 0 well past idxThreshold with unique edges, then re-add
@@ -238,7 +243,7 @@ func TestEdgeIndexAcrossThreshold(t *testing.T) {
 	}
 }
 
-// Differential check of the indexed HasEdge path against a model map on
+// Differential check of HasEdge and AddEdgeUnique against a model map on
 // random interleavings of AddEdge, AddEdgeUnique, and HasEdge.
 func TestEdgeIndexRandomizedAgainstModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))

@@ -36,26 +36,16 @@ import (
 // the quantity the race sweep and the provenance certificates consume
 // directly.
 //
-// The clocks are computed over program-order spans. A node is a forward
-// SPAN HEAD when its clock is not derivable from its program-order
-// predecessor: the first event of its stream, any event with an incoming
-// cross edge (an so1 acquire), and any event in — or immediately after — a
-// multi-member SCC. Every other node v is forward-INTERIOR: its only
-// ancestors are its po-predecessor's ancestors plus itself, so its clock
-// is its span head's clock with the own-stream coordinate bumped to
-// pos(v)+1. (A same-stream event past v reaching v would close a cycle
-// and put v in a multi-member SCC — a head.) A SKELETON pass
-// therefore clocks only the head components, in descending Tarjan order,
-// folding in-edge contributions (an interior predecessor u contributes
-// its head's row with stream(u) ↦ pos(u)+1); the per-span FILL then
-// copies every interior row from its head's. Backward frontiers mirror
-// the scheme with span TAILS (outgoing cross edges — releases — stream
-// ends, and multi-member SCC boundaries) and an ascending skeleton.
+// The clocks are assigned per component in Tarjan order: Tarjan
+// numbers components in reverse topological order, so one descending-id
+// pass pushes each finished forward clock into its successors, and one
+// ascending-id pass pulls the successors' backward frontiers. Each pass
+// touches every component row and every cross-component edge once —
+// O((events + edges) × streams) with no closure.
 //
 // The clocks are exact only when every stream's events form a
-// program-order chain in g (the span derivation rides on that chain);
-// arbitrary digraphs without that structure must keep using
-// Reachability.
+// program-order chain in g; arbitrary digraphs without that structure
+// must keep using Reachability.
 type Timestamps struct {
 	scc    *SCC
 	stream []int32 // stream[u]: the stream (processor) of node u
@@ -66,18 +56,11 @@ type Timestamps struct {
 	strLen []int32  // events per stream (backward-frontier "none" value)
 }
 
-// Span-boundary flags: tsHead starts a forward span (the node's clock is
-// not derivable from its po-predecessor), tsTail ends a backward span.
-const (
-	tsHead uint8 = 1 << iota
-	tsTail
-)
-
 // NewTimestamps computes vector-clock timestamps for g, whose node u
 // belongs to stream stream[u] (< width) at position pos[u], with each
 // stream's events chained in program order. stream and pos are copied,
 // so arena-backed callers may reuse their buffers; s (optional) supplies
-// the Tarjan and span scratch.
+// the Tarjan scratch.
 func NewTimestamps(g *Digraph, stream, pos []int32, width int, s *Scratch) *Timestamps {
 	defer telemetry.Default().StartSpan("graph.timestamps").End()
 	n := g.N()
@@ -101,215 +84,47 @@ func NewTimestamps(g *Digraph, stream, pos []int32, width int, s *Scratch) *Time
 			t.strLen[stream[u]] = l
 		}
 	}
-	if s == nil {
-		s = &Scratch{}
-	}
 	comp := scc.Comp
-
-	// Stream-major node index: nodeAt[strStart[p]+i] is stream p's node at
-	// position i — how the span walks find po-neighbors without a reverse
-	// adjacency.
-	strStart := s.i32s(&s.tsStrStart, width+1)
-	off := int32(0)
-	for p := 0; p < width; p++ {
-		strStart[p] = off
-		off += t.strLen[p]
-	}
-	strStart[width] = off
-	nodeAt := s.i32s(&s.tsNodeAt, int(off))
-	for i := range nodeAt {
-		nodeAt[i] = -1
-	}
-	for u := 0; u < n; u++ {
-		nodeAt[strStart[stream[u]]+pos[u]] = int32(u)
-	}
-
-	// Span classification. Heads: stream starts, cross-edge targets,
-	// multi-member SCC members and their po-successors. Tails mirror:
-	// stream ends, cross-edge sources, multi-member SCC members and their
-	// po-predecessors.
-	flags := s.bytes(&s.tsFlags, n)
-	for i := range flags {
-		flags[i] = 0
-	}
-	for c := 0; c < k; c++ {
-		if len(scc.Members[c]) < 2 {
-			continue
-		}
-		for _, u := range scc.Members[c] {
-			flags[u] |= tsHead | tsTail
-			p := stream[u]
-			if i := pos[u] + 1; i < t.strLen[p] {
-				if v := nodeAt[strStart[p]+i]; v >= 0 {
-					flags[v] |= tsHead
-				}
-			}
-			if i := pos[u] - 1; i >= 0 {
-				if v := nodeAt[strStart[p]+i]; v >= 0 {
-					flags[v] |= tsTail
-				}
-			}
-		}
-	}
-	for u := 0; u < n; u++ {
-		// A missing po-neighbor slot (positions are documented contiguous,
-		// but decoded input may violate that) is a span boundary too —
-		// derivation must never ride a chain edge that is not there.
-		if pos[u] == 0 || nodeAt[strStart[stream[u]]+pos[u]-1] < 0 {
-			flags[u] |= tsHead
-		}
-		if i := pos[u] + 1; i == t.strLen[stream[u]] || nodeAt[strStart[stream[u]]+i] < 0 {
-			flags[u] |= tsTail
-		}
-		for _, v := range g.adj[u] {
-			if stream[v] != stream[u] || pos[v] != pos[u]+1 {
-				flags[v] |= tsHead
-				flags[u] |= tsTail
-			}
-		}
-	}
-
-	// Span anchors: headOf[u] is the nearest head at or before u in its
-	// stream, tailOf[u] the nearest tail at or after — the rows interior
-	// nodes derive from. The forward walk also measures the spans for
-	// telemetry.
-	headOf := s.i32s(&s.tsHeadOf, n)
-	tailOf := s.i32s(&s.tsTailOf, n)
-	spans, maxSpan := 0, 0
-	for p := 0; p < width; p++ {
-		base := strStart[p]
-		cur, curLen := int32(-1), 0
-		for i := int32(0); i < t.strLen[p]; i++ {
-			u := nodeAt[base+i]
-			if u < 0 {
-				cur, curLen = -1, 0
-				continue
-			}
-			if flags[u]&tsHead != 0 || cur < 0 {
-				cur, curLen = u, 0
-				spans++
-			}
-			curLen++
-			if curLen > maxSpan {
-				maxSpan = curLen
-			}
-			headOf[u] = cur
-		}
-		cur = int32(-1)
-		for i := t.strLen[p] - 1; i >= 0; i-- {
-			u := nodeAt[base+i]
-			if u < 0 {
-				cur = -1
-				continue
-			}
-			if flags[u]&tsTail != 0 || cur < 0 {
-				cur = u
-			}
-			tailOf[u] = cur
-		}
-	}
-
-	// Frontier components: the ones holding a head (forward) or a tail
-	// (backward) — the only rows the serial skeletons compute. Interior
-	// nodes are singleton components, so the skeleton and fill row sets
-	// are disjoint.
-	compFlags := s.bytes(&s.tsCompFlags, k)
-	for i := range compFlags {
-		compFlags[i] = 0
-	}
-	for u := 0; u < n; u++ {
-		compFlags[comp[u]] |= flags[u]
-	}
-
-	// Forward skeleton, descending component ids. Tarjan numbers edges
-	// from higher ids to lower, so every contribution — a head's own
-	// (higher-id) component row, or an interior predecessor's head row,
-	// which lies higher still — is final before it is folded. The in-edge
-	// CSR covers only edges into head components.
-	inOff := s.i32s(&s.tsInOff, k+1)
-	for i := range inOff {
-		inOff[i] = 0
-	}
-	for u := 0; u < n; u++ {
-		cu := comp[u]
-		for _, v := range g.adj[u] {
-			if cv := comp[v]; cv != cu && compFlags[cv]&tsHead != 0 {
-				inOff[cv+1]++
-			}
-		}
-	}
-	for c := 0; c < k; c++ {
-		inOff[c+1] += inOff[c]
-	}
-	inCur := s.i32s(&s.tsInCur, k)
-	copy(inCur, inOff[:k])
-	inSrc := s.i32s(&s.tsInSrc, int(inOff[k]))
-	for u := 0; u < n; u++ {
-		cu := comp[u]
-		for _, v := range g.adj[u] {
-			if cv := comp[v]; cv != cu && compFlags[cv]&tsHead != 0 {
-				inSrc[inCur[cv]] = int32(u)
-				inCur[cv]++
-			}
-		}
-	}
+	// Forward pass, descending component ids. Tarjan assigns a component
+	// its id only after every component it reaches, so edges cross from
+	// higher ids to lower ids and descending order visits each component
+	// after all of its predecessors have pushed their clocks into it:
+	// fold the members' own epochs, then push the finished row along
+	// every outgoing cross-component edge.
 	for c := k - 1; c >= 0; c-- {
-		if compFlags[c]&tsHead == 0 {
-			continue
-		}
 		row := t.fw[c*width : (c+1)*width]
 		for _, u := range scc.Members[c] {
 			if e := uint32(pos[u]) + 1; e > row[stream[u]] {
 				row[stream[u]] = e
 			}
 		}
-		for _, u32 := range inSrc[inOff[c]:inOff[c+1]] {
-			u := int(u32)
-			src := u
-			if flags[u]&tsHead == 0 {
-				src = int(headOf[u])
-			}
-			srow := t.fw[comp[src]*width : (comp[src]+1)*width]
-			for i, x := range srow {
-				if x > row[i] {
-					row[i] = x
-				}
-			}
-			if flags[u]&tsHead == 0 {
-				if e := uint32(pos[u]) + 1; e > row[stream[u]] {
-					row[stream[u]] = e
+		for _, u := range scc.Members[c] {
+			for _, v := range g.adj[u] {
+				if cv := comp[v]; cv != c {
+					dst := t.fw[cv*width : (cv+1)*width]
+					for i, x := range row {
+						if x > dst[i] {
+							dst[i] = x
+						}
+					}
 				}
 			}
 		}
 	}
-
-	// Backward skeleton, ascending component ids (successors are final
-	// before any predecessor reads them). An interior successor v
-	// contributes its tail's frontier with stream(v) ↦ pos(v).
+	// Backward pass, ascending component ids (successors are final before
+	// any predecessor reads them): pull the successors' frontiers, then
+	// fold the members' own positions.
 	for c := 0; c < k; c++ {
-		if compFlags[c]&tsTail == 0 {
-			continue
-		}
 		row := t.bw[c*width : (c+1)*width]
 		copy(row, t.strLen)
 		for _, u := range scc.Members[c] {
 			for _, v := range g.adj[u] {
-				if comp[v] == c {
-					continue
-				}
-				src := v
-				if flags[v]&tsTail == 0 {
-					src = int(tailOf[v])
-				}
-				srow := t.bw[comp[src]*width : (comp[src]+1)*width]
-				for i, x := range srow {
-					if x < row[i] {
-						row[i] = x
-					}
-				}
-				if flags[v]&tsTail == 0 {
-					if pos[v] < row[stream[v]] {
-						row[stream[v]] = pos[v]
+				if cv := comp[v]; cv != c {
+					src := t.bw[cv*width : (cv+1)*width]
+					for i, x := range src {
+						if x < row[i] {
+							row[i] = x
+						}
 					}
 				}
 			}
@@ -320,34 +135,11 @@ func NewTimestamps(g *Digraph, stream, pos []int32, width int, s *Scratch) *Time
 			}
 		}
 	}
-
-	// Interior fill: every non-head copies its span head's clock with the
-	// own-stream coordinate bumped; every non-tail mirrors for the
-	// backward frontier. Each write lands in the node's own singleton-
-	// component row and reads only skeleton rows.
-	for u := 0; u < n; u++ {
-		f := flags[u]
-		if f&tsHead == 0 {
-			c, h := comp[u], comp[headOf[u]]
-			row := t.fw[c*width : (c+1)*width]
-			copy(row, t.fw[h*width:(h+1)*width])
-			row[stream[u]] = uint32(pos[u]) + 1
-		}
-		if f&tsTail == 0 {
-			c, tl := comp[u], comp[tailOf[u]]
-			row := t.bw[c*width : (c+1)*width]
-			copy(row, t.bw[tl*width:(tl+1)*width])
-			row[stream[u]] = pos[u]
-		}
-	}
-
 	if reg := telemetry.Default(); reg.Enabled() {
 		reg.Counter("graph.vc.builds").Inc()
 		reg.Counter("graph.vc.nodes").Add(int64(n))
 		reg.Counter("graph.vc.components").Add(int64(k))
 		reg.Counter("graph.vc.clock_words").Add(int64(2 * k * width))
-		reg.Counter("graph.ts.spans").Add(int64(spans))
-		reg.Gauge("graph.ts.span_max_events").SetMax(int64(maxSpan))
 	}
 	return t
 }

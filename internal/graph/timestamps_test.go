@@ -2,7 +2,6 @@ package graph
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
 )
 
@@ -195,76 +194,4 @@ func TestQuickNewWithDegreesMatchesNew(t *testing.T) {
 			}
 		}
 	}
-}
-
-// The span skeleton must agree with a dense per-component fold on small
-// graphs too — especially cyclic ones, where every SCC member becomes a
-// span boundary.
-func TestQuickTimestampsSpansMatchDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	for trial := 0; trial < 300; trial++ {
-		width := 1 + rng.Intn(4)
-		g, stream, pos := randStreamGraph(rng, width, 12, rng.Intn(30))
-		ts := NewTimestamps(g, stream, pos, width, nil)
-		fw, bw := denseTimestamps(g, stream, pos, width, ts.scc)
-		if !slices.Equal(ts.fw, fw) || !slices.Equal(ts.bw, bw) {
-			t.Fatalf("trial %d: span-skeleton slabs differ from dense fold", trial)
-		}
-	}
-}
-
-// denseTimestamps is the pre-span reference: fold and push every
-// component row along every cross-component edge, no span derivation.
-func denseTimestamps(g *Digraph, stream, pos []int32, width int, scc *SCC) (fw []uint32, bw []int32) {
-	k := scc.NumComponents()
-	fw = make([]uint32, k*width)
-	bw = make([]int32, k*width)
-	strLen := make([]int32, width)
-	for u := 0; u < g.N(); u++ {
-		if l := pos[u] + 1; l > strLen[stream[u]] {
-			strLen[stream[u]] = l
-		}
-	}
-	for c := k - 1; c >= 0; c-- {
-		row := fw[c*width : (c+1)*width]
-		for _, u := range scc.Members[c] {
-			if e := uint32(pos[u]) + 1; e > row[stream[u]] {
-				row[stream[u]] = e
-			}
-		}
-		for _, u := range scc.Members[c] {
-			for _, v := range g.Succ(u) {
-				if cv := scc.Comp[v]; cv != c {
-					dst := fw[cv*width : (cv+1)*width]
-					for i, x := range row {
-						if x > dst[i] {
-							dst[i] = x
-						}
-					}
-				}
-			}
-		}
-	}
-	for c := 0; c < k; c++ {
-		row := bw[c*width : (c+1)*width]
-		copy(row, strLen)
-		for _, u := range scc.Members[c] {
-			for _, v := range g.Succ(u) {
-				if cv := scc.Comp[v]; cv != c {
-					src := bw[cv*width : (cv+1)*width]
-					for i, x := range src {
-						if x < row[i] {
-							row[i] = x
-						}
-					}
-				}
-			}
-		}
-		for _, u := range scc.Members[c] {
-			if pos[u] < row[stream[u]] {
-				row[stream[u]] = pos[u]
-			}
-		}
-	}
-	return fw, bw
 }
