@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"weakrace/internal/bitset"
 	"weakrace/internal/memmodel"
 	"weakrace/internal/sim"
 	"weakrace/internal/telemetry"
@@ -167,6 +168,32 @@ func TestRunCorruptTrace(t *testing.T) {
 	}
 	if !strings.Contains(errb.String(), "racedetect:") {
 		t.Fatalf("stderr missing error: %s", errb.String())
+	}
+}
+
+// TestRunClockCellCap: a trace past core.MaxClockCells — 65,536 CPUs of
+// one event each — is an analysis error: reported, exit 2.
+func TestRunClockCellCap(t *testing.T) {
+	const cpus = 1 << 16
+	tr := &trace.Trace{ProgramName: "wide", NumCPUs: cpus, NumLocations: 1, PerCPU: make([][]*trace.Event, cpus)}
+	for c := range tr.PerCPU {
+		tr.PerCPU[c] = []*trace.Event{{Kind: trace.Comp, Reads: bitset.FromSlice([]int{0}), Writes: bitset.New(0),
+			SyncSeq: -1, Observed: trace.NoEvent}}
+	}
+	var buf bytes.Buffer
+	if err := trace.Encode(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "wide.wrt")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	if got := run([]string{path}, &out, &errb); got != 2 {
+		t.Fatalf("exit = %d, want 2 (stderr: %s)", got, errb.String())
+	}
+	if !strings.Contains(errb.String(), "clock cells, over the cap") {
+		t.Fatalf("stderr does not report the cap: %s", errb.String())
 	}
 }
 

@@ -251,7 +251,7 @@ func RunWithOptions(cfg Config, opts Options) (*Report, error) {
 	}
 
 	// One scratch set per in-flight worker: the detector arena's
-	// megabyte-scale buffers (race records, SCC stacks, partner lists) AND
+	// megabyte-scale buffers (race records, SCC stacks, partner table) AND
 	// the trace builder's event/word slabs are reused across the seeds a
 	// worker analyzes instead of reallocated per seed. The trace arena's
 	// slabs are retained by the trace the analysis holds, so a set goes

@@ -7,7 +7,9 @@
 //
 //  1. builds the happens-before-1 graph: one node per event, edges for
 //     program order (po) and paired release→acquire synchronization order
-//     (so1); hb1 = (po ∪ so1)+ (Definitions 2.2–2.3);
+//     (so1); hb1 = (po ∪ so1)+ (Definitions 2.2–2.3). hb1 is held flat —
+//     po is position + 1 and so1 one release per acquire — and
+//     timestamped with vector clocks by one merge over the processors;
 //  2. finds the higher-level races: conflicting events not ordered by hb1
 //     (Definition 2.4 lifted to events, §4.1) — remembering that hb1 may
 //     contain cycles in a weak execution, so reachability runs on the SCC
@@ -62,7 +64,7 @@ type Options struct {
 	// goroutine. It remains only so existing callers keep compiling.
 	Workers int
 	// Arena, when non-nil, supplies reusable per-Analyze scratch buffers
-	// (race records, SCC stacks, G′ partner lists). A campaign hands one
+	// (race records, SCC stacks, the G′ partner table). A campaign hands one
 	// arena per in-flight seed down so repeated analyses stop re-allocating
 	// the same megabyte-scale buffers. An Arena must not be shared by
 	// concurrent Analyze calls.
@@ -77,19 +79,19 @@ type Options struct {
 }
 
 // Arena holds the per-Analyze scratch buffers that are NOT retained by
-// the returned Analysis: the flat race-record buffers of the sweep, the
-// implicit-G′ partner lists, and the graph layer's Tarjan and
-// condensation scratch. Zero value is ready to use; see Options.Arena.
+// the returned Analysis: the so1 index and flat hb1, the flat
+// race-record buffers of the sweep, the G′ partner table, and the graph
+// layer's merge, Tarjan and condensation scratch. Zero value is ready to
+// use; see Options.Arena.
 type Arena struct {
-	cpuOf   []int32   // cpuOf[event] — filled per analysis
-	posOf   []int32   // posOf[event]: index within its CPU's stream
-	degOf   []int32   // buildHB's out-degree counting buffer
-	extras  [][]int32 // per-node race-partner lists (min partner per CPU)
-	pmask   []uint32  // per-node bitmask of partner CPUs (≤32 CPUs)
-	touched []int32   // nodes with non-empty extras, for O(touched) reset
-	recs    []pairRec // the scan's data-side (pair, location) records
+	rel []int32       // rel[event]: its so1 release, −1 when none
+	hb  graph.Streams // hb1 over rel: po chains plus so1 successor lists
+	// partners is G′'s partner table: events × CPUs, the po-minimal race
+	// partner of each event on each CPU, −1 when none.
+	partners []int32
+	recs     []pairRec // the scan's data-side (pair, location) records
 	// parts holds the scan's G′ partner-minimum candidates, which
-	// buildImplicitAug folds into extras.
+	// buildImplicitAug folds into partners.
 	parts   []partRec
 	segs    []locSeg    // prep pass: per-location CPU segments
 	segOff  []int32     // sorted-location offsets into segs (len(locs)+1)
@@ -103,7 +105,7 @@ type Arena struct {
 	accLists [][]access
 	slotLoc  []int32       // slot → location value (inverse of locSlot)
 	canon    []*bitset.Set // slot → current analysis's canonical {loc} set
-	locsBuf  []int         // locations touched by the current analysis
+	locsBuf  []int         // locations the current analysis accesses
 	scratch  graph.Scratch
 }
 
@@ -155,14 +157,14 @@ type Analysis struct {
 	// NumEvents is the number of events (hb1 graph nodes).
 	NumEvents int
 
-	// HB is the happens-before-1 graph (po ∪ so1 edges).
-	HB *graph.Digraph
-	// HBTime is the hb1 vector-clock timestamp layer: one topological
-	// pass assigns every event's SCC a forward clock and a backward
-	// frontier, making ordering queries O(1) epoch compares and giving
-	// the race sweep and the provenance certificates their per-CPU
+	// HBTime is the hb1 vector-clock timestamp layer: one merge over the
+	// processors' streams assigns every event a forward clock and a
+	// backward frontier, making ordering queries O(1) epoch compares and
+	// giving the race sweep and the provenance certificates their per-CPU
 	// interval boundaries directly. HBReaches/HBOrdered/HBWindow wrap it
-	// in event ids.
+	// in event ids. hb1 itself is never built as a graph.Digraph: the
+	// clocks and G′'s Tarjan read po as position + 1 and so1 from the
+	// trace's pairing.
 	HBTime *graph.Timestamps
 	// AugSCC is the component structure of the augmented graph G′ — the
 	// partitions of §4.2. G′ is never materialized: the SCCs come from a
@@ -250,8 +252,35 @@ func (a *Analysis) HBWindow(x EventID, cpu int) (lastPred, firstSucc int) {
 	return int(predCount) - 1, int(succPos)
 }
 
+// MaxClockCells caps an analysis's events × CPUs. The hb1 clocks hold
+// two 4-byte cells per (event, CPU), forward and backward, and G′'s
+// partner table a third, so the cap bounds those slabs at
+// 3 × 4 B × 2^26 = 768 MiB. A trace past it is refused with a
+// *LimitError before anything is allocated: a decoded trace of 65,536
+// CPUs with one event each is under 0.5 MB, but its clocks alone would
+// take 34 GB.
+const MaxClockCells = 1 << 26
+
+// LimitError reports a trace whose events × CPUs exceeds MaxClockCells.
+type LimitError struct {
+	Events, CPUs int
+	Cells, Cap   int64
+}
+
+func (e *LimitError) Error() string {
+	return fmt.Sprintf("core: %d events × %d CPUs = %d clock cells, over the cap of %d",
+		e.Events, e.CPUs, e.Cells, e.Cap)
+}
+
 // Analyze runs the full post-mortem detection pipeline on a trace.
 func Analyze(t *trace.Trace, opts Options) (*Analysis, error) {
+	n := 0
+	for _, evs := range t.PerCPU {
+		n += len(evs)
+	}
+	if cells := int64(n) * int64(t.NumCPUs); cells > MaxClockCells {
+		return nil, &LimitError{Events: n, CPUs: t.NumCPUs, Cells: cells, Cap: MaxClockCells}
+	}
 	reg := telemetry.Default()
 	fl := newFlight(opts.Flight)
 	defer startPhase(reg, fl, "detect.analyze")()
@@ -273,27 +302,16 @@ func Analyze(t *trace.Trace, opts Options) (*Analysis, error) {
 		}()
 	}
 
-	// Dense event numbering, processor-major.
-	a.base = make([]int, t.NumCPUs)
-	n := 0
-	for c, evs := range t.PerCPU {
-		a.base[c] = n
-		n += len(evs)
-	}
-	a.NumEvents = n
-
-	a.fillStreamIndex()
-
+	a.number()
 	done := startPhase(reg, fl, "detect.build_hb")
-	a.buildHB()
+	a.buildSO1()
 	done()
-	// One topological pass timestamps hb1 — O(events × CPUs) total, no
-	// closure rows, and the sweep's interval boundaries fall out of the
-	// clocks for free.
+	// One merge over the streams timestamps hb1 — O(events × CPUs) total,
+	// no closure rows, and the sweep's interval boundaries fall out of
+	// the clocks for free.
 	done = startPhase(reg, fl, "detect.hb_reach")
 	ar := a.Options.Arena
-	a.HBTime = graph.NewTimestamps(a.HB, ar.cpuOf[:a.NumEvents], ar.posOf[:a.NumEvents],
-		t.NumCPUs, &ar.scratch)
+	a.HBTime = graph.NewTimestamps(&ar.hb, &ar.scratch)
 	done()
 	done = startPhase(reg, fl, "detect.find_races")
 	a.findRaces(reg, fl)
@@ -311,27 +329,15 @@ func Analyze(t *trace.Trace, opts Options) (*Analysis, error) {
 	return a, nil
 }
 
-// fillStreamIndex fills the arena's per-event stream tables: cpuOf maps
-// an event to its processor, posOf to its index within that processor's
-// stream. The timestamp layer consumes them as clock coordinates and
-// buildImplicitAug reuses cpuOf for partner-CPU dedup.
-func (a *Analysis) fillStreamIndex() {
-	ar := a.Options.Arena
-	n := a.NumEvents
-	if cap(ar.cpuOf) < n {
-		ar.cpuOf = make([]int32, n)
-	}
-	if cap(ar.posOf) < n {
-		ar.posOf = make([]int32, n)
-	}
-	cpuOf, posOf := ar.cpuOf[:n], ar.posOf[:n]
+// number assigns the dense, processor-major event ids.
+func (a *Analysis) number() {
+	a.base = make([]int, a.Trace.NumCPUs)
+	n := 0
 	for c, evs := range a.Trace.PerCPU {
-		base := a.base[c]
-		for i := range evs {
-			cpuOf[base+i] = int32(c)
-			posOf[base+i] = int32(i)
-		}
+		a.base[c] = n
+		n += len(evs)
 	}
+	a.NumEvents = n
 }
 
 // flushTelemetry batches the analysis's structural counters into the
@@ -343,7 +349,7 @@ func (a *Analysis) flushTelemetry(reg *telemetry.Registry) {
 	}
 	reg.Counter("detect.analyses").Inc()
 	reg.Counter("detect.events").Add(int64(a.NumEvents))
-	reg.Counter("detect.hb_edges").Add(int64(a.HB.M()))
+	reg.Counter("detect.hb_edges").Add(int64(a.Options.Arena.hb.M()))
 	// detect.aug_edges counts the augmentation work actually represented:
 	// per-node race-partner entries (at most racy-nodes × (CPUs−1), since
 	// partners collapse to the po-minimal event per CPU). detect.races
@@ -366,7 +372,7 @@ func (a *Analysis) flushTelemetry(reg *telemetry.Registry) {
 	// instead: Definition-3.3 queries arrive through the Affects API after
 	// the analysis — and its flush — have finished.
 	reg.Counter("detect.vc_builds").Inc()
-	reg.Counter("detect.vc_components").Add(int64(a.HBTime.SCC().NumComponents()))
+	reg.Counter("detect.vc_components").Add(int64(a.HBTime.NumComponents()))
 	reg.Gauge("detect.vc_width").SetMax(int64(a.HBTime.Width()))
 	reg.Counter("detect.vc_window_queries").Add(a.vcWindowQueries)
 	reg.Counter("detect.scc.components").Add(int64(a.AugSCC.NumComponents()))
@@ -386,43 +392,36 @@ func (a *Analysis) pairs(ev *trace.Event) bool {
 		ev.Observed.Valid() && a.Options.Pairing.CanPair(ev.ObservedRole)
 }
 
-// buildHB constructs the happens-before-1 graph: po edges between
-// consecutive events of each processor, so1 edges from each paired release
-// to its acquire (Definition 2.2), subject to the pairing policy. A
-// counting pass sizes every adjacency list first, so edge insertion fills
-// one slab — two allocations per analysis instead of one per event.
-// Edges are appended in processor-major scan order; G′'s Tarjan walks
-// them in that order, so the order fixes the component ids.
-func (a *Analysis) buildHB() {
+// buildSO1 builds the so1 index — rel[e], the release whose pairing
+// the policy admits for acquire e (Definition 2.2), −1 for every other
+// event — and over it the flat hb1 the clocks and G′'s Tarjan read.
+func (a *Analysis) buildSO1() {
 	ar := a.Options.Arena
 	n := a.NumEvents
-	if cap(ar.degOf) < n {
-		ar.degOf = make([]int32, n)
+	if cap(ar.rel) < n {
+		ar.rel = make([]int32, n)
 	}
-	deg := ar.degOf[:n]
-	clear(deg)
+	rel := ar.rel[:n]
 	for c, evs := range a.Trace.PerCPU {
-		for i := range evs {
-			if i+1 < len(evs) {
-				deg[a.base[c]+i]++
-			}
-			if a.pairs(evs[i]) {
-				deg[a.ID(evs[i].Observed)]++
+		base := a.base[c]
+		for i, ev := range evs {
+			rel[base+i] = -1
+			if a.pairs(ev) {
+				rel[base+i] = int32(a.ID(ev.Observed))
 			}
 		}
 	}
-	g := graph.NewWithDegrees(deg)
-	for c, evs := range a.Trace.PerCPU {
-		for i := range evs {
-			if i+1 < len(evs) {
-				g.AddEdge(a.base[c]+i, a.base[c]+i+1)
-			}
-			if a.pairs(evs[i]) {
-				g.AddEdge(int(a.ID(evs[i].Observed)), a.base[c]+i)
-			}
-		}
-	}
-	a.HB = g
+	ar.hb.Reset(a.base, rel)
+}
+
+// HB1 returns the happens-before-1 graph of t under the pairing policy,
+// po ∪ so1, in the flat form Analyze timestamps and runs G′'s Tarjan
+// over. Its successor lists fix G′'s component ids. t must be valid.
+func HB1(t *trace.Trace, pairing memmodel.PairingPolicy) *graph.Streams {
+	a := &Analysis{Trace: t, Options: Options{Pairing: pairing, Arena: &Arena{}}}
+	a.number()
+	a.buildSO1()
+	return &a.Options.Arena.hb
 }
 
 // access is one (event, location) access used during race detection.
@@ -882,10 +881,9 @@ type pairRec struct {
 }
 
 // buildImplicitAug computes the partition structure of the augmented
-// graph G′ without materializing G′: Tarjan runs over the implicit
-// adjacency hb1 ⊕ extras, where extras[u] keeps, per partner CPU, only
-// u's po-MINIMAL race partner on that CPU — data or synchronization race
-// alike.
+// graph G′ without materializing G′: Tarjan runs over hb1 plus the
+// partner table, where partners[u][c] keeps only u's po-MINIMAL race
+// partner on CPU c — data or synchronization race alike.
 //
 // Collapsing the race edges this way preserves G′'s transitive closure
 // exactly. A dropped edge u→v (v racing u on CPU d) is simulated by the
@@ -899,66 +897,38 @@ type pairRec struct {
 //
 // The minima come straight from the sweep (scanUnit proposes one
 // candidate per access and unit); this pass keeps the least per (node,
-// CPU) and sorts each list ascending, the order Tarjan's component
-// numbering follows. Entry count is bounded by racy-nodes × (CPUs−1).
-// Partition ordering is answered by memoized per-source DFS over the
-// condensation (graph.CondReach), never a full closure.
+// CPU). Event ids are processor-major, so a row read in CPU order lists
+// a node's partners in ascending id order — the order Tarjan's component
+// numbering follows — with no per-node sort. Entry count is bounded by
+// racy-nodes × (CPUs−1). Partition ordering is answered by memoized
+// per-source DFS over the condensation (graph.CondReach), never a full
+// closure.
 func (a *Analysis) buildImplicitAug() {
 	ar := a.Options.Arena
-	n := a.NumEvents
-	cpuOf := ar.cpuOf[:n] // filled once per analysis by fillStreamIndex
-	// Reset only the nodes the previous analysis touched, keeping the
-	// per-node backing arrays. ar.extras keeps its high-water length so
-	// stale touched entries always index validly.
-	for _, u := range ar.touched {
-		ar.extras[u] = ar.extras[u][:0]
-		ar.pmask[u] = 0
+	w := a.Trace.NumCPUs
+	cells := a.NumEvents * w
+	if cap(ar.partners) < cells {
+		ar.partners = make([]int32, cells)
 	}
-	ar.touched = ar.touched[:0]
-	if len(ar.extras) < n {
-		grown := make([][]int32, n)
-		copy(grown, ar.extras)
-		ar.extras = grown
-		ar.pmask = make([]uint32, n)
+	partners := ar.partners[:cells]
+	for i := range partners {
+		partners[i] = -1
 	}
-	extras := ar.extras[:n]
-
-	// The per-node CPU bitmask answers "no partner on this CPU yet" in one
-	// load, so a node's first candidate per CPU appends without scanning
-	// its list (traces with >32 CPUs fall back to the scan).
-	pmask := ar.pmask[:n]
-	useMask := a.Trace.NumCPUs <= 32
 	var nEntries int64
 	for _, pr := range ar.parts {
-		u, v := pr.u, int32(pr.v)
-		vc := cpuOf[v]
-		lst := extras[u]
-		if !useMask || pmask[u]>>uint(vc)&1 != 0 {
-			i := 0
-			for i < len(lst) && cpuOf[lst[i]] != vc {
-				i++
-			}
-			if i < len(lst) {
-				lst[i] = min(lst[i], v)
-				continue
-			}
+		v := int32(pr.v)
+		cell := &partners[int(pr.u)*w+ar.hb.Stream(int(v))]
+		if *cell < 0 {
+			nEntries++
+			*cell = v
+		} else {
+			*cell = min(*cell, v)
 		}
-		if useMask {
-			pmask[u] |= 1 << uint(vc)
-		}
-		if len(lst) == 0 {
-			ar.touched = append(ar.touched, int32(u))
-		}
-		extras[u] = append(lst, v)
-		nEntries++
 	}
-	for _, u := range ar.touched {
-		slices.Sort(extras[u])
-	}
-
-	scc := graph.StronglyConnectedOverlay(a.HB, extras, &ar.scratch)
+	ar.partners = partners
+	scc := ar.hb.SCC(partners, &ar.scratch)
 	a.AugSCC = scc
-	dag := graph.CondensationOverlay(a.HB, extras, scc, &ar.scratch)
+	dag := ar.hb.Condensation(partners, scc, &ar.scratch)
 	a.augCond = graph.NewCondReach(dag, scc)
 	a.augEdges = nEntries
 }

@@ -73,9 +73,9 @@ func (fl *flight) record(a *Analysis) {
 			}})
 		}
 	}
-	// hb1 edges, re-derived from the trace the same way buildHB builds
-	// them, so each carries its origin tag without the builder paying for
-	// provenance it does not need.
+	// hb1 edges, re-derived from the trace in the processor-major order
+	// of the flat hb1's successor lists, so each carries its origin tag
+	// without the so1 index paying for provenance it does not need.
 	for c, evs := range t.PerCPU {
 		for i, ev := range evs {
 			id := int(a.ID(trace.EventRef{CPU: c, Index: i}))
@@ -93,14 +93,13 @@ func (fl *flight) record(a *Analysis) {
 		}
 	}
 	// Partner edges: G′'s race edges in the compressed form Tarjan ran
-	// on — one directed edge per partner-list entry, from each racy
+	// on — one directed edge per partner-table entry, from each racy
 	// event to its po-minimal race partner (data or sync) on each other
 	// CPU. Together with hb1 they have G′'s transitive closure.
-	extras := a.Options.Arena.extras
-	for u := 0; u < a.NumEvents; u++ {
-		for _, v := range extras[u] {
+	for i, v := range a.Options.Arena.partners {
+		if v >= 0 {
 			fl.emit(export.Record{Kind: export.KindEdge, Edge: &export.EdgeRec{
-				From: u, To: int(v), Origin: export.OriginPartner,
+				From: i / t.NumCPUs, To: int(v), Origin: export.OriginPartner,
 			}})
 		}
 	}

@@ -32,9 +32,30 @@ func chainTrace() *trace.Trace {
 	)
 }
 
+// explicitHB1 builds a's hb1 = po ∪ so1 as an explicit Digraph straight
+// from the trace, independent of the so1 index Analyze builds: a po
+// edge between consecutive events of each CPU, an so1 edge from each
+// policy-admitted acquire's observed release.
+func explicitHB1(a *Analysis) *graph.Digraph {
+	g := graph.New(a.NumEvents)
+	for c, evs := range a.Trace.PerCPU {
+		for i, ev := range evs {
+			id := int(a.ID(trace.EventRef{CPU: c, Index: i}))
+			if i+1 < len(evs) {
+				g.AddEdge(id, id+1)
+			}
+			if ev.Kind == trace.Sync && ev.Role == memmodel.RoleAcquire &&
+				ev.Observed.Valid() && a.Options.Pairing.CanPair(ev.ObservedRole) {
+				g.AddEdge(int(a.ID(ev.Observed)), id)
+			}
+		}
+	}
+	return g
+}
+
 // explicitOrder recomputes a's data races and partition order from
-// explicit closures alone: every conflicting pair that
-// graph.NewReachability(a.HB) leaves unordered is a race and a
+// explicit closures alone: every conflicting pair that the closure of
+// explicitHB1 leaves unordered is a race and a
 // doubly-directed edge of an explicitly built G′, and partition i
 // precedes j iff the closure of that G′ reaches j's events from i's.
 func explicitOrder(a *Analysis) (races [][2]EventID, precedes func(i, j int) bool) {
@@ -61,8 +82,9 @@ func explicitOrder(a *Analysis) (races [][2]EventID, precedes func(i, j int) boo
 		}
 		return false
 	}
-	hb := graph.NewReachability(a.HB)
-	gp := a.HB.Clone()
+	hb1 := explicitHB1(a)
+	hb := graph.NewReachability(hb1)
+	gp := hb1.Clone()
 	for u := 0; u < a.NumEvents; u++ {
 		for v := u + 1; v < a.NumEvents; v++ {
 			eu, ev := a.Event(EventID(u)), a.Event(EventID(v))

@@ -124,10 +124,12 @@ func mixedRaces(a *core.Analysis) int {
 	return n
 }
 
-// TestPartnerFallbackBeyond32CPUs: with more than 32 CPUs the partner
-// bitmask no longer fits and buildImplicitAug scans each event's partner
-// list instead. A 36-CPU racy trace runs that fallback at several worker
-// counts and must still match the explicit-G′ oracle.
+// TestPartnerFallbackBeyond32CPUs is the >32-CPU G′ regression test:
+// G′'s partner table is 36 entries wide on a 36-CPU racy trace, past the
+// 32-bit per-event CPU mask the partner lists once depended on (their
+// "fallback" was a list scan beyond it). The analysis must still match
+// the explicit-G′ oracle, with races on CPUs past 31 present; Workers
+// varies but is ignored.
 func TestPartnerFallbackBeyond32CPUs(t *testing.T) {
 	w := workload.Random(workload.RandomParams{
 		Seed: 3, CPUs: 36, Segments: 2, OpsPerSegment: 2, Locks: 2,

@@ -3,7 +3,6 @@ package crosscheck
 import (
 	"bytes"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"weakrace/internal/core"
@@ -17,10 +16,12 @@ import (
 const fuzzMaxEvents = 512
 
 // FuzzAnalyze: for every trace the binary decoder accepts (up to
-// fuzzMaxEvents events), core.Analyze must not panic, must give the same
-// Races, SyncRaces, Partitions and FirstPartitions at Workers 1 and 3,
-// must agree with the test-only G′ oracle (component ids masked), and
-// must satisfy Theorem 4.1: first partitions exist iff data races do.
+// fuzzMaxEvents events), core.Analyze must not panic, must agree with
+// the test-only G′ oracle (component ids masked), must answer every
+// event pair's HBReaches and every (event, CPU) HBWindow as the explicit
+// closure of hb1 built from the trace does — so the fuzzer drives both
+// the clock merge and its cycle fallback — and must satisfy Theorem
+// 4.1: first partitions exist iff data races do.
 // The seeds are the frozen 60-trace corpus and the crosscheck
 // generators, including computation events that touch lock words.
 func FuzzAnalyze(f *testing.F) {
@@ -54,16 +55,8 @@ func FuzzAnalyze(f *testing.F) {
 		if err != nil || tr.NumEvents() > fuzzMaxEvents {
 			return
 		}
-		a := checkAgainstGPrimeOracle(t, "workers 1", tr, core.Options{Workers: 1})
-		b, err := core.Analyze(tr, core.Options{Workers: 3})
-		if err != nil {
-			t.Fatalf("workers 3: %v", err)
-		}
-		if !reflect.DeepEqual(a.Races, b.Races) || a.SyncRaces != b.SyncRaces ||
-			!reflect.DeepEqual(a.Partitions, b.Partitions) ||
-			!reflect.DeepEqual(a.FirstPartitions, b.FirstPartitions) {
-			t.Fatalf("workers 1 and 3 differ:\n%+v\n%+v", a.Partitions, b.Partitions)
-		}
+		a := checkAgainstGPrimeOracle(t, "fuzzed trace", tr, core.Options{})
+		checkHB1AgainstClosure(t, "fuzzed trace", a)
 		if (len(a.FirstPartitions) > 0) != (len(a.Races) > 0) {
 			t.Fatalf("Theorem 4.1 violated: %d data races, %d first partitions",
 				len(a.Races), len(a.FirstPartitions))

@@ -53,7 +53,7 @@ func TestCertificatesAgainstExplicitClosure(t *testing.T) {
 		if a.RaceFree() {
 			continue
 		}
-		closure := graph.NewReachability(a.HB)
+		closure := graph.NewReachability(explicitHB1(a.Trace, a.Options.Pairing))
 		ws, err := provenance.NewExplainer(a).All()
 		if err != nil {
 			t.Fatal(err)

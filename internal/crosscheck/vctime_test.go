@@ -11,26 +11,28 @@ import (
 	"weakrace/internal/memmodel"
 	"weakrace/internal/program"
 	"weakrace/internal/sim"
+	"weakrace/internal/telemetry"
 	"weakrace/internal/trace"
 	"weakrace/internal/workload"
 )
 
-// The vector-clock timestamps (one topological pass assigns every event
-// an O(p) timestamp; ordering queries become epoch compares) must agree
-// with the explicit transitive closure of the same hb1 graph
-// (graph.NewReachability) on the 60-trace corpus the augmented-graph
-// crosscheck uses: every event pair's ordering, through the timestamp
-// layer and through the analysis's HBReaches, and every (event, CPU)
-// window the sweep and the provenance certificates are built from.
-//
-// Simulated executions almost never close an hb1 cycle, so the same
-// check also runs on the TestHBCycleTolerated shape and on generated
-// traces whose acquires observe arbitrary releases (weak executions may,
-// paper §3.1) — the inputs where multi-member components reach the
-// clock pass.
-func TestVCTimestampsVsExplicitClosure(t *testing.T) {
+// hb1Input is one trace the hb1 clock crosschecks run on.
+type hb1Input struct {
+	label     string
+	tr        *trace.Trace
+	simulated bool // a simulated execution, or Figure 2: hb1 acyclic
+}
+
+// hb1Inputs returns the traces the hb1 crosschecks run on: the 60-trace
+// corpus the augmented-graph crosscheck draws, Figure 2 (WO, seed 674),
+// the TestHBCycleTolerated shape, and 300 generated traces whose
+// acquires observe arbitrary releases (weak executions may, paper §3.1)
+// — the inputs where hb1 has cycles and multi-member components reach
+// the clock pass.
+func hb1Inputs(t *testing.T) []hb1Input {
+	t.Helper()
 	rng := rand.New(rand.NewSource(17))
-	racyTraces := 0
+	var in []hb1Input
 	for trial := 0; trial < 60; trial++ {
 		w := randomWorkload(rng, trial%3 != 0)
 		model := weakModel(rng)
@@ -39,43 +41,147 @@ func TestVCTimestampsVsExplicitClosure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a := checkClocksAgainstClosure(t, fmt.Sprintf("trial %d (%s, %v, seed %d)", trial, w.Name, model, seed),
-			trace.FromExecution(r.Exec))
-		if !a.RaceFree() {
-			racyTraces++
-		}
+		in = append(in, hb1Input{fmt.Sprintf("trial %d (%s, %v, seed %d)", trial, w.Name, model, seed),
+			trace.FromExecution(r.Exec), true})
 	}
-	if racyTraces < 20 {
-		t.Fatalf("only %d racy traces crosschecked; generator drifted", racyTraces)
+	w := workload.Figure2()
+	r, err := sim.Run(w.Prog, sim.Config{Model: memmodel.WO, Seed: 674, InitMemory: w.InitMemory})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	if a := checkClocksAgainstClosure(t, "two-CPU hb1 cycle", twoCPUCycleTrace()); a.HBTime.SCC().MaxSize() != 6 {
-		t.Fatalf("two-CPU cycle: largest hb1 component %d, want all 6 events", a.HBTime.SCC().MaxSize())
-	}
-	cyclic := 0
+	in = append(in, hb1Input{"Figure 2 (WO, seed 674)", trace.FromExecution(r.Exec), true})
+	in = append(in, hb1Input{"two-CPU hb1 cycle", twoCPUCycleTrace(), false})
 	for trial := 0; trial < 300; trial++ {
 		tr := randomPairingTrace(rng)
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("generated trace %d invalid: %v", trial, err)
 		}
-		if a := checkClocksAgainstClosure(t, fmt.Sprintf("generated trace %d", trial), tr); a.HBTime.SCC().MaxSize() > 1 {
-			cyclic++
+		in = append(in, hb1Input{fmt.Sprintf("generated trace %d", trial), tr, false})
+	}
+	return in
+}
+
+// explicitHB1 builds hb1 = po ∪ so1 of tr as an explicit Digraph straight
+// from the trace, independent of core's so1 index: processor-major event
+// ids, a po edge between consecutive events of each CPU and an so1 edge
+// from each policy-admitted acquire's observed release, appended in the
+// processor-major scan order (u's po edge on reaching u, the so1 edge
+// into v on reaching v) whose successor lists G′'s component ids follow.
+func explicitHB1(tr *trace.Trace, pairing memmodel.PairingPolicy) *graph.Digraph {
+	base := make([]int, len(tr.PerCPU))
+	n := 0
+	for c, evs := range tr.PerCPU {
+		base[c] = n
+		n += len(evs)
+	}
+	g := graph.New(n)
+	for c, evs := range tr.PerCPU {
+		for i, ev := range evs {
+			id := base[c] + i
+			if i+1 < len(evs) {
+				g.AddEdge(id, id+1)
+			}
+			if ev.Kind == trace.Sync && ev.Role == memmodel.RoleAcquire &&
+				ev.Observed.Valid() && pairing.CanPair(ev.ObservedRole) {
+				g.AddEdge(base[ev.Observed.CPU]+ev.Observed.Index, id)
+			}
 		}
 	}
-	if cyclic < 60 {
-		t.Fatalf("only %d of 300 generated traces have an hb1 cycle; generator drifted", cyclic)
+	return g
+}
+
+// The vector-clock timestamps (one merge over the processors assigns
+// every event an O(p) timestamp; ordering queries become epoch compares)
+// must agree with the explicit transitive closure of hb1 built from the
+// trace (graph.NewReachability over explicitHB1) on every input of
+// hb1Inputs: every event pair's ordering, through the timestamp layer
+// and through the analysis's HBReaches, and every (event, CPU) window
+// the sweep and the provenance certificates are built from.
+//
+// The graph.vc.stalls counter proves which clock path ran: the merge
+// stalls — and falls back to per-component clocks — exactly on the
+// inputs whose hb1 has a cycle, so it stays 0 over the corpus and Figure
+// 2 and ends equal to the number of cyclic inputs.
+func TestVCTimestampsVsExplicitClosure(t *testing.T) {
+	reg := telemetry.Default()
+	reg.Reset()
+	reg.SetEnabled(true)
+	defer func() {
+		reg.SetEnabled(false)
+		reg.Reset()
+	}()
+	stalls := reg.Counter("graph.vc.stalls")
+	racyTraces, cyclic, cyclicGenerated := 0, 0, 0
+	for _, in := range hb1Inputs(t) {
+		a, err := core.Analyze(in.tr, core.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", in.label, err)
+		}
+		maxSCC := checkHB1AgainstClosure(t, in.label, a)
+		switch {
+		case in.simulated:
+			if !a.RaceFree() {
+				racyTraces++
+			}
+			if maxSCC > 1 || stalls.Value() != 0 {
+				t.Fatalf("%s: acyclic input, but largest hb1 component %d and %d merge stalls",
+					in.label, maxSCC, stalls.Value())
+			}
+		case in.label == "two-CPU hb1 cycle" && maxSCC != 6:
+			t.Fatalf("two-CPU cycle: largest hb1 component %d, want all 6 events", maxSCC)
+		}
+		if maxSCC > 1 {
+			cyclic++
+			if in.label != "two-CPU hb1 cycle" {
+				cyclicGenerated++
+			}
+		}
+		if stalls.Value() != int64(cyclic) {
+			t.Fatalf("%s: %d merge stalls after %d cyclic inputs", in.label, stalls.Value(), cyclic)
+		}
+	}
+	t.Logf("%d racy simulated traces; %d cyclic inputs, %d merge stalls", racyTraces, cyclic, stalls.Value())
+	if racyTraces < 20 {
+		t.Fatalf("only %d racy traces crosschecked; generator drifted", racyTraces)
+	}
+	if cyclicGenerated < 60 {
+		t.Fatalf("only %d of 300 generated traces have an hb1 cycle; generator drifted", cyclicGenerated)
 	}
 }
 
-// checkClocksAgainstClosure analyzes tr and checks every ordered pair
-// and every (event, CPU) window against the explicit closure of a.HB.
-func checkClocksAgainstClosure(t *testing.T, label string, tr *trace.Trace) *core.Analysis {
-	t.Helper()
-	a, err := core.Analyze(tr, core.Options{})
-	if err != nil {
-		t.Fatalf("%s: %v", label, err)
+// Analyze's flat hb1 must list every event's successors exactly as the
+// explicit hb1 built from the trace does, in order — the order G′'s
+// Tarjan meets them, so this pins G′'s component ids — on every input
+// of hb1Inputs and under both pairing policies.
+func TestHB1SuccessorOrder(t *testing.T) {
+	for _, in := range hb1Inputs(t) {
+		for _, pairing := range []memmodel.PairingPolicy{memmodel.ConservativePairing, memmodel.LiberalPairing} {
+			want := explicitHB1(in.tr, pairing)
+			got := core.HB1(in.tr, pairing)
+			if got.N() != want.N() || got.M() != want.M() {
+				t.Fatalf("%s, %v: flat hb1 has %d nodes / %d edges, explicit %d / %d",
+					in.label, pairing, got.N(), got.M(), want.N(), want.M())
+			}
+			for u := 0; u < want.N(); u++ {
+				gs, ws := got.Succ(u), want.Succ(u)
+				same := len(gs) == len(ws)
+				for i := 0; same && i < len(ws); i++ {
+					same = int(gs[i]) == ws[i]
+				}
+				if !same {
+					t.Fatalf("%s, %v: successors of %d are %v, explicit %v", in.label, pairing, u, gs, ws)
+				}
+			}
+		}
 	}
-	cl := graph.NewReachability(a.HB)
+}
+
+// checkHB1AgainstClosure checks every ordered pair and every (event,
+// CPU) window of a against the explicit closure of its hb1, and returns
+// the size of hb1's largest strongly connected component.
+func checkHB1AgainstClosure(t *testing.T, label string, a *core.Analysis) int {
+	t.Helper()
+	cl := graph.NewReachability(explicitHB1(a.Trace, a.Options.Pairing))
 	n := a.NumEvents
 	for u := 0; u < n; u++ {
 		for v := 0; v < n; v++ {
@@ -89,11 +195,11 @@ func checkClocksAgainstClosure(t *testing.T, label string, tr *trace.Trace) *cor
 		}
 	}
 	for u := 0; u < n; u++ {
-		for cpu := 0; cpu < tr.NumCPUs; cpu++ {
+		for cpu := 0; cpu < a.Trace.NumCPUs; cpu++ {
 			checkWindow(t, label, a, cl, u, cpu)
 		}
 	}
-	return a
+	return cl.SCC().MaxSize()
 }
 
 // twoCPUCycleTrace is core's TestHBCycleTolerated shape: each CPU's
@@ -229,7 +335,7 @@ func TestVCTimestampsVsExplicitClosureLarge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cl := graph.NewReachability(a.HB)
+		cl := graph.NewReachability(explicitHB1(tr, a.Options.Pairing))
 		n := a.NumEvents
 		for q := 0; q < 20000; q++ {
 			u, v := rng.Intn(n), rng.Intn(n)

@@ -1,6 +1,8 @@
 // Package graph implements the directed-graph machinery the detector needs:
-// adjacency-list digraphs, Tarjan's strongly-connected-components algorithm,
-// condensation, transitive reachability, and topological order.
+// adjacency-list digraphs, flat stream-structured graphs (the shape of
+// happens-before-1) and their vector-clock timestamps, Tarjan's
+// strongly-connected-components algorithm, condensation, transitive
+// reachability, and topological order.
 //
 // The happens-before-1 graph of a weak execution is NOT guaranteed to be
 // acyclic (paper §3.1: "the so1 relation and hence the hb1 relation may
@@ -34,28 +36,6 @@ func New(n int) *Digraph {
 		panic(fmt.Sprintf("graph: New(%d): negative size", n))
 	}
 	return &Digraph{adj: make([][]int, n)}
-}
-
-// NewWithDegrees returns a digraph with len(deg) nodes and no edges,
-// whose adjacency lists are pre-carved out of one edge slab with
-// capacity deg[u] each. A caller that counts its out-degrees up front
-// (the detector's hb1 builder) then adds every edge with zero per-node
-// allocations; exceeding a declared degree still works — that node's
-// list just falls off the slab and grows normally.
-func NewWithDegrees(deg []int32) *Digraph {
-	total := 0
-	for _, d := range deg {
-		total += int(d)
-	}
-	slab := make([]int, total)
-	adj := make([][]int, len(deg))
-	off := 0
-	for u, d := range deg {
-		end := off + int(d)
-		adj[u] = slab[off:off:end]
-		off = end
-	}
-	return &Digraph{adj: adj}
 }
 
 // N returns the number of nodes.
@@ -131,37 +111,50 @@ func (g *Digraph) Reverse() *Digraph {
 // assigned its id only after all components it can reach). Members lists
 // the nodes of each component.
 type SCC struct {
-	Comp    []int
-	Members [][]int
+	Comp []int
 
+	// members holds every component's nodes back to back, component c
+	// at members[off[c]:off[c+1]]: two allocations per decomposition,
+	// not one row header per component.
+	members []int
+	off     []int32
 	maxSize int
 }
 
 // NumComponents returns the number of strongly connected components.
-func (s *SCC) NumComponents() int { return len(s.Members) }
+func (s *SCC) NumComponents() int { return len(s.off) - 1 }
+
+// Members returns the nodes of component c, aliasing the decomposition's
+// storage; callers must not mutate it.
+func (s *SCC) Members(c int) []int {
+	lo, hi := s.off[c], s.off[c+1]
+	return s.members[lo:hi:hi]
+}
 
 // MaxSize returns the size of the largest component. It is tracked while
 // Tarjan closes components, so consumers (telemetry, reports) share one
-// computation instead of each rescanning Members.
+// computation instead of each rescanning the members.
 func (s *SCC) MaxSize() int { return s.maxSize }
 
 // SameComponent reports whether u and v are in the same SCC — the paper's
 // test for two race events being in the same partition (§4.2).
 func (s *SCC) SameComponent(u, v int) bool { return s.Comp[u] == s.Comp[v] }
 
-// Scratch holds reusable traversal buffers for StronglyConnectedOverlay
-// and CondensationOverlay: the Tarjan bookkeeping arrays and DFS stacks,
-// plus the packed-key buffer the condensation sort-dedupe uses. Only
-// buffers that are NOT retained by the returned structures live here
-// (SCC.Comp, SCC.Members, and the condensation's adjacency are always
-// freshly allocated — callers keep them after the scratch is reused).
-// A Scratch is not safe for concurrent use; pool one per worker.
+// Scratch holds reusable traversal buffers for the SCC, condensation and
+// timestamp passes: the Tarjan bookkeeping arrays and DFS stacks, the
+// packed-key buffer the condensation sort-dedupe uses, and the merge
+// order and stream heads of the clock pass. Only buffers that are NOT
+// retained by the returned structures live here (SCC.Comp, the members,
+// the condensation's adjacency and the clocks are always freshly
+// allocated — callers keep them after the scratch is reused). A Scratch
+// is not safe for concurrent use; pool one per worker.
 type Scratch struct {
 	index, low         []int
 	onStack            []bool
 	stack              []int
 	callNode, callEdge []int
 	keys               []uint64
+	order, head        []int32
 }
 
 func (s *Scratch) ints(buf *[]int, n int) []int {
@@ -171,25 +164,41 @@ func (s *Scratch) ints(buf *[]int, n int) []int {
 	return (*buf)[:n]
 }
 
-// StronglyConnected computes the SCCs of g using an iterative Tarjan
-// algorithm (iterative so million-node traces cannot overflow the stack).
-func StronglyConnected(g *Digraph) *SCC {
-	return StronglyConnectedOverlay(g, nil, nil)
+// flat is a digraph in compressed-sparse-row form with an optional dense
+// overlay: node u's successors are succ[off[u]:off[u+1]] in order, then
+// the non-negative entries of extra[u*width:(u+1)*width] in order. The
+// one Tarjan and the one condensation below walk this form, for a
+// Digraph (converted) and for a Streams graph with its partner table
+// (held flat already) alike.
+type flat struct {
+	off, succ []int32
+	extra     []int32
+	width     int
 }
 
-// StronglyConnectedOverlay computes the SCCs of the graph g ⊕ extra: the
-// node set of g with, for every node u, the successors g.Succ(u) followed
-// by extra[u]. The overlay graph is never materialized — this is how the
-// detector runs Tarjan over the augmented graph G′ (hb1 edges plus
-// per-node race-partner lists) without cloning a multi-million-edge
-// digraph. extra may be nil (plain SCCs of g); s may be nil (scratch is
-// allocated locally). The returned SCC's Comp/Members are freshly
-// allocated and remain valid after s is reused.
-func StronglyConnectedOverlay(g *Digraph, extra [][]int32, s *Scratch) *SCC {
-	n := g.N()
-	if extra != nil && len(extra) != n {
-		panic(fmt.Sprintf("graph: overlay size %d, graph size %d", len(extra), n))
+// flat copies g's adjacency into CSR form.
+func (g *Digraph) flat() flat {
+	off := make([]int32, len(g.adj)+1)
+	succ := make([]int32, 0, g.nEdg)
+	for u, a := range g.adj {
+		for _, v := range a {
+			succ = append(succ, int32(v))
+		}
+		off[u+1] = int32(len(succ))
 	}
+	return flat{off: off, succ: succ}
+}
+
+// StronglyConnected computes the SCCs of g using an iterative Tarjan
+// algorithm (iterative so million-node traces cannot overflow the stack).
+func StronglyConnected(g *Digraph) *SCC { return tarjan(g.flat(), nil) }
+
+// tarjan computes the SCCs of f, visiting every node's successors in
+// f's order: the order fixes the component numbering. s may be nil
+// (scratch is allocated locally). The returned SCC is freshly allocated
+// and remains valid after s is reused.
+func tarjan(f flat, s *Scratch) *SCC {
+	n := len(f.off) - 1
 	if s == nil {
 		s = &Scratch{}
 	}
@@ -206,51 +215,50 @@ func StronglyConnectedOverlay(g *Digraph, extra [][]int32, s *Scratch) *SCC {
 		comp[i] = unvisited
 		onStack[i] = false
 	}
-	var (
-		members [][]int
-		maxSize int
-		nextIdx int
-	)
-	// Every node lands in exactly one component, so all Members rows are
-	// carved out of one n-int slab — one allocation instead of one per
-	// component (the per-component append was a third of the detector's
-	// allocation profile). The slab is freshly allocated, never pooled:
-	// Members is retained by the caller after the scratch is reused.
-	slab := make([]int, 0, n)
+	// Every node lands in exactly one component, so the members are one
+	// n-int slab plus one offset per component, both sized up front.
+	// Both are freshly allocated, never pooled: the SCC keeps them after
+	// the scratch is reused.
+	members := make([]int, 0, n)
+	off := make([]int32, 1, n+1)
+	maxSize, nextIdx := 0, 0
 	stack := s.stack[:0]       // Tarjan's node stack
 	callNode := s.callNode[:0] // explicit DFS stack: node
-	callEdge := s.callEdge[:0] // explicit DFS stack: next successor index to visit
+	callEdge := s.callEdge[:0] // explicit DFS stack: successor cursor
 	for root := 0; root < n; root++ {
 		if index[root] != unvisited {
 			continue
 		}
 		callNode = append(callNode[:0], root)
-		callEdge = append(callEdge[:0], 0)
+		callEdge = append(callEdge[:0], int(f.off[root]))
 		index[root] = nextIdx
 		low[root] = nextIdx
 		nextIdx++
 		stack = append(stack, root)
 		onStack[root] = true
 		for len(callNode) > 0 {
-			// Scan the frame's remaining successors — g's own adjacency
-			// first, then the overlay list — in one tight loop, keeping
-			// the lowlink in a register. One stack round-trip per DFS
-			// descent, not one per edge.
+			// Scan the frame's remaining successors — the CSR list
+			// first, then the overlay row — in one tight loop, keeping
+			// the lowlink in a register. The cursor runs on from the
+			// list into the row, so resuming a frame costs nothing.
 			v := callNode[len(callNode)-1]
 			ei := callEdge[len(callEdge)-1]
-			adj := g.adj[v]
+			end := int(f.off[v+1])
+			var row []int32
+			if f.extra != nil {
+				row = f.extra[v*f.width : (v+1)*f.width]
+			}
 			lowv := low[v]
 			descended := false
 			for {
 				var w int
-				if ei < len(adj) {
-					w = adj[ei]
-				} else if extra != nil {
-					x := extra[v]
-					if ei-len(adj) >= len(x) {
-						break
+				if ei < end {
+					w = int(f.succ[ei])
+				} else if j := ei - end; j < len(row) {
+					if w = int(row[j]); w < 0 {
+						ei++
+						continue
 					}
-					w = int(x[ei-len(adj)])
 				} else {
 					break
 				}
@@ -264,7 +272,7 @@ func StronglyConnectedOverlay(g *Digraph, extra [][]int32, s *Scratch) *SCC {
 					stack = append(stack, w)
 					onStack[w] = true
 					callNode = append(callNode, w)
-					callEdge = append(callEdge, 0)
+					callEdge = append(callEdge, int(f.off[w]))
 					descended = true
 					break
 				} else if onStack[w] && index[w] < lowv {
@@ -286,67 +294,64 @@ func StronglyConnectedOverlay(g *Digraph, extra [][]int32, s *Scratch) *SCC {
 				}
 			}
 			if low[v] == index[v] {
-				start := len(slab)
+				c, start := len(off)-1, len(members)
 				for {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
 					onStack[w] = false
-					comp[w] = len(members)
-					slab = append(slab, w)
+					comp[w] = c
+					members = append(members, w)
 					if w == v {
 						break
 					}
 				}
-				ms := slab[start:len(slab):len(slab)]
-				if len(ms) > maxSize {
-					maxSize = len(ms)
-				}
-				members = append(members, ms)
+				off = append(off, int32(len(members)))
+				maxSize = max(maxSize, len(members)-start)
 			}
 		}
 	}
 	s.stack, s.callNode, s.callEdge = stack[:0], callNode[:0], callEdge[:0]
 	// graph.scc.max_size tracks the largest SCC across EVERY SCC
-	// computation in the process — hb1 graphs, explicit augmented graphs,
-	// and implicit overlays alike. The per-analysis augmented-graph-only
-	// view is detect.scc.max_size (see core.flushTelemetry).
+	// computation in the process — hb1 graphs, explicit digraphs and
+	// G′'s implicit adjacency alike. The per-analysis G′-only view is
+	// detect.scc.max_size (see core.flushTelemetry).
 	if reg := telemetry.Default(); reg.Enabled() {
 		reg.Gauge("graph.scc.max_size").SetMax(int64(maxSize))
 	}
-	return &SCC{Comp: comp, Members: members, maxSize: maxSize}
+	return &SCC{Comp: comp, members: members, off: off, maxSize: maxSize}
 }
 
 // Condensation returns the DAG whose nodes are the SCCs of g, with an edge
 // c1→c2 whenever some edge of g crosses from component c1 to c2. Duplicate
 // cross edges are collapsed.
-func Condensation(g *Digraph, scc *SCC) *Digraph {
-	return CondensationOverlay(g, nil, scc, nil)
-}
+func Condensation(g *Digraph, scc *SCC) *Digraph { return condense(g.flat(), scc, nil) }
 
-// CondensationOverlay builds the condensation DAG of the overlay graph
-// g ⊕ extra (see StronglyConnectedOverlay) under the given component
+// condense builds the condensation DAG of f under the given component
 // assignment. Cross edges are deduplicated by sorting packed (c1,c2)
 // keys — no per-edge map — and the key buffer comes from s when non-nil.
 // The returned DAG is freshly allocated and survives scratch reuse.
-func CondensationOverlay(g *Digraph, extra [][]int32, scc *SCC, s *Scratch) *Digraph {
-	k := scc.NumComponents()
-	dag := New(k)
+func condense(f flat, scc *SCC, s *Scratch) *Digraph {
+	dag := New(scc.NumComponents())
 	var keys []uint64
 	if s != nil {
 		keys = s.keys[:0]
 	}
-	for u, a := range g.adj {
+	for u := 0; u+1 < len(f.off); u++ {
 		cu := scc.Comp[u]
-		for _, v := range a {
+		for _, v := range f.succ[f.off[u]:f.off[u+1]] {
 			if cv := scc.Comp[v]; cu != cv {
 				keys = append(keys, uint64(cu)<<32|uint64(cv))
 			}
 		}
-		if extra != nil {
-			for _, v := range extra[u] {
-				if cv := scc.Comp[v]; cu != cv {
-					keys = append(keys, uint64(cu)<<32|uint64(cv))
-				}
+		if f.extra == nil {
+			continue
+		}
+		for _, v := range f.extra[u*f.width : (u+1)*f.width] {
+			if v < 0 {
+				continue
+			}
+			if cv := scc.Comp[v]; cu != cv {
+				keys = append(keys, uint64(cu)<<32|uint64(cv))
 			}
 		}
 	}
@@ -379,7 +384,7 @@ type CondReach struct {
 }
 
 // NewCondReach wraps a condensation DAG (components numbered in reverse
-// topological order, as StronglyConnectedOverlay produces) for memoized
+// topological order, as Tarjan produces) for memoized
 // reachability queries. No closure work happens until the first query.
 func NewCondReach(dag *Digraph, scc *SCC) *CondReach {
 	return &CondReach{scc: scc, dag: dag, rows: make([]atomic.Pointer[bitset.Set], dag.N())}
@@ -550,7 +555,7 @@ func (r *Reachability) ReachesProper(u, v int) bool {
 		// A proper path u⇝u exists iff u is on a cycle, i.e. its SCC has
 		// more than one node or a self-loop. Self-loops never occur in
 		// happens-before graphs, so component size is the test we need.
-		return len(r.scc.Members[r.scc.Comp[u]]) > 1
+		return len(r.scc.Members(r.scc.Comp[u])) > 1
 	}
 	return r.Reaches(u, v)
 }

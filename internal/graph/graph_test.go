@@ -94,8 +94,8 @@ func TestSCCCycle(t *testing.T) {
 			t.Fatalf("nodes 0 and %d not in same component", u)
 		}
 	}
-	if len(scc.Members[0]) != 5 {
-		t.Fatalf("Members[0] = %v", scc.Members[0])
+	if len(scc.Members(0)) != 5 {
+		t.Fatalf("Members(0) = %v", scc.Members(0))
 	}
 }
 

@@ -3,76 +3,63 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 )
 
-// randomOverlay draws a sparse extra-adjacency for a graph of n nodes —
-// the shape of core's race-partner lists.
-func randomOverlay(rng *rand.Rand, n int, p float64) [][]int32 {
-	extra := make([][]int32, n)
+// randomPartners draws a partner table for s — the shape of core's G′
+// race partners: each node gets, with probability p per other stream, a
+// random node of that stream — and returns s ⊕ partners as an explicit
+// Digraph: g (s built explicitly, see randStreams) with each node's
+// partners appended in stream order, the order the implicit adjacency
+// visits them.
+func randomPartners(rng *rand.Rand, s *Streams, g *Digraph, base []int, p float64) ([]int32, *Digraph) {
+	n, w := s.N(), s.Width()
+	partners := make([]int32, n*w)
+	union := g.Clone()
 	for u := 0; u < n; u++ {
-		for v := 0; v < n; v++ {
-			if u != v && rng.Float64() < p {
-				extra[u] = append(extra[u], int32(v))
+		for c := 0; c < w; c++ {
+			partners[u*w+c] = -1
+			end := n
+			if c+1 < w {
+				end = base[c+1]
 			}
+			if c == s.Stream(u) || end == base[c] || rng.Float64() >= p {
+				continue
+			}
+			v := base[c] + rng.Intn(end-base[c])
+			partners[u*w+c] = int32(v)
+			union.AddEdge(u, v)
 		}
 	}
-	return extra
+	return partners, union
 }
 
-// explicitUnion materializes g ⊕ extra the way the pre-overlay code did:
-// clone and add each overlay edge.
-func explicitUnion(g *Digraph, extra [][]int32) *Digraph {
-	u := g.Clone()
-	for from, tos := range extra {
-		for _, to := range tos {
-			u.AddEdgeUnique(from, int(to))
-		}
-	}
-	return u
-}
-
-// sameComponents reports whether two SCC decompositions induce the same
-// partition of the nodes, ignoring component numbering.
-func sameComponents(a, b *SCC) bool {
-	if len(a.Comp) != len(b.Comp) || a.NumComponents() != b.NumComponents() {
-		return false
-	}
-	fwd := map[int]int{}
-	rev := map[int]int{}
-	for v := range a.Comp {
-		ca, cb := a.Comp[v], b.Comp[v]
-		if m, ok := fwd[ca]; ok && m != cb {
-			return false
-		}
-		if m, ok := rev[cb]; ok && m != ca {
-			return false
-		}
-		fwd[ca] = cb
-		rev[cb] = ca
-	}
-	return true
-}
-
-// The overlay Tarjan must produce the same component partition as running
-// the classic Tarjan on the materialized union graph, with and without a
-// reused Scratch.
+// Tarjan over a Streams graph plus a partner table must number the
+// components exactly as Tarjan over the materialized union graph does,
+// when the union lists each node's successors in the implicit order —
+// and that numbering is what keeps G′'s component ids stable. Checked
+// with and without a reused Scratch.
 func TestStronglyConnectedOverlayMatchesExplicit(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	var s Scratch
+	var sc Scratch
 	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(30)
-		g := randomGraph(rng, n, rng.Float64()*0.2)
-		extra := randomOverlay(rng, n, rng.Float64()*0.1)
-		want := StronglyConnected(explicitUnion(g, extra))
-		got := StronglyConnectedOverlay(g, extra, &s)
-		if !sameComponents(got, want) {
-			t.Fatalf("trial %d: overlay SCC differs from explicit:\ngot  %+v\nwant %+v", trial, got, want)
+		s, g, base := randStreams(rng, 1+rng.Intn(5), 7, rng.Float64()*0.3)
+		partners, union := randomPartners(rng, s, g, base, rng.Float64()*0.3)
+		want := StronglyConnected(union)
+		got := s.SCC(partners, &sc)
+		if !reflect.DeepEqual(got.Comp, want.Comp) || got.MaxSize() != want.MaxSize() {
+			t.Fatalf("trial %d: implicit SCC differs from explicit:\ngot  %v\nwant %v", trial, got.Comp, want.Comp)
 		}
-		// Members must be consistent with Comp.
-		for c, members := range got.Members {
-			for _, v := range members {
+		if hb := s.SCC(nil, nil); !reflect.DeepEqual(hb.Comp, StronglyConnected(g).Comp) {
+			t.Fatalf("trial %d: hb-only SCC differs from explicit", trial)
+		}
+		for c := 0; c < got.NumComponents(); c++ {
+			if !reflect.DeepEqual(got.Members(c), want.Members(c)) {
+				t.Fatalf("trial %d: component %d members %v, want %v", trial, c, got.Members(c), want.Members(c))
+			}
+			for _, v := range got.Members(c) {
 				if got.Comp[v] != c {
 					t.Fatalf("trial %d: member %d of comp %d has Comp %d", trial, v, c, got.Comp[v])
 				}
@@ -81,23 +68,22 @@ func TestStronglyConnectedOverlayMatchesExplicit(t *testing.T) {
 	}
 }
 
-// CondensationOverlay ⊕ CondReach must answer exactly the reachability
-// queries of the materialized union graph, node-level and
-// component-level.
+// The condensation of a Streams graph plus partners, wrapped in
+// CondReach, must answer exactly the reachability queries of the
+// materialized union graph, node-level and component-level.
 func TestCondReachMatchesExplicitReachability(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	var s Scratch
+	var sc Scratch
 	for trial := 0; trial < 120; trial++ {
-		n := 1 + rng.Intn(25)
-		g := randomGraph(rng, n, rng.Float64()*0.15)
-		extra := randomOverlay(rng, n, rng.Float64()*0.1)
-		union := explicitUnion(g, extra)
+		s, g, base := randStreams(rng, 1+rng.Intn(5), 6, rng.Float64()*0.3)
+		partners, union := randomPartners(rng, s, g, base, rng.Float64()*0.2)
 
-		scc := StronglyConnectedOverlay(g, extra, &s)
-		dag := CondensationOverlay(g, extra, scc, &s)
+		scc := s.SCC(partners, &sc)
+		dag := s.Condensation(partners, scc, &sc)
 		cr := NewCondReach(dag, scc)
 		ref := NewReachability(union)
 
+		n := s.N()
 		for u := 0; u < n; u++ {
 			brute := bruteReach(union, u)
 			for v := 0; v < n; v++ {
@@ -152,23 +138,22 @@ func TestCondReachConcurrent(t *testing.T) {
 	}
 }
 
-// The condensation built over the overlay must be acyclic and must carry
-// exactly the cross-component edges of the union graph, deduplicated.
+// The condensation of a Streams graph plus partners must be acyclic and
+// must carry exactly the cross-component edges of the union graph,
+// deduplicated.
 func TestCondensationOverlayMatchesExplicit(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 100; trial++ {
-		n := 1 + rng.Intn(25)
-		g := randomGraph(rng, n, rng.Float64()*0.2)
-		extra := randomOverlay(rng, n, rng.Float64()*0.1)
-		union := explicitUnion(g, extra)
+		s, g, base := randStreams(rng, 1+rng.Intn(5), 6, rng.Float64()*0.3)
+		partners, union := randomPartners(rng, s, g, base, rng.Float64()*0.2)
 
-		scc := StronglyConnectedOverlay(g, extra, nil)
-		dag := CondensationOverlay(g, extra, scc, nil)
+		scc := s.SCC(partners, nil)
+		dag := s.Condensation(partners, scc, nil)
 		if !IsAcyclic(dag) {
 			t.Fatalf("trial %d: condensation has a cycle", trial)
 		}
 		want := map[[2]int]bool{}
-		for u := 0; u < n; u++ {
+		for u := 0; u < s.N(); u++ {
 			for _, v := range union.Succ(u) {
 				if cu, cv := scc.Comp[u], scc.Comp[v]; cu != cv {
 					want[[2]int{cu, cv}] = true

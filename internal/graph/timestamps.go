@@ -1,89 +1,187 @@
 package graph
 
 import (
-	"fmt"
-
 	"weakrace/internal/telemetry"
 	"weakrace/internal/vclock"
 )
 
-// Timestamps answers reachability queries on a stream-structured digraph
-// — one whose nodes are partitioned into per-processor streams, each
-// stream chained by program-order edges — with vector-clock timestamps
-// computed in a single topological pass, instead of bitset closure rows.
-// This is the shape of the detector's happens-before-1 graph (po chains
-// plus so1 edges), and the pass is the linear-time timestamping of
-// Kini/Mathur-style happens-before detectors lifted to the post-mortem
-// graph.
+// Timestamps answers reachability queries on a Streams graph — one
+// whose nodes are partitioned into program-order chains, with at most
+// one cross edge into each node — with vector-clock timestamps instead
+// of bitset closure rows. This is the shape of the detector's
+// happens-before-1 graph (po chains plus one so1 edge per acquire).
 //
-// hb1 may contain cycles on a weak execution (paper §3.1), so the clocks
-// are assigned per strongly connected component. The forward clock of
-// component c is
+// The forward clock of node x is
 //
-//	fw[c][p] = 1 + max{ pos(y) : y in stream p, comp(y) reaches c }
+//	fw[x][p] = 1 + max{ pos(y) : y in stream p, y reaches x }
 //
-// (0 when no p-event reaches c). Program order makes "reaches x" a
-// PREFIX of each stream, so that single per-stream maximum characterizes
-// the entire ancestor cone exactly — on the acyclic part each component
-// is one event and the clock is the classic event timestamp; cycles are
-// handled exactly because members of an SCC share one clock. Hence
+// (0 when no p-node reaches x). Program order makes "reaches x" a PREFIX
+// of each stream, so that single per-stream maximum characterizes the
+// entire ancestor cone exactly. Hence
 //
-//	u reaches v  ⟺  u == v  or  fw[comp(v)][stream(u)] > pos(u),
+//	u reaches v  ⟺  u == v  or  fw[v][stream(u)] > pos(u),
 //
 // an O(1) epoch compare (vclock.Epoch.Covered). The mirrored backward
-// frontier bw[c][p] is the least position of stream p reached from c, so
-// Window brackets a whole stream against an event with two slab reads —
-// the quantity the race sweep and the provenance certificates consume
-// directly.
+// frontier bw[x][p] is the least position of stream p reached from x,
+// so Window brackets a whole stream against a node with two slab reads
+// — the quantity the race sweep and the provenance certificates
+// consume directly.
 //
-// The clocks are assigned per component in Tarjan order: Tarjan
-// numbers components in reverse topological order, so one descending-id
-// pass pushes each finished forward clock into its successors, and one
-// ascending-id pass pulls the successors' backward frontiers. Each pass
-// touches every component row and every cross-component edge once —
-// O((events + edges) × streams) with no closure.
+// The clocks come from one k-way merge over the streams, the
+// single-pass vector-clock timestamping of Kini, Mathur and Viswanathan
+// lifted to the post-mortem graph: a stream's head is clocked once its
+// cross predecessor is, as the join of its program-order predecessor's
+// clock and its cross predecessor's, plus its own epoch. The backward pass
+// walks the merge order in reverse, pushing each finished frontier into
+// the node's two possible predecessors. Each pass touches every clock
+// row once and every edge once — O((nodes + edges) × streams) — with no
+// successor lists and no SCC pass.
 //
-// The clocks are exact only when every stream's events form a
-// program-order chain in g; arbitrary digraphs without that structure
-// must keep using Reachability.
+// hb1 may contain cycles on a weak execution (paper §3.1), and there the
+// merge stalls: no head's predecessor is ever clocked. Only then do the
+// clocks fall back to one row per strongly connected component, whose
+// members share it (every member reaches every other), assigned in
+// Tarjan order: components are numbered in reverse topological order, so
+// one descending-id pass pushes each finished forward clock along its
+// outgoing cross-component edges, and one ascending-id pass pulls the
+// successors' backward frontiers.
 type Timestamps struct {
-	scc    *SCC
 	stream []int32 // stream[u]: the stream (processor) of node u
 	pos    []int32 // pos[u]: u's position within its stream
 	width  int
-	fw     []uint32 // forward clocks, NumComponents x width
-	bw     []int32  // backward frontiers, NumComponents x width
-	strLen []int32  // events per stream (backward-frontier "none" value)
+	// scc is hb1's component structure when the merge stalled on a
+	// cycle, and the clock rows are per component; nil when the graph is
+	// acyclic and every node has its own row.
+	scc *SCC
+	fw  []uint32 // forward clocks, rows x width
+	bw  []int32  // backward frontiers, rows x width
 }
 
-// NewTimestamps computes vector-clock timestamps for g, whose node u
-// belongs to stream stream[u] (< width) at position pos[u], with each
-// stream's events chained in program order. stream and pos are copied,
-// so arena-backed callers may reuse their buffers; s (optional) supplies
-// the Tarjan scratch.
-func NewTimestamps(g *Digraph, stream, pos []int32, width int, s *Scratch) *Timestamps {
+// NewTimestamps computes vector-clock timestamps for s. The result keeps
+// s's stream and position tables (each Reset allocates fresh ones), so
+// s may be Reset for the next graph. sc (optional) supplies the merge
+// and, on a cycle, the Tarjan scratch.
+func NewTimestamps(s *Streams, sc *Scratch) *Timestamps {
 	defer telemetry.Default().StartSpan("graph.timestamps").End()
-	n := g.N()
-	if len(stream) != n || len(pos) != n {
-		panic(fmt.Sprintf("graph: NewTimestamps: %d nodes but %d streams / %d positions",
-			n, len(stream), len(pos)))
+	if sc == nil {
+		sc = &Scratch{}
 	}
-	scc := StronglyConnectedOverlay(g, nil, s)
-	k := scc.NumComponents()
+	n, width := s.N(), s.Width()
 	t := &Timestamps{
-		scc:    scc,
-		stream: append([]int32(nil), stream...),
-		pos:    append([]int32(nil), pos...),
+		stream: s.stream,
+		pos:    s.pos,
 		width:  width,
-		fw:     make([]uint32, k*width),
-		bw:     make([]int32, k*width),
-		strLen: make([]int32, width),
+		fw:     make([]uint32, n*width),
+		bw:     make([]int32, n*width),
 	}
-	for u := 0; u < n; u++ {
-		if l := pos[u] + 1; l > t.strLen[stream[u]] {
-			t.strLen[stream[u]] = l
+	if cap(sc.order) < n {
+		sc.order = make([]int32, n)
+	}
+	if cap(sc.head) < width {
+		sc.head = make([]int32, width)
+	}
+	order, head := sc.order[:n], sc.head[:width]
+	// strLen[p], the length of stream p, is the backward frontiers'
+	// "reaches nothing of p" value.
+	strLen := make([]int32, width)
+	for p := range strLen {
+		strLen[p] = s.start[p+1] - s.start[p]
+	}
+	stalled := !t.merge(s, order, head)
+	if stalled {
+		t.fold(s, sc, strLen)
+	} else {
+		t.frontiers(s, order, strLen)
+	}
+	if reg := telemetry.Default(); reg.Enabled() {
+		reg.Counter("graph.vc.builds").Inc()
+		reg.Counter("graph.vc.nodes").Add(int64(n))
+		reg.Counter("graph.vc.components").Add(int64(t.NumComponents()))
+		reg.Counter("graph.vc.clock_words").Add(int64(len(t.fw) + len(t.bw)))
+		if stalled {
+			reg.Counter("graph.vc.stalls").Inc()
 		}
 	}
+	return t
+}
+
+// merge clocks the nodes of s stream by stream, recording the order, and
+// reports whether every node was clocked. A stream's head is clocked
+// once its cross predecessor r is — r's position lies below its own
+// stream's head — so each sweep over the streams advances every stream
+// as far as it can; a sweep that advances none is a stall, which only a
+// cycle causes.
+func (t *Timestamps) merge(s *Streams, order, head []int32) bool {
+	w := t.width
+	clear(head)
+	done := 0
+	for progress := true; progress; {
+		progress = false
+		for p := 0; p < w; p++ {
+			first, end := s.start[p], s.start[p+1]
+			for u := first + head[p]; u < end; u++ {
+				r := s.rel[u]
+				if r >= 0 && s.pos[r] >= head[s.stream[r]] {
+					break
+				}
+				row := t.fw[int(u)*w : int(u+1)*w]
+				if u > first {
+					copy(row, t.fw[int(u-1)*w:int(u)*w])
+				}
+				if r >= 0 {
+					for i, x := range t.fw[int(r)*w : int(r+1)*w] {
+						row[i] = max(row[i], x)
+					}
+				}
+				row[p] = uint32(u-first) + 1
+				order[done] = u
+				done++
+				head[p]++
+				progress = true
+			}
+		}
+	}
+	return done == len(order)
+}
+
+// frontiers fills the backward frontiers of an acyclic s by walking the
+// merge order in reverse: every successor of u (u+1, and the nodes whose
+// cross predecessor u is) was clocked after u, so u's frontier is final
+// when the walk reaches it, and is then pushed into u's predecessors.
+func (t *Timestamps) frontiers(s *Streams, order, strLen []int32) {
+	w := t.width
+	for u := 0; u < len(order); u++ {
+		copy(t.bw[u*w:(u+1)*w], strLen)
+	}
+	for i := len(order) - 1; i >= 0; i-- {
+		u := int(order[i])
+		row := t.bw[u*w : (u+1)*w]
+		row[s.stream[u]] = s.pos[u]
+		if s.pos[u] > 0 {
+			meet(t.bw[(u-1)*w:u*w], row)
+		}
+		if r := int(s.rel[u]); r >= 0 {
+			meet(t.bw[r*w:(r+1)*w], row)
+		}
+	}
+}
+
+// meet lowers dst to the elementwise minimum of dst and src.
+func meet(dst, src []int32) {
+	for i, x := range src[:len(dst)] {
+		dst[i] = min(dst[i], x)
+	}
+}
+
+// fold assigns the clocks per strongly connected component — the
+// fallback for an hb1 cycle, where the merge stalls. The slabs shrink to
+// one row per component.
+func (t *Timestamps) fold(s *Streams, sc *Scratch, strLen []int32) {
+	scc := s.SCC(nil, sc)
+	t.scc = scc
+	k, width := scc.NumComponents(), t.width
+	t.fw, t.bw = t.fw[:k*width], t.bw[:k*width]
+	clear(t.fw)
 	comp := scc.Comp
 	// Forward pass, descending component ids. Tarjan assigns a component
 	// its id only after every component it reaches, so edges cross from
@@ -93,19 +191,15 @@ func NewTimestamps(g *Digraph, stream, pos []int32, width int, s *Scratch) *Time
 	// every outgoing cross-component edge.
 	for c := k - 1; c >= 0; c-- {
 		row := t.fw[c*width : (c+1)*width]
-		for _, u := range scc.Members[c] {
-			if e := uint32(pos[u]) + 1; e > row[stream[u]] {
-				row[stream[u]] = e
-			}
+		for _, u := range scc.Members(c) {
+			row[s.stream[u]] = max(row[s.stream[u]], uint32(s.pos[u])+1)
 		}
-		for _, u := range scc.Members[c] {
-			for _, v := range g.adj[u] {
+		for _, u := range scc.Members(c) {
+			for _, v := range s.Succ(u) {
 				if cv := comp[v]; cv != c {
 					dst := t.fw[cv*width : (cv+1)*width]
 					for i, x := range row {
-						if x > dst[i] {
-							dst[i] = x
-						}
+						dst[i] = max(dst[i], x)
 					}
 				}
 			}
@@ -116,44 +210,40 @@ func NewTimestamps(g *Digraph, stream, pos []int32, width int, s *Scratch) *Time
 	// fold the members' own positions.
 	for c := 0; c < k; c++ {
 		row := t.bw[c*width : (c+1)*width]
-		copy(row, t.strLen)
-		for _, u := range scc.Members[c] {
-			for _, v := range g.adj[u] {
+		copy(row, strLen)
+		for _, u := range scc.Members(c) {
+			for _, v := range s.Succ(u) {
 				if cv := comp[v]; cv != c {
-					src := t.bw[cv*width : (cv+1)*width]
-					for i, x := range src {
-						if x < row[i] {
-							row[i] = x
-						}
-					}
+					meet(row, t.bw[cv*width:(cv+1)*width])
 				}
 			}
 		}
-		for _, u := range scc.Members[c] {
-			if pos[u] < row[stream[u]] {
-				row[stream[u]] = pos[u]
-			}
+		for _, u := range scc.Members(c) {
+			row[s.stream[u]] = min(row[s.stream[u]], s.pos[u])
 		}
 	}
-	if reg := telemetry.Default(); reg.Enabled() {
-		reg.Counter("graph.vc.builds").Inc()
-		reg.Counter("graph.vc.nodes").Add(int64(n))
-		reg.Counter("graph.vc.components").Add(int64(k))
-		reg.Counter("graph.vc.clock_words").Add(int64(2 * k * width))
-	}
-	return t
 }
 
-// SCC returns the component structure computed for the graph.
-func (t *Timestamps) SCC() *SCC { return t.scc }
+// NumComponents returns the number of clock rows: the number of nodes
+// when the graph is acyclic, else the number of its strongly connected
+// components.
+func (t *Timestamps) NumComponents() int { return len(t.fw) / max(t.width, 1) }
+
+// row returns the clock row of node u.
+func (t *Timestamps) row(u int) int {
+	if t.scc != nil {
+		return t.scc.Comp[u]
+	}
+	return u
+}
 
 // Width returns the clock width (number of streams).
 func (t *Timestamps) Width() int { return t.width }
 
-// VCOf returns node v's forward vector clock — the clock of its
-// component, aliasing the shared slab; callers must not mutate it.
+// VCOf returns node v's forward vector clock — the clock of its row,
+// aliasing the shared slab; callers must not mutate it.
 func (t *Timestamps) VCOf(v int) vclock.VC {
-	c := t.scc.Comp[v]
+	c := t.row(v)
 	return vclock.VC(t.fw[c*t.width : (c+1)*t.width])
 }
 
@@ -178,7 +268,7 @@ func (t *Timestamps) Reaches(u, v int) bool {
 // u≠v on a path, or u on a cycle when u == v.
 func (t *Timestamps) ReachesProper(u, v int) bool {
 	if u == v {
-		return len(t.scc.Members[t.scc.Comp[u]]) > 1
+		return t.scc != nil && len(t.scc.Members(t.scc.Comp[u])) > 1
 	}
 	return t.Reaches(u, v)
 }
@@ -198,6 +288,6 @@ func (t *Timestamps) Ordered(u, v int) bool {
 // and succPos both lie in [0, stream length]; the window may be empty
 // (predCount ≥ succPos happens on hb1 cycles and for u's own stream).
 func (t *Timestamps) Window(u, p int) (predCount, succPos int32) {
-	c := t.scc.Comp[u]
+	c := t.row(u)
 	return int32(t.fw[c*t.width+p]), t.bw[c*t.width+p]
 }

@@ -5,39 +5,47 @@ import (
 	"testing"
 )
 
-// randStreamGraph builds a stream-structured digraph of the detector's
-// hb1 shape: width streams of random lengths chained by po edges, plus
-// cross random cross-edges (the so1 analogue). Cross edges may point
-// backward, so the graph can contain cycles — exactly the weak-execution
-// case (§3.1) the SCC layer of Timestamps exists for.
-func randStreamGraph(rng *rand.Rand, width, maxLen, cross int) (g *Digraph, stream, pos []int32) {
+// randStreams draws a Streams graph of the detector's hb1 shape: width
+// streams of 0..maxLen nodes chained in program order, each node with a
+// cross predecessor — any other node, backward included — with
+// probability pRel. It returns the same graph as an explicit Digraph,
+// built independently of Streams in the stream-major scan order (u→u+1
+// on reaching u, rel[v]→v on reaching v) that fixes Tarjan's numbering,
+// and the stream starts. Cross edges may close cycles — the
+// weak-execution case (§3.1) the per-component fallback exists for.
+func randStreams(rng *rand.Rand, width, maxLen int, pRel float64) (s *Streams, g *Digraph, base []int) {
+	base = make([]int, width)
 	n := 0
-	lens := make([]int, width)
-	for p := range lens {
-		lens[p] = 1 + rng.Intn(maxLen)
-		n += lens[p]
+	for p := range base {
+		base[p] = n
+		n += rng.Intn(maxLen + 1)
+	}
+	startsStream := make([]bool, n+1)
+	startsStream[n] = true
+	for _, b := range base {
+		if b < n {
+			startsStream[b] = true
+		}
+	}
+	rel := make([]int32, n)
+	for u := range rel {
+		rel[u] = -1
+		if v := rng.Intn(n); v != u && rng.Float64() < pRel {
+			rel[u] = int32(v)
+		}
 	}
 	g = New(n)
-	stream = make([]int32, n)
-	pos = make([]int32, n)
-	id := 0
-	for p := 0; p < width; p++ {
-		for i := 0; i < lens[p]; i++ {
-			stream[id] = int32(p)
-			pos[id] = int32(i)
-			if i > 0 {
-				g.AddEdge(id-1, id)
-			}
-			id++
+	for u := 0; u < n; u++ {
+		if !startsStream[u+1] {
+			g.AddEdge(u, u+1)
+		}
+		if rel[u] >= 0 {
+			g.AddEdge(int(rel[u]), u)
 		}
 	}
-	for i := 0; i < cross; i++ {
-		u, v := rng.Intn(n), rng.Intn(n)
-		if u != v {
-			g.AddEdgeUnique(u, v)
-		}
-	}
-	return g, stream, pos
+	s = new(Streams)
+	s.Reset(base, rel)
+	return s, g, base
 }
 
 // The timestamp layer must answer every reachability query exactly like
@@ -45,11 +53,14 @@ func randStreamGraph(rng *rand.Rand, width, maxLen, cross int) (g *Digraph, stre
 func TestQuickTimestampsMatchReachability(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 150; trial++ {
-		width := 1 + rng.Intn(5)
-		g, stream, pos := randStreamGraph(rng, width, 8, rng.Intn(25))
-		ts := NewTimestamps(g, stream, pos, width, nil)
+		s, g, _ := randStreams(rng, 1+rng.Intn(5), 8, rng.Float64()*0.4)
+		ts := NewTimestamps(s, nil)
 		r := NewReachability(g)
 		n := g.N()
+		// The merge falls back to per-component rows exactly on a cycle.
+		if cyclic := !IsAcyclic(g); cyclic != (ts.NumComponents() < n) {
+			t.Fatalf("trial %d: cyclic %v, but %d clock rows for %d nodes", trial, cyclic, ts.NumComponents(), n)
+		}
 		for u := 0; u < n; u++ {
 			for v := 0; v < n; v++ {
 				if got, want := ts.Reaches(u, v), r.Reaches(u, v); got != want {
@@ -74,17 +85,21 @@ func TestQuickTimestampsWindowMatchesClosure(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 150; trial++ {
 		width := 1 + rng.Intn(5)
-		g, stream, pos := randStreamGraph(rng, width, 8, rng.Intn(25))
-		ts := NewTimestamps(g, stream, pos, width, nil)
+		s, g, base := randStreams(rng, width, 8, rng.Float64()*0.4)
+		ts := NewTimestamps(s, nil)
 		r := NewReachability(g)
 		n := g.N()
-		// node id of stream p, position i — ids are assigned stream-major.
+		// node[p][i]: the node of stream p at position i — ids are
+		// assigned stream-major.
 		node := make([][]int, width)
-		for u := 0; u < n; u++ {
-			node[stream[u]] = append(node[stream[u]], 0)
-		}
-		for u := 0; u < n; u++ {
-			node[stream[u]][pos[u]] = u
+		for p := range node {
+			end := n
+			if p+1 < width {
+				end = base[p+1]
+			}
+			for u := base[p]; u < end; u++ {
+				node[p] = append(node[p], u)
+			}
 		}
 		for u := 0; u < n; u++ {
 			for p := 0; p < width; p++ {
@@ -108,8 +123,8 @@ func TestQuickTimestampsWindowMatchesClosure(t *testing.T) {
 // epoch exactly when u reaches v.
 func TestTimestampsEpochClockConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
-	g, stream, pos := randStreamGraph(rng, 4, 10, 20)
-	ts := NewTimestamps(g, stream, pos, 4, nil)
+	s, g, _ := randStreams(rng, 4, 10, 0.3)
+	ts := NewTimestamps(s, nil)
 	r := NewReachability(g)
 	for u := 0; u < g.N(); u++ {
 		for v := 0; v < g.N(); v++ {
@@ -123,75 +138,12 @@ func TestTimestampsEpochClockConsistency(t *testing.T) {
 	}
 }
 
+// Stream starts that do not fit the node count are rejected.
 func TestTimestampsSizeMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic for mismatched stream table")
 		}
 	}()
-	NewTimestamps(New(3), []int32{0, 0}, []int32{0, 1}, 1, nil)
-}
-
-// NewWithDegrees must behave exactly like New + AddEdge, including when a
-// node receives more edges than its declared degree (the list falls off
-// the slab and grows normally).
-func TestNewWithDegrees(t *testing.T) {
-	g := NewWithDegrees([]int32{2, 0, 1})
-	g.AddEdge(0, 1)
-	g.AddEdge(0, 2)
-	g.AddEdge(2, 0)
-	g.AddEdge(1, 0) // exceeds deg[1] = 0
-	g.AddEdge(1, 2) // keeps exceeding
-	want := [][]int{{1, 2}, {0, 2}, {0}}
-	for u, w := range want {
-		got := g.Succ(u)
-		if len(got) != len(w) {
-			t.Fatalf("Succ(%d) = %v, want %v", u, got, w)
-		}
-		for i := range w {
-			if got[i] != w[i] {
-				t.Fatalf("Succ(%d) = %v, want %v", u, got, w)
-			}
-		}
-	}
-	if g.M() != 5 {
-		t.Fatalf("M() = %d, want 5", g.M())
-	}
-}
-
-func TestQuickNewWithDegreesMatchesNew(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	for trial := 0; trial < 100; trial++ {
-		n := 1 + rng.Intn(20)
-		type edge struct{ u, v int }
-		var edges []edge
-		deg := make([]int32, n)
-		for i := rng.Intn(40); i > 0; i-- {
-			e := edge{rng.Intn(n), rng.Intn(n)}
-			edges = append(edges, e)
-			deg[e.u]++
-		}
-		// Undercount some degrees so the overflow path is exercised too.
-		for i := range deg {
-			if deg[i] > 0 && rng.Intn(4) == 0 {
-				deg[i]--
-			}
-		}
-		a, b := New(n), NewWithDegrees(deg)
-		for _, e := range edges {
-			a.AddEdge(e.u, e.v)
-			b.AddEdge(e.u, e.v)
-		}
-		for u := 0; u < n; u++ {
-			sa, sb := a.Succ(u), b.Succ(u)
-			if len(sa) != len(sb) {
-				t.Fatalf("trial %d: Succ(%d) lengths differ: %v vs %v", trial, u, sa, sb)
-			}
-			for i := range sa {
-				if sa[i] != sb[i] {
-					t.Fatalf("trial %d: Succ(%d) = %v vs %v", trial, u, sa, sb)
-				}
-			}
-		}
-	}
+	new(Streams).Reset([]int{0, 3}, []int32{-1, -1})
 }
