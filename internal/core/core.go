@@ -80,9 +80,9 @@ type Options struct {
 
 // Arena holds the per-Analyze scratch buffers that are NOT retained by
 // the returned Analysis: the so1 index and flat hb1, the flat
-// race-record buffers of the sweep, the G′ partner table, and the graph
-// layer's merge, Tarjan and condensation scratch. Zero value is ready to
-// use; see Options.Arena.
+// race-record buffers of the sweep, the G′ partner table, the partition
+// grouping table, and the graph layer's merge, Tarjan and condensation
+// scratch. Zero value is ready to use; see Options.Arena.
 type Arena struct {
 	rel []int32       // rel[event]: its so1 release, −1 when none
 	hb  graph.Streams // hb1 over rel: po chains plus so1 successor lists
@@ -106,6 +106,9 @@ type Arena struct {
 	slotLoc  []int32       // slot → location value (inverse of locSlot)
 	canon    []*bitset.Set // slot → current analysis's canonical {loc} set
 	locsBuf  []int         // locations the current analysis accesses
+	// partSlot maps a G′ component to 1 + the index of its partition
+	// while partition groups the races, 0 for a component without one.
+	partSlot []int32
 	scratch  graph.Scratch
 }
 
@@ -162,9 +165,9 @@ type Analysis struct {
 	// backward frontier, making ordering queries O(1) epoch compares and
 	// giving the race sweep and the provenance certificates their per-CPU
 	// interval boundaries directly. HBReaches/HBOrdered/HBWindow wrap it
-	// in event ids. hb1 itself is never built as a graph.Digraph: the
-	// clocks and G′'s Tarjan read po as position + 1 and so1 from the
-	// trace's pairing.
+	// in event ids. hb1 itself is held flat (graph.Streams): the clocks
+	// and G′'s Tarjan read po as position + 1 and so1 from the trace's
+	// pairing.
 	HBTime *graph.Timestamps
 	// AugSCC is the component structure of the augmented graph G′ — the
 	// partitions of §4.2. G′ is never materialized: the SCCs come from a
@@ -227,8 +230,8 @@ func (a *Analysis) Event(id EventID) *trace.Event {
 func (a *Analysis) RaceFree() bool { return len(a.Races) == 0 }
 
 // HBReaches reports u ⇝ v in hb1 (reflexively: HBReaches(u, u) is true).
-// The crosscheck harness pins the timestamps behind it to an explicit
-// transitive closure (graph.NewReachability) on every pair.
+// The crosscheck harness pins the timestamps behind it to the test-only
+// transitive closure of internal/oracle on every pair.
 func (a *Analysis) HBReaches(u, v EventID) bool {
 	return a.HBTime.Reaches(int(u), int(v))
 }
@@ -928,8 +931,7 @@ func (a *Analysis) buildImplicitAug() {
 	ar.partners = partners
 	scc := ar.hb.SCC(partners, &ar.scratch)
 	a.AugSCC = scc
-	dag := ar.hb.Condensation(partners, scc, &ar.scratch)
-	a.augCond = graph.NewCondReach(dag, scc)
+	a.augCond = graph.NewCondReach(&ar.hb, partners, scc, &ar.scratch)
 	a.augEdges = nEntries
 }
 
@@ -949,60 +951,50 @@ func vcFastpathHit() {
 // p" loop; each query source's condensation row is built by one memoized
 // DFS the first time it is asked (graph.CondReach).
 func (a *Analysis) partition(reg *telemetry.Registry, fl *flight) {
-	scc := a.AugSCC
-	byComp := map[int]*Partition{}
+	scc, ar := a.AugSCC, a.Options.Arena
+	k := scc.NumComponents()
+	if cap(ar.partSlot) < k {
+		ar.partSlot = make([]int32, k)
+	}
+	slot := ar.partSlot[:k]
+	clear(slot)
+	parts := []Partition{} // Partitions is non-nil even without data races
 	for ri, r := range a.Races {
 		// The doubly-directed race edge puts A and B on a common cycle, so
 		// both ends are always in the same component.
 		comp := scc.Comp[int(r.A)]
-		p := byComp[comp]
-		if p == nil {
-			p = &Partition{Component: comp}
-			byComp[comp] = p
+		if slot[comp] == 0 {
+			parts = append(parts, Partition{Component: comp})
+			slot[comp] = int32(len(parts))
 		}
+		p := &parts[slot[comp]-1]
 		p.Races = append(p.Races, ri)
+		p.Events = append(p.Events, r.A, r.B)
 	}
-	for _, p := range byComp {
-		seen := map[EventID]bool{}
-		for _, ri := range p.Races {
-			for _, id := range []EventID{a.Races[ri].A, a.Races[ri].B} {
-				if !seen[id] {
-					seen[id] = true
-					p.Events = append(p.Events, id)
-				}
-			}
-		}
-		sort.Slice(p.Events, func(i, j int) bool { return p.Events[i] < p.Events[j] })
+	for i := range parts {
+		slices.Sort(parts[i].Events)
+		parts[i].Events = slices.Compact(parts[i].Events)
 	}
-
-	parts := make([]*Partition, 0, len(byComp))
-	for _, p := range byComp {
-		parts = append(parts, p)
-	}
-	sort.Slice(parts, func(i, j int) bool { return parts[i].Events[0] < parts[j].Events[0] })
+	// Components are disjoint, so no two partitions share a smallest event.
+	slices.SortFunc(parts, func(p, q Partition) int { return cmp.Compare(p.Events[0], q.Events[0]) })
 
 	// A partition is first iff no OTHER data-race partition reaches it.
 	done := startPhase(reg, fl, "detect.condreach.order")
-	for i, p := range parts {
+	for i := range parts {
+		p := &parts[i]
 		p.First = true
 		for j, q := range parts {
-			if i == j {
-				continue
-			}
-			if a.augCond.ComponentReaches(q.Component, p.Component) {
+			if i != j && a.augCond.ComponentReaches(q.Component, p.Component) {
 				p.First = false
 				break
 			}
 		}
-	}
-	done()
-	a.Partitions = make([]Partition, len(parts))
-	for i, p := range parts {
-		a.Partitions[i] = *p
 		if p.First {
 			a.FirstPartitions = append(a.FirstPartitions, i)
 		}
 	}
+	done()
+	a.Partitions = parts
 }
 
 // PartitionPrecedes reports whether partition i precedes partition j in

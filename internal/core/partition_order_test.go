@@ -4,8 +4,8 @@ import (
 	"reflect"
 	"testing"
 
-	"weakrace/internal/graph"
 	"weakrace/internal/memmodel"
+	"weakrace/internal/oracle"
 	"weakrace/internal/trace"
 )
 
@@ -32,75 +32,18 @@ func chainTrace() *trace.Trace {
 	)
 }
 
-// explicitHB1 builds a's hb1 = po ∪ so1 as an explicit Digraph straight
-// from the trace, independent of the so1 index Analyze builds: a po
-// edge between consecutive events of each CPU, an so1 edge from each
-// policy-admitted acquire's observed release.
-func explicitHB1(a *Analysis) *graph.Digraph {
-	g := graph.New(a.NumEvents)
-	for c, evs := range a.Trace.PerCPU {
-		for i, ev := range evs {
-			id := int(a.ID(trace.EventRef{CPU: c, Index: i}))
-			if i+1 < len(evs) {
-				g.AddEdge(id, id+1)
-			}
-			if ev.Kind == trace.Sync && ev.Role == memmodel.RoleAcquire &&
-				ev.Observed.Valid() && a.Options.Pairing.CanPair(ev.ObservedRole) {
-				g.AddEdge(int(a.ID(ev.Observed)), id)
-			}
-		}
-	}
-	return g
-}
-
-// explicitOrder recomputes a's data races and partition order from
-// explicit closures alone: every conflicting pair that the closure of
-// explicitHB1 leaves unordered is a race and a
+// explicitOrder recomputes a's data races and partition order with
+// internal/oracle's G′ oracle alone: every conflicting pair that the
+// closure of the explicit hb1 leaves unordered is a race and a
 // doubly-directed edge of an explicitly built G′, and partition i
 // precedes j iff the closure of that G′ reaches j's events from i's.
 func explicitOrder(a *Analysis) (races [][2]EventID, precedes func(i, j int) bool) {
-	type access struct {
-		loc   int
-		write bool
+	o := oracle.NewGPrime(a.Trace, a.Options.Pairing)
+	for _, r := range o.Races {
+		races = append(races, [2]EventID{EventID(r.A), EventID(r.B)})
 	}
-	accesses := func(ev *trace.Event) []access {
-		if ev.Kind == trace.Sync {
-			return []access{{int(ev.Loc), ev.IsWriteSync()}}
-		}
-		var out []access
-		ev.Writes.Range(func(l int) bool { out = append(out, access{l, true}); return true })
-		ev.Reads.Range(func(l int) bool { out = append(out, access{l, false}); return true })
-		return out
-	}
-	conflict := func(x, y *trace.Event) bool {
-		for _, ax := range accesses(x) {
-			for _, ay := range accesses(y) {
-				if ax.loc == ay.loc && (ax.write || ay.write) {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	hb1 := explicitHB1(a)
-	hb := graph.NewReachability(hb1)
-	gp := hb1.Clone()
-	for u := 0; u < a.NumEvents; u++ {
-		for v := u + 1; v < a.NumEvents; v++ {
-			eu, ev := a.Event(EventID(u)), a.Event(EventID(v))
-			if hb.Ordered(u, v) || !conflict(eu, ev) {
-				continue
-			}
-			gp.AddEdge(u, v)
-			gp.AddEdge(v, u)
-			if eu.Kind == trace.Comp || ev.Kind == trace.Comp {
-				races = append(races, [2]EventID{EventID(u), EventID(v)})
-			}
-		}
-	}
-	closure := graph.NewReachability(gp)
 	return races, func(i, j int) bool {
-		return closure.Reaches(int(a.Partitions[i].Events[0]), int(a.Partitions[j].Events[0]))
+		return o.Reach.Reaches(int(a.Partitions[i].Events[0]), int(a.Partitions[j].Events[0]))
 	}
 }
 

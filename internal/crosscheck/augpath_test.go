@@ -8,6 +8,7 @@ import (
 
 	"weakrace/internal/core"
 	"weakrace/internal/memmodel"
+	"weakrace/internal/oracle"
 	"weakrace/internal/sim"
 	"weakrace/internal/trace"
 	"weakrace/internal/workload"
@@ -57,13 +58,13 @@ func TestImplicitVsExplicitAugmentedGraph(t *testing.T) {
 			syncy++
 		}
 		mixed += mixedRaces(a)
-		o := newGPrimeOracle(in.tr, memmodel.ConservativePairing)
+		o := oracle.NewGPrime(in.tr, memmodel.ConservativePairing)
 		for ri, x := range a.Races {
 			for rj, y := range a.Races {
 				want := false
 				for _, u := range []core.EventID{x.A, x.B} {
 					for _, v := range []core.EventID{y.A, y.B} {
-						want = want || o.gReach[u][v]
+						want = want || o.Reach.Reaches(int(u), int(v))
 					}
 				}
 				if got := a.Affects(ri, rj); got != want {

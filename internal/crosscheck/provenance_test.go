@@ -7,8 +7,8 @@ import (
 	"testing"
 
 	"weakrace/internal/core"
-	"weakrace/internal/graph"
 	"weakrace/internal/memmodel"
+	"weakrace/internal/oracle"
 	"weakrace/internal/provenance"
 	"weakrace/internal/sim"
 	"weakrace/internal/trace"
@@ -19,7 +19,7 @@ import (
 // absence certificates against a fully materialized transitive closure
 // of the hb1 graph. The engine reads each boundary off the hb1
 // timestamps (core.Analysis.HBWindow); here every boundary is recomputed
-// by linear scan over graph.NewReachability, the prefix/suffix
+// by linear scan over internal/oracle's closure, the prefix/suffix
 // monotonicity the windows rely on is checked event by event, and the racing partner is confirmed to
 // lie strictly inside the bracket (i.e. the certificate really proves
 // hb1-unorderedness).
@@ -53,7 +53,7 @@ func TestCertificatesAgainstExplicitClosure(t *testing.T) {
 		if a.RaceFree() {
 			continue
 		}
-		closure := graph.NewReachability(explicitHB1(a.Trace, a.Options.Pairing))
+		closure := oracle.NewClosure(oracle.HB1(a.Trace, a.Options.Pairing))
 		ws, err := provenance.NewExplainer(a).All()
 		if err != nil {
 			t.Fatal(err)
@@ -72,7 +72,7 @@ func TestCertificatesAgainstExplicitClosure(t *testing.T) {
 // checkBoundary recomputes the bracket that event x cuts out of the
 // partner's processor stream by brute force over the explicit closure
 // and compares it with the certificate's boundary.
-func checkBoundary(t *testing.T, a *core.Analysis, closure *graph.Reachability, x int, b provenance.Boundary, partner provenance.Side) {
+func checkBoundary(t *testing.T, a *core.Analysis, closure *oracle.Closure, x int, b provenance.Boundary, partner provenance.Side) {
 	t.Helper()
 	if b.CPU != partner.CPU || b.Partner != partner.Index {
 		t.Fatalf("boundary names cpu %d partner %d; racing side is P%d index %d",
@@ -147,23 +147,23 @@ func TestWitnessesImplicitVsExplicitAug(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		o := newGPrimeOracle(tr, memmodel.ConservativePairing)
+		o := oracle.NewGPrime(tr, memmodel.ConservativePairing)
 		ws, err := provenance.NewExplainer(a).All()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(ws) != len(o.races) {
-			t.Fatalf("trial %d: %d witnesses, oracle has %d data races", trial, len(ws), len(o.races))
+		if len(ws) != len(o.Races) {
+			t.Fatalf("trial %d: %d witnesses, oracle has %d data races", trial, len(ws), len(o.Races))
 		}
-		precedes := func(i, j int) bool { return i != j && o.gReach[o.parts[i].events[0]][o.parts[j].events[0]] }
+		precedes := func(i, j int) bool { return i != j && o.Precedes(i, j) }
 		for _, wit := range ws {
 			ctx := fmt.Sprintf("trial %d (%s, %v, seed %d) race %d", trial, w.Name, model, seed, wit.Race)
-			rc := o.races[wit.Race]
-			if wit.A.Event != rc.a || wit.B.Event != rc.b || !wit.Data {
-				t.Fatalf("%s: witness sides %d,%d data=%v, oracle race %d,%d", ctx, wit.A.Event, wit.B.Event, wit.Data, rc.a, rc.b)
+			rc := o.Races[wit.Race]
+			if wit.A.Event != rc.A || wit.B.Event != rc.B || !wit.Data {
+				t.Fatalf("%s: witness sides %d,%d data=%v, oracle race %d,%d", ctx, wit.A.Event, wit.B.Event, wit.Data, rc.A, rc.B)
 			}
-			p := o.parts[wit.Partition]
-			if !slices.Contains(p.races, wit.Race) || wit.First != p.first {
+			p := o.Parts[wit.Partition]
+			if !slices.Contains(p.Races, wit.Race) || wit.First != p.First {
 				t.Fatalf("%s: witness partition %d first=%v; oracle partition %+v", ctx, wit.Partition, wit.First, p)
 			}
 			if wit.First {
@@ -174,14 +174,14 @@ func TestWitnessesImplicitVsExplicitAug(t *testing.T) {
 			}
 			chains++
 			c := wit.Chain
-			if len(c) < 2 || !o.parts[c[0]].first || c[len(c)-1] != wit.Partition {
+			if len(c) < 2 || !o.Parts[c[0]].First || c[len(c)-1] != wit.Partition {
 				t.Fatalf("%s: chain %v does not run from a first partition to %d", ctx, c, wit.Partition)
 			}
 			for k := 0; k+1 < len(c); k++ {
 				if !precedes(c[k], c[k+1]) {
 					t.Fatalf("%s: chain hop %d→%d is not in the oracle's partition order", ctx, c[k], c[k+1])
 				}
-				for m := range o.parts {
+				for m := range o.Parts {
 					if precedes(c[k], m) && precedes(m, c[k+1]) {
 						t.Fatalf("%s: chain hop %d→%d skips partition %d", ctx, c[k], c[k+1], m)
 					}

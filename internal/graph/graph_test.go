@@ -4,75 +4,59 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"weakrace/internal/oracle"
 )
 
-// line returns the path graph 0→1→…→n-1.
-func line(n int) *Digraph {
-	g := New(n)
-	for i := 0; i+1 < n; i++ {
-		g.AddEdge(i, i+1)
+// streamsOf returns the Streams graph of n nodes in streams starting at
+// base, with one cross edge from→to per pair in cross.
+func streamsOf(n int, base []int, cross ...[2]int32) *Streams {
+	rel := make([]int32, n)
+	for i := range rel {
+		rel[i] = -1
 	}
-	return g
+	for _, e := range cross {
+		rel[e[1]] = e[0]
+	}
+	s := new(Streams)
+	s.Reset(base, rel)
+	return s
 }
 
-// cycle returns the cycle graph 0→1→…→n-1→0.
-func cycle(n int) *Digraph {
-	g := line(n)
-	g.AddEdge(n-1, 0)
-	return g
+// twoCycles is 0↔1 → 2↔3 plus an isolated 4: streams {0,1}, {2,3}, {4}
+// with cross edges 1→0, 3→2 and the bridge 1→3.
+func twoCycles() *Streams {
+	return streamsOf(5, []int{0, 2, 4}, [2]int32{1, 0}, [2]int32{3, 2}, [2]int32{1, 3})
 }
 
 func TestBasicAccessors(t *testing.T) {
-	g := New(3)
-	if g.N() != 3 || g.M() != 0 {
-		t.Fatalf("N,M = %d,%d; want 3,0", g.N(), g.M())
+	s := twoCycles()
+	if s.N() != 5 || s.M() != 5 || s.Width() != 3 {
+		t.Fatalf("N,M,Width = %d,%d,%d; want 5,5,3", s.N(), s.M(), s.Width())
 	}
-	g.AddEdge(0, 1)
-	g.AddEdge(0, 1) // parallel edge allowed
-	g.AddEdgeUnique(0, 1)
-	g.AddEdgeUnique(0, 2)
-	if g.M() != 3 {
-		t.Fatalf("M = %d, want 3 (unique suppressed one duplicate)", g.M())
+	for u, want := range []int{0, 0, 1, 1, 2} {
+		if s.Stream(u) != want {
+			t.Fatalf("Stream(%d) = %d, want %d", u, s.Stream(u), want)
+		}
 	}
-	if !g.HasEdge(0, 1) || g.HasEdge(1, 0) {
-		t.Fatal("HasEdge wrong")
-	}
-	if len(g.Succ(0)) != 3 {
-		t.Fatalf("Succ(0) = %v", g.Succ(0))
+	// Cross targets below u, then u+1, then cross targets above u.
+	if got := s.Succ(1); len(got) != 2 || got[0] != 0 || got[1] != 3 {
+		t.Fatalf("Succ(1) = %v, want [0 3]", got)
 	}
 }
 
+// A cross predecessor outside the node range is rejected.
 func TestOutOfRangePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("AddEdge out of range did not panic")
+			t.Fatal("no panic for an out-of-range cross predecessor")
 		}
 	}()
-	New(2).AddEdge(0, 2)
-}
-
-func TestCloneIndependent(t *testing.T) {
-	g := line(3)
-	c := g.Clone()
-	c.AddEdge(2, 0)
-	if g.HasEdge(2, 0) {
-		t.Fatal("Clone shares adjacency storage")
-	}
-	if g.M() != 2 || c.M() != 3 {
-		t.Fatalf("edge counts g=%d c=%d", g.M(), c.M())
-	}
-}
-
-func TestReverse(t *testing.T) {
-	g := line(3)
-	r := g.Reverse()
-	if !r.HasEdge(1, 0) || !r.HasEdge(2, 1) || r.HasEdge(0, 1) {
-		t.Fatal("Reverse wrong")
-	}
+	new(Streams).Reset([]int{0}, []int32{-1, 2})
 }
 
 func TestSCCLine(t *testing.T) {
-	scc := StronglyConnected(line(4))
+	scc := streamsOf(4, []int{0}).SCC(nil, nil)
 	if scc.NumComponents() != 4 {
 		t.Fatalf("components = %d, want 4", scc.NumComponents())
 	}
@@ -85,14 +69,9 @@ func TestSCCLine(t *testing.T) {
 }
 
 func TestSCCCycle(t *testing.T) {
-	scc := StronglyConnected(cycle(5))
-	if scc.NumComponents() != 1 {
-		t.Fatalf("components = %d, want 1", scc.NumComponents())
-	}
-	for u := 0; u < 5; u++ {
-		if !scc.SameComponent(0, u) {
-			t.Fatalf("nodes 0 and %d not in same component", u)
-		}
+	scc := streamsOf(5, []int{0}, [2]int32{4, 0}).SCC(nil, nil)
+	if scc.NumComponents() != 1 || scc.MaxSize() != 5 {
+		t.Fatalf("components = %d of max size %d, want 1 of 5", scc.NumComponents(), scc.MaxSize())
 	}
 	if len(scc.Members(0)) != 5 {
 		t.Fatalf("Members(0) = %v", scc.Members(0))
@@ -100,111 +79,88 @@ func TestSCCCycle(t *testing.T) {
 }
 
 func TestSCCTwoCyclesBridge(t *testing.T) {
-	// 0↔1 → 2↔3, plus isolated 4.
-	g := New(5)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 0)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	g.AddEdge(3, 2)
-	scc := StronglyConnected(g)
+	scc := twoCycles().SCC(nil, nil)
 	if scc.NumComponents() != 3 {
 		t.Fatalf("components = %d, want 3", scc.NumComponents())
 	}
-	if !scc.SameComponent(0, 1) || !scc.SameComponent(2, 3) || scc.SameComponent(1, 2) || scc.SameComponent(4, 0) {
-		t.Fatalf("component assignment wrong: %v", scc.Comp)
+	c := scc.Comp
+	if c[0] != c[1] || c[2] != c[3] || c[1] == c[2] || c[4] == c[0] {
+		t.Fatalf("component assignment wrong: %v", c)
 	}
 	// Reverse topological numbering: {2,3} must be numbered before {0,1}.
-	if scc.Comp[2] >= scc.Comp[0] {
-		t.Fatalf("condensation numbering not reverse-topological: %v", scc.Comp)
+	if c[2] >= c[0] {
+		t.Fatalf("condensation numbering not reverse-topological: %v", c)
 	}
 }
 
+// A partner duplicating a cross edge between the same two components
+// must collapse into one condensation edge.
 func TestCondensation(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 0)
-	g.AddEdge(1, 2)
-	g.AddEdge(1, 2) // duplicate cross edge must collapse
-	g.AddEdge(2, 3)
-	scc := StronglyConnected(g)
-	dag := Condensation(g, scc)
-	if dag.N() != 3 {
-		t.Fatalf("condensation nodes = %d, want 3", dag.N())
+	s := streamsOf(4, []int{0, 2}, [2]int32{1, 0}, [2]int32{1, 2})
+	partners := []int32{-1, -1, -1, 2, -1, -1, -1, -1} // 1→2 again
+	scc := s.SCC(partners, nil)
+	cr := NewCondReach(s, partners, scc, nil)
+	if scc.NumComponents() != 3 {
+		t.Fatalf("components = %d, want 3", scc.NumComponents())
 	}
-	if dag.M() != 2 {
-		t.Fatalf("condensation edges = %d, want 2 (duplicates collapsed)", dag.M())
+	if len(cr.succ) != 2 {
+		t.Fatalf("condensation edges = %v, want 2 (duplicates collapsed)", cr.succ)
 	}
-	if !IsAcyclic(dag) {
-		t.Fatal("condensation has a cycle")
-	}
+}
+
+// reachers returns the two production answers to "does u reach v" over
+// s: vector-clock timestamps and the condensation's CondReach.
+func reachers(s *Streams) map[string]func(u, v int) bool {
+	cr := NewCondReach(s, nil, s.SCC(nil, nil), nil)
+	return map[string]func(u, v int) bool{"timestamps": NewTimestamps(s, nil).Reaches, "condreach": cr.Reaches}
 }
 
 func TestReachabilityLine(t *testing.T) {
-	r := NewReachability(line(4))
-	for u := 0; u < 4; u++ {
-		for v := 0; v < 4; v++ {
-			want := u <= v
-			if got := r.Reaches(u, v); got != want {
-				t.Fatalf("Reaches(%d,%d) = %v, want %v", u, v, got, want)
+	for name, reaches := range reachers(streamsOf(4, []int{0})) {
+		for u := 0; u < 4; u++ {
+			for v := 0; v < 4; v++ {
+				if got, want := reaches(u, v), u <= v; got != want {
+					t.Fatalf("%s: Reaches(%d,%d) = %v, want %v", name, u, v, got, want)
+				}
 			}
 		}
-	}
-	if r.ReachesProper(2, 2) {
-		t.Fatal("ReachesProper(2,2) on a line should be false")
-	}
-	if !r.Ordered(0, 3) || !r.Ordered(3, 0) {
-		t.Fatal("Ordered symmetric check failed")
 	}
 }
 
 func TestReachabilityDiamondUnordered(t *testing.T) {
 	// 0→1, 0→2, 1→3, 2→3: 1 and 2 are unordered (a "race" shape).
-	g := New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(0, 2)
-	g.AddEdge(1, 3)
-	g.AddEdge(2, 3)
-	r := NewReachability(g)
-	if r.Ordered(1, 2) {
-		t.Fatal("diamond arms reported ordered")
-	}
-	if !r.Reaches(0, 3) {
-		t.Fatal("0 should reach 3")
+	s := streamsOf(4, []int{0, 2}, [2]int32{0, 2}, [2]int32{1, 3})
+	for name, reaches := range reachers(s) {
+		if reaches(1, 2) || reaches(2, 1) {
+			t.Fatalf("%s: diamond arms reported ordered", name)
+		}
+		if !reaches(0, 3) {
+			t.Fatalf("%s: 0 should reach 3", name)
+		}
 	}
 }
 
 func TestReachabilityWithCycle(t *testing.T) {
 	// 0→1→2→1 (cycle {1,2}), 2→3.
-	g := New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 1)
-	g.AddEdge(2, 3)
-	r := NewReachability(g)
-	if !r.Reaches(1, 1) || !r.Reaches(2, 1) || !r.Reaches(1, 3) {
-		t.Fatal("cycle reachability wrong")
+	s := streamsOf(4, []int{0}, [2]int32{2, 1})
+	for name, reaches := range reachers(s) {
+		if !reaches(1, 1) || !reaches(2, 1) || !reaches(1, 3) {
+			t.Fatalf("%s: cycle reachability wrong", name)
+		}
+		if reaches(3, 0) {
+			t.Fatalf("%s: 3 should not reach 0", name)
+		}
 	}
-	if !r.ReachesProper(1, 1) {
-		t.Fatal("node on cycle should properly reach itself")
-	}
-	if r.ReachesProper(0, 0) {
-		t.Fatal("node off cycle should not properly reach itself")
-	}
-	if r.Reaches(3, 0) {
-		t.Fatal("3 should not reach 0")
+	ts := NewTimestamps(s, nil)
+	if !ts.ReachesProper(1, 1) || ts.ReachesProper(0, 0) {
+		t.Fatal("only a node on the cycle properly reaches itself")
 	}
 }
 
 func TestComponentReaches(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 0) // comp A
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	g.AddEdge(3, 2) // comp B
-	r := NewReachability(g)
-	scc := r.SCC()
+	s := twoCycles()
+	scc := s.SCC(nil, nil)
+	r := NewCondReach(s, nil, scc, nil)
 	ca, cb := scc.Comp[0], scc.Comp[2]
 	if !r.ComponentReaches(ca, cb) {
 		t.Fatal("component A should reach component B")
@@ -214,62 +170,14 @@ func TestComponentReaches(t *testing.T) {
 	}
 }
 
-func TestTopologicalOrder(t *testing.T) {
-	g := New(5)
-	g.AddEdge(0, 2)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	g.AddEdge(2, 4)
-	order, err := TopologicalOrder(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pos := make([]int, 5)
-	for i, v := range order {
-		pos[v] = i
-	}
-	for u := 0; u < 5; u++ {
-		for _, v := range g.Succ(u) {
-			if pos[u] >= pos[v] {
-				t.Fatalf("topological order violates edge %d→%d: %v", u, v, order)
-			}
-		}
-	}
-}
-
-func TestTopologicalOrderCycleError(t *testing.T) {
-	if _, err := TopologicalOrder(cycle(3)); err == nil {
-		t.Fatal("cycle not reported")
-	}
-	if IsAcyclic(cycle(3)) {
-		t.Fatal("IsAcyclic(cycle) = true")
-	}
-	if !IsAcyclic(line(3)) {
-		t.Fatal("IsAcyclic(line) = false")
-	}
-}
-
-// randomGraph builds a digraph with n nodes, edge probability p.
-func randomGraph(rng *rand.Rand, n int, p float64) *Digraph {
-	g := New(n)
-	for u := 0; u < n; u++ {
-		for v := 0; v < n; v++ {
-			if u != v && rng.Float64() < p {
-				g.AddEdge(u, v)
-			}
-		}
-	}
-	return g
-}
-
 // bruteReach computes reachability by DFS for cross-checking.
-func bruteReach(g *Digraph, u int) map[int]bool {
+func bruteReach(adj [][]int, u int) map[int]bool {
 	seen := map[int]bool{u: true}
 	stack := []int{u}
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, w := range g.Succ(v) {
+		for _, w := range adj[v] {
 			if !seen[w] {
 				seen[w] = true
 				stack = append(stack, w)
@@ -279,16 +187,16 @@ func bruteReach(g *Digraph, u int) map[int]bool {
 	return seen
 }
 
-// Property: fast reachability matches brute-force DFS on random graphs.
+// Property: CondReach over hb1 alone (no partner table) matches
+// brute-force DFS on random stream graphs.
 func TestQuickReachabilityMatchesDFS(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(30)
-		g := randomGraph(rng, n, 0.12)
-		r := NewReachability(g)
-		for u := 0; u < n; u++ {
-			reach := bruteReach(g, u)
-			for v := 0; v < n; v++ {
+		s, adj, _ := randStreams(rng, 1+rng.Intn(5), 8, 0.3)
+		r := NewCondReach(s, nil, s.SCC(nil, nil), nil)
+		for u := range adj {
+			reach := bruteReach(adj, u)
+			for v := range adj {
 				if r.Reaches(u, v) != reach[v] {
 					return false
 				}
@@ -301,18 +209,19 @@ func TestQuickReachabilityMatchesDFS(t *testing.T) {
 	}
 }
 
-// Property: SCC partition is consistent with mutual reachability.
+// Property: the SCC partition of a stream graph plus partners is
+// consistent with mutual reachability.
 func TestQuickSCCMutualReachability(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(25)
-		g := randomGraph(rng, n, 0.15)
-		scc := StronglyConnected(g)
-		for u := 0; u < n; u++ {
-			ru := bruteReach(g, u)
-			for v := 0; v < n; v++ {
-				mutual := ru[v] && bruteReach(g, v)[u]
-				if scc.SameComponent(u, v) != mutual {
+		s, adj, base := randStreams(rng, 1+rng.Intn(5), 6, 0.2)
+		partners, union := randomPartners(rng, s, adj, base, 0.15)
+		scc := s.SCC(partners, nil)
+		r := oracle.NewClosure(union)
+		for u := range union {
+			for v := range union {
+				mutual := r.Reaches(u, v) && r.Reaches(v, u)
+				if (scc.Comp[u] == scc.Comp[v]) != mutual {
 					return false
 				}
 			}
@@ -324,17 +233,19 @@ func TestQuickSCCMutualReachability(t *testing.T) {
 	}
 }
 
-// Property: every SCC numbering is reverse-topological over the condensation.
+// Property: every SCC numbering is reverse-topological over the
+// condensation — each edge, partner edges included, stays in its
+// component or goes to a lower id.
 func TestQuickSCCNumberingReverseTopological(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(25)
-		g := randomGraph(rng, n, 0.15)
-		scc := StronglyConnected(g)
-		for u := 0; u < n; u++ {
-			for _, v := range g.Succ(u) {
-				if scc.Comp[u] != scc.Comp[v] && scc.Comp[u] < scc.Comp[v] {
-					return false // cross edge must go to a lower id
+		s, adj, base := randStreams(rng, 1+rng.Intn(5), 6, 0.2)
+		partners, union := randomPartners(rng, s, adj, base, 0.15)
+		scc := s.SCC(partners, nil)
+		for u, vs := range union {
+			for _, v := range vs {
+				if scc.Comp[u] < scc.Comp[v] {
+					return false
 				}
 			}
 		}
@@ -346,11 +257,10 @@ func TestQuickSCCNumberingReverseTopological(t *testing.T) {
 }
 
 func TestSCCDeepRecursionSafe(t *testing.T) {
-	// A 200k-node path would overflow a recursive Tarjan; the iterative one
-	// must handle it.
+	// A 200k-event stream would overflow a recursive Tarjan; the
+	// iterative one must handle it.
 	const n = 200_000
-	g := line(n)
-	scc := StronglyConnected(g)
+	scc := streamsOf(n, []int{0}).SCC(nil, nil)
 	if scc.NumComponents() != n {
 		t.Fatalf("components = %d, want %d", scc.NumComponents(), n)
 	}
@@ -358,18 +268,11 @@ func TestSCCDeepRecursionSafe(t *testing.T) {
 
 func BenchmarkSCCRandom(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
-	g := randomGraph(rng, 2000, 0.002)
+	s, adj, base := randStreams(rng, 8, 500, 0.05)
+	partners, _ := randomPartners(rng, s, adj, base, 0.05)
+	var sc Scratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		StronglyConnected(g)
-	}
-}
-
-func BenchmarkReachabilityBuild(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	g := randomGraph(rng, 1000, 0.004)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		NewReachability(g)
+		s.SCC(partners, &sc)
 	}
 }

@@ -111,30 +111,3 @@ func (s *Streams) Stream(u int) int { return int(s.stream[u]) }
 // Succ returns u's successors in the order Tarjan visits them. The slice
 // aliases s's storage and must not be mutated.
 func (s *Streams) Succ(u int) []int32 { return s.succ[s.off[u]:s.off[u+1]] }
-
-// flat returns s overlaid with a partner table: nil, or one row of
-// Width() entries per node, each a successor or −1.
-func (s *Streams) flat(partners []int32) flat {
-	w := s.Width()
-	if partners != nil && len(partners) != s.N()*w {
-		panic(fmt.Sprintf("graph: partner table of %d entries for %d nodes × %d streams", len(partners), s.N(), w))
-	}
-	return flat{off: s.off, succ: s.succ, extra: partners, width: w}
-}
-
-// SCC computes the strongly connected components of s plus, when
-// partners is non-nil, the partner edges u→partners[u*Width()+p] of
-// every entry that is not −1: the detector's augmented graph G′, whose
-// race edges reach it as a dense events × CPUs table of per-CPU minimal
-// partners. Each node's partners follow its own successors, in row
-// order. sc (optional) supplies the Tarjan scratch; the result is
-// freshly allocated.
-func (s *Streams) SCC(partners []int32, sc *Scratch) *SCC {
-	return tarjan(s.flat(partners), sc)
-}
-
-// Condensation builds the condensation DAG of s plus partners (see SCC)
-// under the given component assignment.
-func (s *Streams) Condensation(partners []int32, scc *SCC, sc *Scratch) *Digraph {
-	return condense(s.flat(partners), scc, sc)
-}

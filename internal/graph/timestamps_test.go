@@ -2,18 +2,21 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
+
+	"weakrace/internal/oracle"
 )
 
 // randStreams draws a Streams graph of the detector's hb1 shape: width
 // streams of 0..maxLen nodes chained in program order, each node with a
 // cross predecessor — any other node, backward included — with
-// probability pRel. It returns the same graph as an explicit Digraph,
-// built independently of Streams in the stream-major scan order (u→u+1
-// on reaching u, rel[v]→v on reaching v) that fixes Tarjan's numbering,
-// and the stream starts. Cross edges may close cycles — the
+// probability pRel. It returns the same graph as plain adjacency lists
+// for the oracle, built independently of Streams in the stream-major
+// scan order (u→u+1 on reaching u, rel[v]→v on reaching v) that fixes
+// Tarjan's numbering, and the stream starts. Cross edges may close cycles — the
 // weak-execution case (§3.1) the per-component fallback exists for.
-func randStreams(rng *rand.Rand, width, maxLen int, pRel float64) (s *Streams, g *Digraph, base []int) {
+func randStreams(rng *rand.Rand, width, maxLen int, pRel float64) (s *Streams, adj [][]int, base []int) {
 	base = make([]int, width)
 	n := 0
 	for p := range base {
@@ -34,18 +37,29 @@ func randStreams(rng *rand.Rand, width, maxLen int, pRel float64) (s *Streams, g
 			rel[u] = int32(v)
 		}
 	}
-	g = New(n)
+	adj = make([][]int, n)
 	for u := 0; u < n; u++ {
 		if !startsStream[u+1] {
-			g.AddEdge(u, u+1)
+			adj[u] = append(adj[u], u+1)
 		}
 		if rel[u] >= 0 {
-			g.AddEdge(int(rel[u]), u)
+			adj[rel[u]] = append(adj[rel[u]], u)
 		}
 	}
 	s = new(Streams)
 	s.Reset(base, rel)
-	return s, g, base
+	return s, adj, base
+}
+
+// reachesProper answers Timestamps.ReachesProper by the oracle closure:
+// a non-empty path from u to v is an edge out of u, then a path to v.
+func reachesProper(r *oracle.Closure, adj [][]int, u, v int) bool {
+	for _, w := range adj[u] {
+		if r.Reaches(w, v) {
+			return true
+		}
+	}
+	return false
 }
 
 // The timestamp layer must answer every reachability query exactly like
@@ -53,12 +67,13 @@ func randStreams(rng *rand.Rand, width, maxLen int, pRel float64) (s *Streams, g
 func TestQuickTimestampsMatchReachability(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 150; trial++ {
-		s, g, _ := randStreams(rng, 1+rng.Intn(5), 8, rng.Float64()*0.4)
+		s, adj, _ := randStreams(rng, 1+rng.Intn(5), 8, rng.Float64()*0.4)
 		ts := NewTimestamps(s, nil)
-		r := NewReachability(g)
-		n := g.N()
+		r := oracle.NewClosure(adj)
+		n := len(adj)
 		// The merge falls back to per-component rows exactly on a cycle.
-		if cyclic := !IsAcyclic(g); cyclic != (ts.NumComponents() < n) {
+		components := slices.Max(append(oracle.Tarjan(adj), -1)) + 1
+		if cyclic := components < n; cyclic != (ts.NumComponents() < n) {
 			t.Fatalf("trial %d: cyclic %v, but %d clock rows for %d nodes", trial, cyclic, ts.NumComponents(), n)
 		}
 		for u := 0; u < n; u++ {
@@ -66,7 +81,7 @@ func TestQuickTimestampsMatchReachability(t *testing.T) {
 				if got, want := ts.Reaches(u, v), r.Reaches(u, v); got != want {
 					t.Fatalf("trial %d: Reaches(%d,%d) = %v, closure says %v", trial, u, v, got, want)
 				}
-				if got, want := ts.ReachesProper(u, v), r.ReachesProper(u, v); got != want {
+				if got, want := ts.ReachesProper(u, v), reachesProper(r, adj, u, v); got != want {
 					t.Fatalf("trial %d: ReachesProper(%d,%d) = %v, closure says %v", trial, u, v, got, want)
 				}
 				if got, want := ts.Ordered(u, v), r.Ordered(u, v); got != want {
@@ -85,10 +100,10 @@ func TestQuickTimestampsWindowMatchesClosure(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 150; trial++ {
 		width := 1 + rng.Intn(5)
-		s, g, base := randStreams(rng, width, 8, rng.Float64()*0.4)
+		s, adj, base := randStreams(rng, width, 8, rng.Float64()*0.4)
 		ts := NewTimestamps(s, nil)
-		r := NewReachability(g)
-		n := g.N()
+		r := oracle.NewClosure(adj)
+		n := len(adj)
 		// node[p][i]: the node of stream p at position i — ids are
 		// assigned stream-major.
 		node := make([][]int, width)
@@ -123,11 +138,11 @@ func TestQuickTimestampsWindowMatchesClosure(t *testing.T) {
 // epoch exactly when u reaches v.
 func TestTimestampsEpochClockConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
-	s, g, _ := randStreams(rng, 4, 10, 0.3)
+	s, adj, _ := randStreams(rng, 4, 10, 0.3)
 	ts := NewTimestamps(s, nil)
-	r := NewReachability(g)
-	for u := 0; u < g.N(); u++ {
-		for v := 0; v < g.N(); v++ {
+	r := oracle.NewClosure(adj)
+	for u := range adj {
+		for v := range adj {
 			if u == v {
 				continue
 			}
