@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"weakrace/internal/bitset"
 	"weakrace/internal/memmodel"
 	"weakrace/internal/sim"
 	"weakrace/internal/telemetry"
@@ -170,7 +169,7 @@ func TestRunClockCellCap(t *testing.T) {
 	const cpus = 1 << 16
 	tr := &trace.Trace{ProgramName: "wide", NumCPUs: cpus, NumLocations: 1, PerCPU: make([][]*trace.Event, cpus)}
 	for c := range tr.PerCPU {
-		tr.PerCPU[c] = []*trace.Event{{Kind: trace.Comp, Reads: bitset.FromSlice([]int{0}), Writes: bitset.New(0),
+		tr.PerCPU[c] = []*trace.Event{{Kind: trace.Comp, Reads: trace.Locs{0},
 			SyncSeq: -1, Observed: trace.NoEvent}}
 	}
 	var buf bytes.Buffer

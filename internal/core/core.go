@@ -36,7 +36,6 @@ import (
 	"strconv"
 	"sync"
 
-	"weakrace/internal/bitset"
 	"weakrace/internal/graph"
 	"weakrace/internal/memmodel"
 	"weakrace/internal/program"
@@ -64,7 +63,8 @@ type Options struct {
 	// goroutine. It remains only so existing callers keep compiling.
 	Workers int
 	// Arena, when non-nil, supplies reusable per-Analyze scratch buffers
-	// (race records, SCC stacks, the G′ partner table). A campaign hands one
+	// (the location-sorted access slab, race records, SCC stacks, the G′
+	// partner table). A campaign hands one
 	// arena per in-flight seed down so repeated analyses stop re-allocating
 	// the same megabyte-scale buffers. An Arena must not be shared by
 	// concurrent Analyze calls.
@@ -79,8 +79,8 @@ type Options struct {
 }
 
 // Arena holds the per-Analyze scratch buffers that are NOT retained by
-// the returned Analysis: the so1 index and flat hb1, the flat
-// race-record buffers of the sweep, the G′ partner table, the partition
+// the returned Analysis: the so1 index and flat hb1, the sweep's access
+// slab and flat record buffers, the G′ partner table, the partition
 // grouping table, and the graph layer's merge, Tarjan and condensation
 // scratch. Zero value is ready to use; see Options.Arena.
 type Arena struct {
@@ -89,23 +89,20 @@ type Arena struct {
 	// partners is G′'s partner table: events × CPUs, the po-minimal race
 	// partner of each event on each CPU, −1 when none.
 	partners []int32
-	recs     []pairRec // the scan's data-side (pair, location) records
+	// recs holds the scan's data-side (pair, location) records, and the
+	// prep pass's location-sort keys when that pass needs them.
+	recs []pairRec
 	// parts holds the scan's G′ partner-minimum candidates, which
 	// buildImplicitAug folds into partners.
 	parts   []partRec
-	segs    []locSeg    // prep pass: per-location CPU segments
-	segOff  []int32     // sorted-location offsets into segs (len(locs)+1)
-	units   []sweepUnit // (location, segment-pair) units the scan walks
-	digits  []int32     // radix sort's counting buffer
-	recsTmp []pairRec   // radix sort's ping-pong buffer
-	// locSlot interns locations into stable accLists slots, so repeated
-	// analyses through one arena reuse the per-location access buffers
-	// instead of rebuilding a map of freshly grown slices every time.
-	locSlot  map[int]int32
-	accLists [][]access
-	slotLoc  []int32       // slot → location value (inverse of locSlot)
-	canon    []*bitset.Set // slot → current analysis's canonical {loc} set
-	locsBuf  []int         // locations the current analysis accesses
+	accs    []access       // prep pass: every access, ordered by location
+	locs    []program.Addr // prep pass: the distinct locations, ascending
+	locOff  []int32        // prep pass: each location's start in accs (len(locs)+1)
+	segs    []locSeg       // prep pass: per-location CPU segments
+	segOff  []int32        // sorted-location offsets into segs (len(locs)+1)
+	units   []sweepUnit    // (location, segment-pair) units the scan walks
+	digits  []int32        // counting buffer of the sorts
+	recsTmp []pairRec      // radix sort's ping-pong buffer
 	// partSlot maps a G′ component to 1 + the index of its partition
 	// while partition groups the races, 0 for a component without one.
 	partSlot []int32
@@ -131,8 +128,10 @@ var arenaPool = sync.Pool{New: func() any { return &Arena{} }}
 type Race struct {
 	// A and B are the racing events, A < B.
 	A, B EventID
-	// Locs is the set of locations on which A and B conflict.
-	Locs *bitset.Set
+	// Locs is the set of locations on which A and B conflict. It is
+	// read-only: a single-location race's set aliases a slab the Analysis
+	// shares among races on that location.
+	Locs trace.Locs
 }
 
 // Partition is a set of data races whose events share one strongly
@@ -429,7 +428,7 @@ func HB1(t *trace.Trace, pairing memmodel.PairingPolicy) *graph.Streams {
 
 // access is one (event, location) access used during race detection.
 // The prep pass fills the jump indices and prefix counts: next* is the
-// location-list index of the first access at or after this one in its
+// access-slab index of the first access at or after this one in its
 // segment with the named property (the segment end when there is none),
 // so a window walk hops from one wanted partner to the next without
 // visiting the rest; syncs and syncWrites count the segment's
@@ -442,9 +441,9 @@ type access struct {
 	syncs, syncWrites                  int32
 }
 
-// locSeg is one contiguous same-CPU run of a location's access list.
-// Accesses are collected processor-major, so a location has at most one
-// segment per CPU, po-ascending within.
+// locSeg is one contiguous same-CPU run of a location's accesses.
+// Accesses are sorted stably from processor-major order, so a location
+// has at most one segment per CPU, po-ascending within.
 type locSeg struct {
 	start, end        int32 // accs[start:end]
 	writes            int32 // write accesses within
@@ -468,8 +467,9 @@ type partRec struct{ u, v EventID }
 // and stores only the data races; synchronization races are counted.
 //
 // The search is a sweep over CPU-bucketed accesses: accesses are
-// collected processor-major, so each location's slice is made of
-// contiguous same-CPU segments (one per processor, po-ascending within),
+// collected processor-major and stably sorted by location, so each
+// location's run of the access slab is made of contiguous same-CPU
+// segments (one per processor, po-ascending within),
 // and pairing a segment only against later segments skips same-processor
 // pairs (always po-ordered) wholesale.
 //
@@ -493,80 +493,28 @@ type partRec struct{ u, v EventID }
 // contending spin loops, and §4.2 needs none of them beyond those
 // minima.
 //
-// A prep pass enumerates segments and (location, segment-pair) units;
+// A prep pass sorts the accesses and enumerates segments and (location,
+// segment-pair) units;
 // the scan walks the units into the arena's record and partner buffers;
 // the records are sorted by pair and the sorted runs are coalesced into
 // races.
 func (a *Analysis) findRaces(reg *telemetry.Registry, fl *flight) {
-	// Keyed by location, sparse: traces legitimately declare large address
-	// spaces while touching few locations, and the analyzer must not
-	// allocate proportionally to the declared size (robustness against
-	// decoded input). The arena interns each location into a stable slot
-	// whose access buffer survives across analyses — a campaign's repeated
-	// traces stop re-growing hundreds of per-location slices.
 	ar := a.Options.Arena
 	donePrep := startPhase(reg, fl, "detect.sweep.prep")
-	if ar.locSlot == nil {
-		ar.locSlot = map[int]int32{}
-	}
-	for _, loc := range ar.locsBuf {
-		ar.accLists[ar.locSlot[loc]] = ar.accLists[ar.locSlot[loc]][:0]
-	}
-	ar.locsBuf = ar.locsBuf[:0]
-	addAccess := func(loc int, acc access) {
-		slot, ok := ar.locSlot[loc]
-		if !ok {
-			slot = int32(len(ar.accLists))
-			ar.locSlot[loc] = slot
-			ar.accLists = append(ar.accLists, nil)
-			ar.slotLoc = append(ar.slotLoc, int32(loc))
-		}
-		if len(ar.accLists[slot]) == 0 {
-			ar.locsBuf = append(ar.locsBuf, loc)
-		}
-		ar.accLists[slot] = append(ar.accLists[slot], acc)
-	}
-	for c, evs := range a.Trace.PerCPU {
-		for i, ev := range evs {
-			id := EventID(a.base[c] + i)
-			switch ev.Kind {
-			case trace.Comp:
-				// A location both read and written contributes a single
-				// write access (the write subsumes the read for conflict
-				// purposes).
-				ev.Writes.Range(func(loc int) bool {
-					addAccess(loc, access{ev: id, cpu: int32(c), write: true})
-					return true
-				})
-				ev.Reads.Range(func(loc int) bool {
-					if !ev.Writes.Contains(loc) {
-						addAccess(loc, access{ev: id, cpu: int32(c), write: false})
-					}
-					return true
-				})
-			case trace.Sync:
-				addAccess(int(ev.Loc), access{
-					ev: id, cpu: int32(c), write: ev.IsWriteSync(), sync: true,
-				})
-			}
-		}
-	}
+	accs, locs, locOff := a.sortAccesses()
 
-	locs := ar.locsBuf
-	slices.Sort(locs)
-
-	// Segment and unit enumeration: one pass over every sorted location
-	// records its per-CPU segments, fills each access's jump indices and
-	// prefix counts, and emits one sweepUnit per segment pair with
-	// conflict potential.
+	// Segment and unit enumeration: one pass over each location's run of
+	// accesses records its per-CPU segments, fills each access's jump
+	// indices and prefix counts, and emits one sweepUnit per segment pair
+	// with conflict potential.
 	segs, segOff, units := ar.segs[:0], ar.segOff[:0], ar.units[:0]
 	segOff = append(segOff, 0)
-	for li, loc := range locs {
-		accs := ar.accLists[ar.locSlot[loc]]
+	for li := range int32(len(locs)) {
+		ls, le := locOff[li], locOff[li+1]
 		first := int32(len(segs))
-		for s := int32(0); s < int32(len(accs)); {
+		for s := ls; s < le; {
 			e := s + 1
-			for e < int32(len(accs)) && accs[e].cpu == accs[s].cpu {
+			for e < le && accs[e].cpu == accs[s].cpu {
 				e++
 			}
 			seg := locSeg{start: s, end: e}
@@ -606,7 +554,7 @@ func (a *Analysis) findRaces(reg *telemetry.Registry, fl *flight) {
 				if segs[first+si].writes == 0 && segs[first+ti].writes == 0 {
 					continue // read-only × read-only: no conflicts at all
 				}
-				units = append(units, sweepUnit{li: int32(li), si: si, ti: ti})
+				units = append(units, sweepUnit{li: li, si: si, ti: ti})
 			}
 		}
 		segOff = append(segOff, int32(len(segs)))
@@ -622,9 +570,8 @@ func (a *Analysis) findRaces(reg *telemetry.Registry, fl *flight) {
 	a.pairShift = uint(bits.Len(uint(a.NumEvents)))
 	ar.recs, ar.parts = ar.recs[:0], ar.parts[:0]
 	for _, un := range units {
-		slot := ar.locSlot[locs[un.li]]
 		base := segOff[un.li]
-		a.scanUnit(ar.accLists[slot], slot, segs[base+un.si], segs[base+un.ti])
+		a.scanUnit(accs, un.li, segs[base+un.si], segs[base+un.ti])
 	}
 	doneScan()
 
@@ -634,39 +581,20 @@ func (a *Analysis) findRaces(reg *telemetry.Registry, fl *flight) {
 	recs := sortRecsByKey(ar.recs, ar)
 	doneMerge()
 
-	// Canonical singleton location sets, one per distinct location: races
-	// nearly always involve exactly one location. Each (pair, location)
-	// combination occurs at most once in recs, so a run of length one IS
-	// a single-location race — it shares the interned {loc} set instead
-	// of carrying a private set and backing words. Location sets are
-	// owned by the Analysis and must be treated as read-only — races on
-	// the same location alias one set.
-	doneCoalesce := startPhase(reg, fl, "detect.sweep.coalesce")
-	if cap(ar.canon) < len(ar.accLists) {
-		ar.canon = make([]*bitset.Set, len(ar.accLists))
-	}
-	ar.canon = ar.canon[:len(ar.accLists)]
-	canonSets := make([]bitset.Set, len(locs))
-	canonWords := 0
-	for _, loc := range locs {
-		canonWords += loc/64 + 1
-	}
-	canonSlab := make([]uint64, canonWords)
-	for i, loc := range locs {
-		w := loc/64 + 1
-		canonSets[i] = *bitset.Wrap(canonSlab[:w:w])
-		canonSets[i].Add(loc)
-		ar.canon[ar.locSlot[loc]] = &canonSets[i]
-		canonSlab = canonSlab[w:]
-	}
-
 	// Coalesce sorted runs into races. Packed keys order exactly like the
-	// (A, B) lexicographic order the report promises; within a run the
-	// record order is irrelevant — location-set insertion is commutative,
-	// so the sort need not be stable. len(recs) bounds the race count tightly (each record is
-	// a distinct (pair, location) and nearly every pair has one location),
-	// so Races is allocated once at that bound and truncated — no
-	// counting pre-pass rescanning the records.
+	// (A, B) lexicographic order the report promises, and a run lists its
+	// location indices ascending (see sortRecsByKey). Each (pair,
+	// location) combination occurs at most once in recs, so a run of
+	// length one IS a single-location race — nearly every race — and its
+	// Locs is a one-element window of one slab of the distinct locations,
+	// shared by every race on that location. len(recs) bounds the race
+	// count tightly, so Races is allocated once at that bound and
+	// truncated — no counting pre-pass rescanning the records.
+	doneCoalesce := startPhase(reg, fl, "detect.sweep.coalesce")
+	var raceLocs trace.Locs
+	if len(recs) > 0 {
+		raceLocs = slices.Clone(trace.Locs(locs))
+	}
 	races := make([]Race, len(recs))
 	ri := 0
 	for i := 0; i < len(recs); ri++ {
@@ -674,7 +602,7 @@ func (a *Analysis) findRaces(reg *telemetry.Registry, fl *flight) {
 		for j < len(recs) && recs[j].key == recs[i].key {
 			j++
 		}
-		a.fillRace(&races[ri], recs[i:j])
+		a.fillRace(&races[ri], recs[i:j], raceLocs)
 		i = j
 	}
 	a.Races = races[:ri:ri]
@@ -685,6 +613,112 @@ func (a *Analysis) findRaces(reg *telemetry.Registry, fl *flight) {
 		}
 	}
 	doneCoalesce()
+}
+
+// sortAccesses fills the arena's access slab with every access ordered
+// by location, each location's accesses processor-major and po-ascending
+// (see locSeg). It returns the slab, the distinct locations in ascending
+// order, and each one's start in the slab followed by the slab's length.
+// When every location is below max(n, 2048) for n accesses, a counting
+// sort by location value places the accesses straight from the events;
+// otherwise sortRecsByKey's radix passes order them by location. Either
+// way time and memory are linear in the accesses, whatever the location
+// values or NumLocations.
+func (a *Analysis) sortAccesses() (accs []access, locs []program.Addr, locOff []int32) {
+	ar := a.Options.Arena
+	// n bounds the accesses, counting a location both read and written
+	// twice; the access sets are sorted, so their last elements bound
+	// the locations.
+	n, maxLoc := 0, program.Addr(0)
+	for _, evs := range a.Trace.PerCPU {
+		for _, ev := range evs {
+			if ev.Kind == trace.Sync {
+				n, maxLoc = n+1, max(maxLoc, ev.Loc)
+				continue
+			}
+			for _, set := range [...]trace.Locs{ev.Reads, ev.Writes} {
+				if len(set) > 0 {
+					n, maxLoc = n+len(set), max(maxLoc, set[len(set)-1])
+				}
+			}
+		}
+	}
+	if cap(ar.accs) < n {
+		ar.accs = make([]access, n)
+	}
+	accs, locs, locOff = ar.accs[:0], ar.locs[:0], ar.locOff[:0]
+	if int(maxLoc) < max(n, 2048) {
+		if cap(ar.digits) <= int(maxLoc) {
+			ar.digits = make([]int32, maxLoc+1)
+		}
+		next := ar.digits[:maxLoc+1] // a location's next slab slot
+		clear(next)
+		a.eachAccess(func(loc program.Addr, _ access) { next[loc]++ })
+		start := int32(0)
+		for loc, c := range next {
+			if c > 0 {
+				locs = append(locs, program.Addr(loc))
+				locOff = append(locOff, start)
+			}
+			next[loc] = start
+			start += c
+		}
+		accs = accs[:start]
+		a.eachAccess(func(loc program.Addr, x access) {
+			accs[next[loc]] = x
+			next[loc]++
+		})
+	} else {
+		// Keys are emitted processor-major and carry the access's index
+		// in that order, so the sorted keys keep it within a location.
+		keys, raw := slices.Grow(ar.recs[:0], n), make([]access, 0, n)
+		a.eachAccess(func(loc program.Addr, x access) {
+			keys = append(keys, pairRec{key: uint64(loc), slot: int32(len(raw))})
+			raw = append(raw, x)
+		})
+		ar.recs = keys
+		for i, k := range sortRecsByKey(keys, ar) {
+			accs = append(accs, raw[k.slot])
+			if len(locs) == 0 || locs[len(locs)-1] != program.Addr(k.key) {
+				locs = append(locs, program.Addr(k.key))
+				locOff = append(locOff, int32(i))
+			}
+		}
+	}
+	locOff = append(locOff, int32(len(accs)))
+	ar.locs, ar.locOff = locs, locOff
+	return accs, locs, locOff
+}
+
+// eachAccess calls f with every access and its location, processor-major
+// and po-ascending. A location both read and written by a computation
+// event is one write access: the write subsumes the read for conflict
+// purposes.
+func (a *Analysis) eachAccess(f func(loc program.Addr, x access)) {
+	for c, evs := range a.Trace.PerCPU {
+		for i, ev := range evs {
+			x := access{ev: EventID(a.base[c] + i), cpu: int32(c)}
+			if ev.Kind == trace.Sync {
+				x.write, x.sync = ev.IsWriteSync(), true
+				f(ev.Loc, x)
+				continue
+			}
+			r, w := ev.Reads, ev.Writes
+			for len(r) > 0 || len(w) > 0 {
+				x.write = len(w) > 0 && (len(r) == 0 || w[0] <= r[0])
+				if !x.write {
+					f(r[0], x)
+					r = r[1:]
+					continue
+				}
+				if len(r) > 0 && r[0] == w[0] {
+					r = r[1:]
+				}
+				f(w[0], x)
+				w = w[1:]
+			}
+		}
+	}
 }
 
 // scanUnit sweeps one (location, segment-pair) unit. The forward walk
@@ -705,7 +739,7 @@ func (a *Analysis) findRaces(reg *telemetry.Registry, fl *flight) {
 //
 // The backward walk takes T's accesses against S for the partner minima
 // of T's side. The work is O(|S|+|T|) plus one step per data record.
-func (a *Analysis) scanUnit(accs []access, slot int32, S, T locSeg) {
+func (a *Analysis) scanUnit(accs []access, li int32, S, T locSeg) {
 	ar := a.Options.Arena
 	// Conflicting pairs in S×T = all pairs minus read-read pairs, counted
 	// wholesale.
@@ -747,7 +781,7 @@ func (a *Analysis) scanUnit(accs []access, slot int32, S, T locSeg) {
 			if lo > hi {
 				lo, hi = hi, lo
 			}
-			ar.recs = append(ar.recs, pairRec{key: uint64(lo)<<shift | uint64(hi), slot: slot})
+			ar.recs = append(ar.recs, pairRec{key: uint64(lo)<<shift | uint64(hi), slot: li})
 		}
 	}
 	p, q = S.start, S.start
@@ -796,45 +830,44 @@ func (a *Analysis) proposePartner(accs []access, x access, p, q int32) {
 }
 
 // fillRace materializes one sorted equal-key run of sweep records as a
-// Race: unpack the pair, share the canonical {loc} set for the dominant
-// single-location case, build a private set otherwise.
-func (a *Analysis) fillRace(r *Race, run []pairRec) {
-	ar := a.Options.Arena
+// Race: unpack the pair and take the run's locations from locs, the
+// distinct locations in sorted order — a shared one-element window for
+// the dominant single-location case, a list of its own otherwise.
+func (a *Analysis) fillRace(r *Race, run []pairRec, locs trace.Locs) {
 	shift := a.pairShift
 	r.A = EventID(run[0].key >> shift)
 	r.B = EventID(run[0].key & (1<<shift - 1))
 	if len(run) == 1 {
-		r.Locs = ar.canon[run[0].slot]
+		li := run[0].slot
+		r.Locs = locs[li : li+1 : li+1]
 		return
 	}
-	maxLoc := ar.slotLoc[run[0].slot]
-	for _, rec := range run[1:] {
-		if l := ar.slotLoc[rec.slot]; l > maxLoc {
-			maxLoc = l
-		}
-	}
-	r.Locs = bitset.Wrap(make([]uint64, int(maxLoc)/64+1))
-	for _, rec := range run {
-		r.Locs.Add(int(ar.slotLoc[rec.slot]))
+	r.Locs = make(trace.Locs, len(run))
+	for i, rec := range run {
+		r.Locs[i] = locs[rec.slot]
 	}
 }
 
-// sortRecsByKey sorts the sweep's records by packed pair key — the only
-// order the coalesce needs — with an LSD radix sort over 11-bit digits.
-// Digits that are zero in every key are skipped wholesale: event ids are
-// dense, so a trace with n events uses only ~2·log₂(n) key bits and the
-// usual record sort is two or three counting passes, not a comparison
-// sort of 16-byte structs. Ping-pong and counting buffers come from the
-// arena. The returned slice aliases either recs or the arena's buffer.
-// (The sort is not stable; the coalesce folds equal-key runs
-// commutatively.)
+// sortRecsByKey sorts records by (key, slot) — the scan's records by
+// packed pair key, the prep pass's access keys by location — with an LSD
+// radix sort over 11-bit digits. Digits that are zero in every key are
+// skipped wholesale: event ids are dense, so a trace with n events uses
+// only ~2·log₂(n) pair-key bits and the usual record sort is two or three
+// counting passes, not a comparison sort of 16-byte structs. The
+// counting passes are stable and both callers append each key's records
+// in ascending slot order, so the radix path and the comparison path for
+// small inputs give the same order. Ping-pong and counting buffers come
+// from the arena. The returned slice aliases either recs or the arena's
+// buffer.
 func sortRecsByKey(recs []pairRec, ar *Arena) []pairRec {
 	const digitBits = 11
 	const radix = 1 << digitBits
 	if len(recs) < 2*radix {
 		// Counting passes would be dominated by sweeping the count
 		// array; a comparison sort wins on small traces.
-		slices.SortFunc(recs, func(x, y pairRec) int { return cmp.Compare(x.key, y.key) })
+		slices.SortFunc(recs, func(x, y pairRec) int {
+			return cmp.Or(cmp.Compare(x.key, y.key), cmp.Compare(x.slot, y.slot))
+		})
 		return recs
 	}
 	var orKeys uint64
@@ -877,10 +910,11 @@ func sortRecsByKey(recs []pairRec, ar *Arena) []pairRec {
 
 // pairRec is one (conflicting unordered pair, location) observation with
 // a computation side — the flat intermediate the scan produces and the
-// merge sorts and coalesces into data races.
+// merge sorts and coalesces into data races. The prep pass borrows the
+// type for its location sort (see sortAccesses).
 type pairRec struct {
 	key  uint64 // packed (A, B)
-	slot int32  // interned location slot
+	slot int32  // index of the location in the sorted distinct locations
 }
 
 // buildImplicitAug computes the partition structure of the augmented
@@ -1056,8 +1090,7 @@ func (a *Analysis) LowerLevel(r Race) []LowerLevelRace {
 func (a *Analysis) AppendLowerLevel(dst []LowerLevelRace, r Race) []LowerLevelRace {
 	evA, evB := a.Event(r.A), a.Event(r.B)
 	refA, refB := a.Ref(r.A), a.Ref(r.B)
-	r.Locs.Range(func(loc int) bool {
-		addr := program.Addr(loc)
+	for _, addr := range r.Locs {
 		xs, nx := sideAccesses(evA, addr)
 		ys, ny := sideAccesses(evB, addr)
 		for _, xa := range xs[:nx] {
@@ -1073,8 +1106,7 @@ func (a *Analysis) AppendLowerLevel(dst []LowerLevelRace, r Race) []LowerLevelRa
 				}.Canonical())
 			}
 		}
-		return true
-	})
+	}
 	return dst
 }
 
@@ -1088,12 +1120,12 @@ type sideAccess struct {
 func sideAccesses(ev *trace.Event, loc program.Addr) (out [2]sideAccess, n int) {
 	switch ev.Kind {
 	case trace.Comp:
-		if ev.Writes.Contains(int(loc)) {
+		if ev.Writes.Contains(loc) {
 			pc, _ := ev.WritePC.Lookup(loc)
 			out[n] = sideAccess{pc: pc, writes: true}
 			n++
 		}
-		if ev.Reads.Contains(int(loc)) {
+		if ev.Reads.Contains(loc) {
 			pc, _ := ev.ReadPC.Lookup(loc)
 			out[n] = sideAccess{pc: pc, writes: false}
 			n++

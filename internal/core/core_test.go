@@ -7,7 +7,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"weakrace/internal/bitset"
 	"weakrace/internal/memmodel"
 	"weakrace/internal/program"
 	"weakrace/internal/sim"
@@ -19,8 +18,8 @@ import (
 func comp(reads, writes []int) *trace.Event {
 	ev := &trace.Event{
 		Kind:     trace.Comp,
-		Reads:    bitset.FromSlice(reads),
-		Writes:   bitset.FromSlice(writes),
+		Reads:    setOf(reads),
+		Writes:   setOf(writes),
 		ReadPC:   locPCs(reads),
 		WritePC:  locPCs(writes),
 		SyncSeq:  -1,
@@ -31,6 +30,16 @@ func comp(reads, writes []int) *trace.Event {
 
 // locPCs returns the synthetic PC provenance pc = location for locs, in
 // location order, one entry per location.
+// setOf returns locs as a location set: sorted, without duplicates.
+func setOf(locs []int) trace.Locs {
+	var s trace.Locs
+	for _, l := range locs {
+		s = append(s, program.Addr(l))
+	}
+	slices.Sort(s)
+	return slices.Compact(s)
+}
+
 func locPCs(locs []int) trace.PCs {
 	var out trace.PCs
 	for _, l := range locs {
@@ -467,8 +476,8 @@ func randomTrace(rng *rand.Rand) *trace.Trace {
 		for _, ev := range tr.PerCPU[c] {
 			if ev.Kind == trace.Comp && len(out) > 0 && out[len(out)-1].Kind == trace.Comp {
 				prev := out[len(out)-1]
-				prev.Reads.Union(ev.Reads)
-				prev.Writes.Union(ev.Writes)
+				prev.Reads = setOf(append(pcLocs(prev.ReadPC), pcLocs(ev.ReadPC)...))
+				prev.Writes = setOf(append(pcLocs(prev.WritePC), pcLocs(ev.WritePC)...))
 				prev.ReadPC = locPCs(append(pcLocs(prev.ReadPC), pcLocs(ev.ReadPC)...))
 				prev.WritePC = locPCs(append(pcLocs(prev.WritePC), pcLocs(ev.WritePC)...))
 				continue
@@ -512,7 +521,7 @@ func TestQuickDetectorInvariants(t *testing.T) {
 			if a.HBOrdered(r.A, r.B) {
 				return false
 			}
-			if r.Locs.Empty() {
+			if len(r.Locs) == 0 {
 				return false
 			}
 		}

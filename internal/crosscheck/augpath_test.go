@@ -9,6 +9,7 @@ import (
 	"weakrace/internal/core"
 	"weakrace/internal/memmodel"
 	"weakrace/internal/oracle"
+	"weakrace/internal/program"
 	"weakrace/internal/sim"
 	"weakrace/internal/trace"
 	"weakrace/internal/workload"
@@ -98,12 +99,17 @@ func mixSyncLocations(rng *rand.Rand, tr *trace.Trace) *trace.Trace {
 		for _, ev := range evs {
 			if ev.Kind == trace.Comp && len(syncLocs) > 0 && rng.Intn(3) == 0 {
 				cp := *ev
-				cp.Reads, cp.Writes = ev.Reads.Clone(), ev.Writes.Clone()
-				loc := syncLocs[rng.Intn(len(syncLocs))]
+				loc := program.Addr(syncLocs[rng.Intn(len(syncLocs))])
+				add := func(s trace.Locs) trace.Locs {
+					if i, found := slices.BinarySearch(s, loc); !found {
+						s = slices.Insert(slices.Clone(s), i, loc)
+					}
+					return s
+				}
 				if rng.Intn(2) == 0 {
-					cp.Reads.Add(loc)
+					cp.Reads = add(ev.Reads)
 				} else {
-					cp.Writes.Add(loc)
+					cp.Writes = add(ev.Writes)
 				}
 				ev = &cp
 			}

@@ -3,6 +3,7 @@ package crosscheck
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"weakrace/internal/core"
@@ -194,7 +195,7 @@ func TestDifferentialCodecs(t *testing.T) {
 			}
 			for j := range aMem.Races {
 				if aMem.Races[j].A != a2.Races[j].A || aMem.Races[j].B != a2.Races[j].B ||
-					!aMem.Races[j].Locs.Equal(a2.Races[j].Locs) {
+					!slices.Equal(aMem.Races[j].Locs, a2.Races[j].Locs) {
 					t.Fatalf("trial %d codec %d: race %d differs", trial, i, j)
 				}
 			}

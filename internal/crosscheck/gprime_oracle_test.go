@@ -39,7 +39,9 @@ func checkAgainstGPrimeOracle(t *testing.T, label string, tr *trace.Trace, opts 
 	got := make([]oracle.Race, len(a.Races))
 	for i, r := range a.Races {
 		got[i] = oracle.Race{A: int(r.A), B: int(r.B)}
-		r.Locs.Range(func(l int) bool { got[i].Locs = append(got[i].Locs, l); return true })
+		for _, l := range r.Locs {
+			got[i].Locs = append(got[i].Locs, int(l))
+		}
 	}
 	if !reflect.DeepEqual(got, o.Races) && len(got)+len(o.Races) > 0 {
 		t.Fatalf("%s: data races differ:\ncore:   %v\noracle: %v", label, got, o.Races)

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"weakrace/internal/bitset"
 	"weakrace/internal/core"
 	"weakrace/internal/memmodel"
 	"weakrace/internal/oracle"
@@ -196,13 +195,13 @@ func twoCPUCycleTrace() *trace.Trace {
 		return &trace.Event{Kind: trace.Sync, Role: memmodel.RoleRelease, Loc: program.Addr(loc), SyncSeq: seq,
 			Observed: trace.NoEvent}
 	}
-	comp := func(reads, writes []int) *trace.Event {
-		return &trace.Event{Kind: trace.Comp, Reads: bitset.FromSlice(reads), Writes: bitset.FromSlice(writes),
+	comp := func(reads, writes trace.Locs) *trace.Event {
+		return &trace.Event{Kind: trace.Comp, Reads: reads, Writes: writes,
 			SyncSeq: -1, Observed: trace.NoEvent}
 	}
 	return &trace.Trace{ProgramName: "hb1-cycle", NumCPUs: 2, NumLocations: 3, PerCPU: [][]*trace.Event{
-		{acq(a, 0, 1), comp(nil, []int{x}), rel(b, 0)},
-		{acq(b, 1, 0), comp([]int{x}, nil), rel(a, 1)},
+		{acq(a, 0, 1), comp(nil, trace.Locs{x}), rel(b, 0)},
+		{acq(b, 1, 0), comp(trace.Locs{x}, nil), rel(a, 1)},
 	}}
 }
 
@@ -222,11 +221,10 @@ func randomPairingTrace(rng *rand.Rand) *trace.Trace {
 			switch rng.Intn(3) {
 			case 0:
 				ev.Kind = trace.Comp
-				ev.Reads, ev.Writes = bitset.New(data), bitset.New(data)
 				if rng.Intn(2) == 0 {
-					ev.Reads.Add(rng.Intn(data))
+					ev.Reads = trace.Locs{program.Addr(rng.Intn(data))}
 				} else {
-					ev.Writes.Add(rng.Intn(data))
+					ev.Writes = trace.Locs{program.Addr(rng.Intn(data))}
 				}
 			case 1:
 				ev.Role, ev.Loc = memmodel.RoleAcquire, program.Addr(data+rng.Intn(locks))

@@ -138,8 +138,8 @@ func Figure3(out io.Writer) error {
 	first := a.Partitions[a.FirstPartitions[0]]
 	queueRace := false
 	for _, ri := range first.Races {
-		if a.Races[ri].Locs.Contains(int(workload.Fig2Q)) ||
-			a.Races[ri].Locs.Contains(int(workload.Fig2QEmpty)) {
+		if a.Races[ri].Locs.Contains(workload.Fig2Q) ||
+			a.Races[ri].Locs.Contains(workload.Fig2QEmpty) {
 			queueRace = true
 		}
 	}

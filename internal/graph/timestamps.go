@@ -264,21 +264,6 @@ func (t *Timestamps) Reaches(u, v int) bool {
 	return vclock.OrderedFast(t.EpochOf(u), t.VCOf(u), t.VCOf(v))
 }
 
-// ReachesProper reports whether there is a non-trivial path from u to v:
-// u≠v on a path, or u on a cycle when u == v.
-func (t *Timestamps) ReachesProper(u, v int) bool {
-	if u == v {
-		return t.scc != nil && len(t.scc.Members(t.scc.Comp[u])) > 1
-	}
-	return t.Reaches(u, v)
-}
-
-// Ordered reports whether u and v are ordered either way — the negation
-// of the paper's "not ordered by the hb1 relation" race test.
-func (t *Timestamps) Ordered(u, v int) bool {
-	return t.Reaches(u, v) || t.Reaches(v, u)
-}
-
 // Window brackets event u against stream p in two slab reads: events of
 // p at positions < predCount reach u, and events at positions ≥ succPos
 // are reached from u. Program order makes both sets a prefix and a

@@ -183,8 +183,12 @@ func NewGPrime(tr *trace.Trace, pairing memmodel.PairingPolicy) *GPrime {
 		if ev.Kind == trace.Sync {
 			m[int(ev.Loc)] = ev.IsWriteSync()
 		} else {
-			ev.Reads.Range(func(l int) bool { m[l] = false; return true })
-			ev.Writes.Range(func(l int) bool { m[l] = true; return true })
+			for _, l := range ev.Reads {
+				m[int(l)] = false
+			}
+			for _, l := range ev.Writes {
+				m[int(l)] = true
+			}
 		}
 		acc[u] = m
 	}

@@ -157,10 +157,9 @@ func (e *Explainer) Explain(ri int) (*Witness, error) {
 		Partition: pi,
 		First:     a.Partitions[pi].First,
 	}
-	r.Locs.Range(func(loc int) bool {
-		w.Locations = append(w.Locations, loc)
-		return true
-	})
+	for _, loc := range r.Locs {
+		w.Locations = append(w.Locations, int(loc))
+	}
 	for _, ll := range a.LowerLevel(r) {
 		w.LowerLevel = append(w.LowerLevel, ll.String())
 	}

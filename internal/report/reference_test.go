@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"weakrace/internal/bitset"
 	"weakrace/internal/core"
 	"weakrace/internal/memmodel"
 	"weakrace/internal/sim"
@@ -100,10 +99,10 @@ func refString(r trace.EventRef) string {
 	return fmt.Sprintf("P%d.%d", r.CPU+1, r.Index)
 }
 
-func setString(s *bitset.Set) string {
+func setString(s trace.Locs) string {
 	var sb strings.Builder
 	sb.WriteByte('{')
-	for i, v := range s.Slice() {
+	for i, v := range s {
 		if i > 0 {
 			sb.WriteString(", ")
 		}

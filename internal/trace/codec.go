@@ -11,7 +11,6 @@ import (
 	"os"
 
 	"weakrace/internal/atomicio"
-	"weakrace/internal/bitset"
 	"weakrace/internal/memmodel"
 	"weakrace/internal/program"
 	"weakrace/internal/telemetry"
@@ -71,14 +70,13 @@ func (cw *countingWriter) str(s string) {
 	}
 }
 
-func (cw *countingWriter) set(s *bitset.Set) {
-	cw.uvarint(uint64(s.Len()))
-	prev := 0
-	s.Range(func(v int) bool {
+func (cw *countingWriter) set(s Locs) {
+	cw.uvarint(uint64(len(s)))
+	prev := program.Addr(0)
+	for _, v := range s {
 		cw.uvarint(uint64(v - prev))
 		prev = v
-		return true
-	})
+	}
 }
 
 func (cw *countingWriter) pcList(p PCs) {
@@ -170,8 +168,8 @@ type reader struct {
 	b    []byte
 	off  int
 	err  error
-	vals []int   // set's element scratch, reused across sets
-	pcs  []LocPC // chunk the events' PC lists are carved from
+	locs []program.Addr // chunk the events' access sets are carved from
+	pcs  []LocPC        // chunk the events' PC lists are carved from
 }
 
 func (rd *reader) byte() byte {
@@ -315,16 +313,19 @@ func (rd *reader) str() string {
 
 // set reads a delta-encoded access set whose elements must lie in
 // [0, numLocations). An element out of range fails the read with a
-// *LocationError before anything is sized by it; the set itself is
-// sized from its largest element, not from numLocations.
-func (rd *reader) set(numLocations int) *bitset.Set {
+// *LocationError. The set is carved from a shared chunk; a repeated
+// element (a zero delta after the first) is dropped.
+func (rd *reader) set(numLocations int) Locs {
 	n := rd.count(setCount)
-	vals := rd.vals[:0]
+	if n == 0 || rd.err != nil {
+		return nil
+	}
+	set := carve(&rd.locs, n, locChunk)[:0]
 	v := uint64(0)
-	for i := 0; i < n && rd.err == nil; i++ {
+	for i := 0; i < n; i++ {
 		d := rd.uvarint()
 		if rd.err != nil {
-			break
+			return nil
 		}
 		// v < numLocations, so this tests v+d ≥ numLocations without
 		// overflowing.
@@ -334,13 +335,15 @@ func (rd *reader) set(numLocations int) *bitset.Set {
 				sum = math.MaxUint64
 			}
 			rd.err = &LocationError{Loc: sum, NumLocations: numLocations}
-			break
+			return nil
+		}
+		if d == 0 && i > 0 {
+			continue
 		}
 		v += d
-		vals = append(vals, int(v))
+		set = append(set, program.Addr(v))
 	}
-	rd.vals = vals
-	return bitset.FromSlice(vals)
+	return set[:len(set):len(set)]
 }
 
 // pcChunk is how many PC entries one shared allocation holds.
@@ -354,24 +357,19 @@ func (rd *reader) pcList() PCs {
 	if n == 0 || rd.err != nil {
 		return nil
 	}
-	if cap(rd.pcs)-len(rd.pcs) < n {
-		rd.pcs = make([]LocPC, 0, max(n, pcChunk))
-	}
-	from := len(rd.pcs)
+	p := PCs(carve(&rd.pcs, n, pcChunk))
 	sorted := true
-	for i := 0; i < n; i++ {
-		e := LocPC{Loc: program.Addr(rd.uvarint()), PC: int(rd.uvarint())}
+	for i := range p {
+		p[i] = LocPC{Loc: program.Addr(rd.uvarint()), PC: int(rd.uvarint())}
 		if rd.err != nil {
 			return nil
 		}
-		if i > 0 && e.Loc <= rd.pcs[len(rd.pcs)-1].Loc {
+		if i > 0 && p[i].Loc <= p[i-1].Loc {
 			sorted = false
 		}
-		rd.pcs = append(rd.pcs, e)
 	}
-	p := PCs(rd.pcs[from:len(rd.pcs):len(rd.pcs)])
 	if !sorted {
-		p = sortPCs(p)
+		p = sortPCs(p, false)
 	}
 	return p
 }

@@ -37,41 +37,119 @@ func seedCorpus(tb testing.TB) [][]byte {
 	return out
 }
 
-// hostileInput is a small encoded trace crafted to make a decoder panic
-// or allocate far beyond its size; the decoder must instead return an
-// error of the given type.
+// hostileInput is a small encoded trace crafted to make a decoder or the
+// analyzer panic or allocate far beyond its size; the decoder must
+// instead return an error of the given type or, for a valid trace, the
+// trace must decode and analyze.
 type hostileInput struct {
 	name   string
 	binary []byte
 	text   string // "" when the input has no text form
 	// locErr wants a *trace.LocationError, countErr a *trace.CountError
-	// for wantCount; neither wants a *trace.InvalidError.
-	locErr     bool
-	wantLoc    uint64
-	declaredLs int
-	countErr   bool
-	wantCount  string
+	// for wantCount, accepted a trace that analyzes to wantRaces data
+	// races over wantRaceLocs locations in all; none wants a
+	// *trace.InvalidError.
+	locErr       bool
+	wantLoc      uint64
+	declaredLs   int
+	countErr     bool
+	wantCount    string
+	accepted     bool
+	wantRaces    int
+	wantRaceLocs int
 }
 
 // hostileInputs returns the crafted inputs: an access-set element of
 // 2^63 (the binary decoder panicked in bitset.Add), one of 2^33 (a 1 GB
 // bitset before validation ran), 20,000 empty computation events
 // declaring 2^20 locations (two pre-sized 128 KB bitsets per event, 5 GB
-// in all), each in both encodings; and, in the binary encoding only,
-// whose counts the text form does not declare, a read-PC list declaring
-// 2^20 entries (the decoder pre-sized a 38 MB map before reading any)
-// and 2^26 events with a 20-byte body (an event slab sized from that
-// count would take 9 GB).
+// in all), and two valid traces sized to the largest location rather
+// than their length, each in both encodings; and, in the binary encoding
+// only, whose counts the text form does not declare, a read-PC list
+// declaring 2^20 entries (the decoder pre-sized a 38 MB map before
+// reading any) and 2^26 events with a 20-byte body (an event slab sized
+// from that count would take 9 GB).
 func hostileInputs() []hostileInput {
-	header := func(numLocs, events uint64) []byte {
-		b := []byte("WRT1")
-		b = binary.AppendUvarint(b, 0) // program name ""
-		b = binary.AppendUvarint(b, 0) // model
-		b = binary.AppendVarint(b, 0)  // seed
-		b = binary.AppendUvarint(b, 1) // CPUs
-		b = binary.AppendUvarint(b, numLocs)
-		return binary.AppendUvarint(b, events)
+	return append(rejectedInputs(), acceptedInputs(20000, 10000)...)
+}
+
+// fuzzSeedInputs is hostileInputs with the accepted traces cut to 20
+// events and 20 locations: the same decoder and sweep paths at a
+// fraction of the full-size traces' milliseconds per execution.
+func fuzzSeedInputs() []hostileInput {
+	return append(rejectedInputs(), acceptedInputs(20, 20)...)
+}
+
+// hostileHeader encodes a binary trace header over cpus processors and
+// numLocs locations, followed by the first processor's event count.
+func hostileHeader(cpus, numLocs, events uint64) []byte {
+	b := []byte("WRT1")
+	b = binary.AppendUvarint(b, 0) // program name ""
+	b = binary.AppendUvarint(b, 0) // model
+	b = binary.AppendVarint(b, 0)  // seed
+	b = binary.AppendUvarint(b, cpus)
+	b = binary.AppendUvarint(b, numLocs)
+	return binary.AppendUvarint(b, events)
+}
+
+// hostileTextHeader is hostileHeader's text form, up to the first cpu line.
+func hostileTextHeader(cpus, numLocs int) string {
+	return fmt.Sprintf("weakrace-trace 1\nprogram \"x\"\nmodel WO\nseed 0\ncpus %d\nlocations %d\ncpu 0\n", cpus, numLocs)
+}
+
+// acceptedInputs returns two valid traces over 2^20 locations whose
+// location values, not their sizes, are large: events computation events
+// each reading location 2^20−1 (bit-vector access sets cost 128 KB per
+// event, 2.6 GB for 20,000), and two processors with one computation
+// event each, both writing the same locs locations just below 2^20 — one
+// data race on locs locations (per-location bit-vectors cost 128 KB per
+// location, 1.3 GB for 10,000).
+func acceptedInputs(events, locs int) []hostileInput {
+	const numLocs = 1 << 20
+	oneLoc := hostileHeader(1, numLocs, uint64(events))
+	var oneLocText strings.Builder
+	oneLocText.WriteString(hostileTextHeader(1, numLocs))
+	for i := 0; i < events; i++ {
+		oneLoc = append(oneLoc, byte(trace.Comp), 1)
+		oneLoc = binary.AppendUvarint(oneLoc, numLocs-1)
+		oneLoc = append(oneLoc, 0, 0, 0) // no writes, empty PC lists
+		fmt.Fprintf(&oneLocText, "comp reads=%d@0 writes=\n", numLocs-1)
 	}
+	oneLocText.WriteString("end\n")
+
+	wide := hostileHeader(2, numLocs, 1)
+	var wideText strings.Builder
+	wideText.WriteString(hostileTextHeader(2, numLocs))
+	for c := 0; c < 2; c++ {
+		if c > 0 {
+			wide = binary.AppendUvarint(wide, 1) // P2's event count
+			wideText.WriteString("cpu 1\n")
+		}
+		wide = append(wide, byte(trace.Comp), 0) // no reads
+		wide = binary.AppendUvarint(wide, uint64(locs))
+		wide = binary.AppendUvarint(wide, uint64(numLocs-locs))
+		wideText.WriteString("comp reads= writes=")
+		for i := 0; i < locs; i++ {
+			if i > 0 {
+				wide = append(wide, 1) // delta to the next location
+				wideText.WriteByte(',')
+			}
+			fmt.Fprintf(&wideText, "%d@0", numLocs-locs+i)
+		}
+		wide = append(wide, 0, 0) // empty PC lists
+		wideText.WriteString("\n")
+	}
+	wideText.WriteString("end\n")
+	return []hostileInput{
+		{name: fmt.Sprintf("%d events reading location 2^20-1", events), binary: oneLoc, text: oneLocText.String(), accepted: true},
+		{name: fmt.Sprintf("two writers of %d locations below 2^20", locs), binary: wide, text: wideText.String(),
+			accepted: true, wantRaces: 1, wantRaceLocs: locs},
+	}
+}
+
+// rejectedInputs returns the hostile inputs the decoders must refuse.
+func rejectedInputs() []hostileInput {
+	header := func(numLocs, events uint64) []byte { return hostileHeader(1, numLocs, events) }
 	oneRead := func(loc uint64) []byte {
 		b := header(4, 1)
 		b = append(b, byte(trace.Comp))
@@ -79,9 +157,7 @@ func hostileInputs() []hostileInput {
 		b = binary.AppendUvarint(b, loc)
 		return append(b, 0, 0, 0) // no writes, empty PC maps
 	}
-	textHeader := func(numLocs int) string {
-		return fmt.Sprintf("weakrace-trace 1\nprogram \"x\"\nmodel WO\nseed 0\ncpus 1\nlocations %d\ncpu 0\n", numLocs)
-	}
+	textHeader := func(numLocs int) string { return hostileTextHeader(1, numLocs) }
 	empty := header(1<<20, 20000)
 	for i := 0; i < 20000; i++ {
 		empty = append(empty, byte(trace.Comp), 0, 0, 0, 0)
@@ -106,28 +182,46 @@ func hostileInputs() []hostileInput {
 }
 
 // TestDecodeHostileInputs: each crafted input ends in a typed error on
-// both codecs, with under 16 MB allocated.
+// both codecs, or, for a valid one, decodes and analyzes, with under
+// 16 MB allocated.
 func TestDecodeHostileInputs(t *testing.T) {
 	const budget = 16 << 20
 	for _, in := range hostileInputs() {
 		type codec struct {
 			name   string
-			decode func() error
+			decode func() (*trace.Trace, error)
 		}
-		codecs := []codec{{"binary", func() error { _, err := trace.Decode(bytes.NewReader(in.binary)); return err }}}
+		codecs := []codec{{"binary", func() (*trace.Trace, error) { return trace.Decode(bytes.NewReader(in.binary)) }}}
 		if in.text != "" {
-			codecs = append(codecs, codec{"text", func() error { _, err := trace.DecodeText(strings.NewReader(in.text)); return err }})
+			codecs = append(codecs, codec{"text", func() (*trace.Trace, error) { return trace.DecodeText(strings.NewReader(in.text)) }})
 		}
 		for _, codec := range codecs {
 			t.Run(in.name+"/"+codec.name, func(t *testing.T) {
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
-				err := codec.decode()
+				tr, err := codec.decode()
+				var a *core.Analysis
+				if err == nil && in.accepted {
+					a, err = core.Analyze(tr, core.Options{})
+				}
 				runtime.ReadMemStats(&after)
 				alloc := after.TotalAlloc - before.TotalAlloc
 				t.Logf("allocated %d bytes", alloc)
 				if alloc > budget {
 					t.Errorf("allocated %d bytes, budget %d", alloc, budget)
+				}
+				if in.accepted {
+					if err != nil {
+						t.Fatalf("valid trace refused: %v", err)
+					}
+					locs := 0
+					for _, r := range a.Races {
+						locs += len(r.Locs)
+					}
+					if len(a.Races) != in.wantRaces || locs != in.wantRaceLocs {
+						t.Errorf("%d races over %d locations, want %d over %d", len(a.Races), locs, in.wantRaces, in.wantRaceLocs)
+					}
+					return
 				}
 				if in.locErr {
 					var le *trace.LocationError
@@ -169,7 +263,7 @@ func FuzzDecode(f *testing.F) {
 	for _, seed := range seedCorpus(f) {
 		f.Add(seed)
 	}
-	for _, in := range hostileInputs() {
+	for _, in := range fuzzSeedInputs() {
 		f.Add(in.binary)
 	}
 	f.Add([]byte("WRT1"))
@@ -228,7 +322,10 @@ func diffTraces(a, b *trace.Trace) string {
 	return "PerCPU nil/empty mismatch"
 }
 
-// FuzzDecodeText: same contract for the text codec.
+// FuzzDecodeText: arbitrary text must never panic the text decoder, and
+// anything it accepts must survive validation and re-encode with
+// EncodeText to text that decodes to an equal trace and re-encodes to
+// itself.
 func FuzzDecodeText(f *testing.F) {
 	for _, w := range []*workload.Workload{workload.Figure1b(), workload.Figure2()} {
 		r, err := sim.Run(w.Prog, sim.Config{Model: memmodel.WO, Seed: 1, InitMemory: w.InitMemory})
@@ -243,7 +340,9 @@ func FuzzDecodeText(f *testing.F) {
 	}
 	f.Add("weakrace-trace 1\n")
 	f.Add("")
-	for _, in := range hostileInputs() {
+	f.Add("weakrace-trace 1\nprogram \"x\"\nmodel WO\nseed 0\ncpus 1\nlocations 4\ncpu 0\n" +
+		"comp reads=3@1,1@2,3@4 writes=2@0 reads=1@5\nend\n")
+	for _, in := range fuzzSeedInputs() {
 		if in.text != "" {
 			f.Add(in.text)
 		}
@@ -255,6 +354,24 @@ func FuzzDecodeText(f *testing.F) {
 		}
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("DecodeText accepted an invalid trace: %v", err)
+		}
+		var enc bytes.Buffer
+		if err := trace.EncodeText(&enc, tr); err != nil {
+			t.Fatalf("re-encoding a decoded trace: %v", err)
+		}
+		again, err := trace.DecodeText(bytes.NewReader(enc.Bytes()))
+		if err != nil {
+			t.Fatalf("decoding a re-encoded trace: %v", err)
+		}
+		if !reflect.DeepEqual(tr, again) {
+			t.Fatalf("re-encoded trace decodes differently:\n%s", diffTraces(tr, again))
+		}
+		var enc2 bytes.Buffer
+		if err := trace.EncodeText(&enc2, again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc.Bytes(), enc2.Bytes()) {
+			t.Fatal("re-encoding is not a fixed point")
 		}
 	})
 }

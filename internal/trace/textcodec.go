@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 
-	"weakrace/internal/bitset"
 	"weakrace/internal/memmodel"
 	"weakrace/internal/program"
 )
@@ -65,18 +64,17 @@ func EncodeText(w io.Writer, t *Trace) error {
 	return bw.Flush()
 }
 
-func encodeAccessList(set *bitset.Set, pcs PCs) string {
+func encodeAccessList(set Locs, pcs PCs) string {
 	var b []byte
-	set.Range(func(loc int) bool {
-		if len(b) > 0 {
+	for i, loc := range set {
+		if i > 0 {
 			b = append(b, ',')
 		}
-		pc, _ := pcs.Lookup(program.Addr(loc))
+		pc, _ := pcs.Lookup(loc)
 		b = strconv.AppendInt(b, int64(loc), 10)
 		b = append(b, '@')
 		b = strconv.AppendInt(b, int64(pc), 10)
-		return true
-	})
+	}
 	return string(b)
 }
 
@@ -84,6 +82,7 @@ func encodeAccessList(set *bitset.Set, pcs PCs) string {
 type textParser struct {
 	sc   *bufio.Scanner
 	line int
+	locs []program.Addr // chunk the events' access sets are carved from
 }
 
 func (p *textParser) next() (string, bool) {
@@ -192,30 +191,29 @@ func DecodeText(r io.Reader) (*Trace, error) {
 			if cur < 0 {
 				return nil, p.errf("event before any \"cpu\" line")
 			}
-			ev := &Event{
-				Kind: Comp, SyncSeq: -1, Observed: NoEvent,
-				Reads: &bitset.Set{}, Writes: &bitset.Set{},
-			}
+			ev := &Event{Kind: Comp, SyncSeq: -1, Observed: NoEvent}
 			fields := strings.Fields(rest)
 			for _, f := range fields {
 				k, v, found := strings.Cut(f, "=")
 				if !found {
 					return nil, p.errf("bad comp field %q", f)
 				}
-				var set *bitset.Set
 				var pcs *PCs
 				switch k {
 				case "reads":
-					set, pcs = ev.Reads, &ev.ReadPC
+					pcs = &ev.ReadPC
 				case "writes":
-					set, pcs = ev.Writes, &ev.WritePC
+					pcs = &ev.WritePC
 				default:
 					return nil, p.errf("unknown comp field %q", k)
 				}
-				if err := parseAccessList(v, t.NumLocations, set, pcs); err != nil {
+				if err := parseAccessList(v, t.NumLocations, pcs); err != nil {
 					return nil, p.errf("%w", err)
 				}
 			}
+			// A location listed again takes its last PC.
+			ev.ReadPC, ev.WritePC = sortPCs(ev.ReadPC, false), sortPCs(ev.WritePC, false)
+			ev.Reads, ev.Writes = locsOf(ev.ReadPC, &p.locs), locsOf(ev.WritePC, &p.locs)
 			t.PerCPU[cur] = append(t.PerCPU[cur], ev)
 		case "sync":
 			if cur < 0 {
@@ -282,15 +280,12 @@ func DecodeText(r io.Reader) (*Trace, error) {
 	return t, nil
 }
 
-// parseAccessList adds a loc@pc list to set and pcs. Every location must
-// lie in [0, numLocations) — one out of range fails with a
-// *LocationError — and set grows once, to its largest location. A
-// location listed again takes its last PC.
-func parseAccessList(s string, numLocations int, set *bitset.Set, pcs *PCs) error {
+// parseAccessList appends a loc@pc list to pcs. Every location must lie
+// in [0, numLocations); one out of range fails with a *LocationError.
+func parseAccessList(s string, numLocations int, pcs *PCs) error {
 	if s == "" {
 		return nil
 	}
-	var locs []int
 	for _, item := range strings.Split(s, ",") {
 		locStr, pcStr, found := strings.Cut(item, "@")
 		if !found {
@@ -307,11 +302,8 @@ func parseAccessList(s string, numLocations int, set *bitset.Set, pcs *PCs) erro
 		if err != nil || pc < 0 {
 			return fmt.Errorf("bad access pc %q", pcStr)
 		}
-		locs = append(locs, loc)
 		*pcs = append(*pcs, LocPC{Loc: program.Addr(loc), PC: pc})
 	}
-	set.Union(bitset.FromSlice(locs))
-	*pcs = sortPCs(*pcs)
 	return nil
 }
 

@@ -7,7 +7,8 @@
 //  2. the relative execution order of synchronization events involving the
 //     same location (plus, for acquires, which synchronization write
 //     supplied the value — the pairing of Definition 2.1), and
-//  3. the READ and WRITE sets of each computation event, as bit-vectors.
+//  3. the READ and WRITE sets of each computation event, as sorted
+//     location lists (Locs).
 //
 // An event is either a single synchronization operation (a synchronization
 // event) or a maximal group of consecutively executed data operations (a
@@ -26,7 +27,6 @@ import (
 	"slices"
 	"strconv"
 
-	"weakrace/internal/bitset"
 	"weakrace/internal/memmodel"
 	"weakrace/internal/program"
 	"weakrace/internal/sim"
@@ -100,14 +100,18 @@ func (p PCs) Lookup(loc program.Addr) (pc int, ok bool) {
 	return p[i].PC, true
 }
 
-// sortPCs puts p in location order and keeps the last entry of each
-// location, as repeated assignments to a map would; it returns the
-// deduplicated prefix, nil when empty.
-func sortPCs(p PCs) PCs {
+// sortPCs puts p in location order and keeps one entry per location:
+// the first when keepFirst is set, else the last, as repeated
+// assignments to a map would. It returns the deduplicated prefix, nil
+// when empty.
+func sortPCs(p PCs, keepFirst bool) PCs {
 	slices.SortStableFunc(p, func(a, b LocPC) int { return cmp.Compare(a.Loc, b.Loc) })
 	out := p[:0]
-	for i, e := range p {
-		if i+1 < len(p) && p[i+1].Loc == e.Loc {
+	for _, e := range p {
+		if n := len(out); n > 0 && out[n-1].Loc == e.Loc {
+			if !keepFirst {
+				out[n-1] = e
+			}
 			continue
 		}
 		out = append(out, e)
@@ -118,14 +122,70 @@ func sortPCs(p PCs) PCs {
 	return out[:len(out):len(out)]
 }
 
+// Locs is a set of locations: a sorted list without duplicates, nil when
+// empty. It is the only form a set of locations takes, from a
+// computation event's READ and WRITE sets to a race's conflicting
+// locations. §4.1 suggests bit-vectors; a list costs words in its size,
+// where a bit-vector costs words up to its largest location.
+type Locs []program.Addr
+
+// Contains reports whether loc is in the set.
+func (s Locs) Contains(loc program.Addr) bool {
+	_, ok := slices.BinarySearch(s, loc)
+	return ok
+}
+
+// String renders the set as {a, b, c} for debugging and reports.
+func (s Locs) String() string { return string(s.AppendTo(nil)) }
+
+// AppendTo appends the set as String renders it.
+func (s Locs) AppendTo(b []byte) []byte {
+	b = append(b, '{')
+	for i, loc := range s {
+		if i > 0 {
+			b = append(b, ',', ' ')
+		}
+		b = strconv.AppendInt(b, int64(loc), 10)
+	}
+	return append(b, '}')
+}
+
+// locChunk is how many locations one shared decoder allocation holds.
+const locChunk = 4096
+
+// carve returns the next n elements of *chunk's spare capacity, with the
+// capacity clipped to n, taking a fresh chunk of max(n, size) elements
+// when the spare capacity is short.
+func carve[T any](chunk *[]T, n, size int) []T {
+	if cap(*chunk)-len(*chunk) < n {
+		*chunk = make([]T, 0, max(n, size))
+	}
+	from := len(*chunk)
+	*chunk = (*chunk)[:from+n]
+	return (*chunk)[from : from+n : from+n]
+}
+
+// locsOf returns the locations of p, which sortPCs has ordered and
+// deduplicated, as a list carved from *chunk.
+func locsOf(p PCs, chunk *[]program.Addr) Locs {
+	if len(p) == 0 {
+		return nil
+	}
+	l := carve(chunk, len(p), locChunk)
+	for i, e := range p {
+		l[i] = e.Loc
+	}
+	return l
+}
+
 // Event is one node of a processor's event stream.
 type Event struct {
 	Kind EventKind
 
 	// Computation events.
 
-	// Reads and Writes are the event's access sets (locations).
-	Reads, Writes *bitset.Set
+	// Reads and Writes are the event's access sets.
+	Reads, Writes Locs
 	// ReadPC and WritePC record, per location, the program counter of the
 	// first data operation in this event that read/wrote it. Pure
 	// provenance for race reports; the detector never consults them.
@@ -196,14 +256,14 @@ func (t *Trace) NumEvents() int {
 
 // Event returns the event named by ref, or nil if out of range.
 func (t *Trace) Event(ref EventRef) *Event {
-	if !ref.Valid() || ref.CPU >= len(t.PerCPU) || ref.Index >= len(t.PerCPU[ref.CPU]) {
+	if !ref.Valid() || ref.CPU >= len(t.PerCPU) || ref.Index < 0 || ref.Index >= len(t.PerCPU[ref.CPU]) {
 		return nil
 	}
 	return t.PerCPU[ref.CPU][ref.Index]
 }
 
 // Arena holds the slabs FromExecutionInto carves a Trace out of — the
-// event array, the access-set words, the PC provenance, the per-CPU
+// event array, the access-set locations, the PC provenance, the per-CPU
 // event-pointer lists, and the pairing-resolution maps — so a caller
 // that builds traces in a loop (a campaign worker iterating over seeds)
 // reuses them instead of reallocating per execution. Unlike core.Arena's scratch, these slabs
@@ -213,7 +273,7 @@ func (t *Trace) Event(ref EventRef) *Event {
 // shared by concurrent builds.
 type Arena struct {
 	events  []Event
-	words   []uint64
+	locs    []program.Addr
 	pcs     []LocPC
 	refs    []*Event
 	counts  []int // perCPUEvents ∥ perCPUSyncs, one buffer
@@ -306,24 +366,21 @@ func FromExecutionInto(e *sim.Execution, ar *Arena) *Trace {
 	}
 	opEvent, opRole := ar.opEvent, ar.opRole
 
-	totalEvents, totalComp := 0, 0
+	totalEvents := 0
 	for c := 0; c < e.NumCPUs; c++ {
 		totalEvents += perCPUEvents[c]
-		totalComp += perCPUEvents[c] - perCPUSyncs[c]
 	}
-	wordsPer := (e.NumLocations + 63) / 64
-	// One Event slab for all processors, one word slab backing every
-	// computation event's two access sets, one pointer slab carved into
-	// the per-CPU streams, and one PC slab holding every event's PC
-	// provenance (reads region first, then writes; each data op adds at
-	// most one entry, so the op counts bound the regions). The word slab
-	// must be re-zeroed on reuse — the builder only ORs bits in.
+	// One Event slab for all processors, one pointer slab carved into the
+	// per-CPU streams, one PC slab holding every data op's (location, PC)
+	// entry (reads region first, then writes), and one location slab
+	// backing every computation event's two access sets. Each data op adds
+	// one PC entry and at most one location, so the op counts size every
+	// slab, whatever the location values.
 	ar.events = grow(ar.events, totalEvents)
 	ar.refs = grow(ar.refs, totalEvents)
-	ar.words = grow(ar.words, 2*wordsPer*totalComp)
-	clear(ar.words)
 	ar.pcs = grow(ar.pcs, dataReads+dataWrites)
-	eventsLeft, refsLeft, words := ar.events, ar.refs, ar.words
+	ar.locs = grow(ar.locs, dataReads+dataWrites)[:0]
+	eventsLeft, refsLeft := ar.events, ar.refs
 	readPCs, writePCs := ar.pcs[:0:dataReads], ar.pcs[dataReads:dataReads]
 	for c := 0; c < e.NumCPUs; c++ {
 		slab := eventsLeft[:perCPUEvents[c]]
@@ -334,8 +391,11 @@ func FromExecutionInto(e *sim.Execution, ar *Arena) *Trace {
 		var readsFrom, writesFrom int
 		flush := func() {
 			if cur != nil {
-				cur.ReadPC = sortPCs(readPCs[readsFrom:])
-				cur.WritePC = sortPCs(writePCs[writesFrom:])
+				// The first PC of each location is its provenance.
+				cur.ReadPC = sortPCs(readPCs[readsFrom:], true)
+				cur.WritePC = sortPCs(writePCs[writesFrom:], true)
+				cur.Reads = locsOf(cur.ReadPC, &ar.locs)
+				cur.Writes = locsOf(cur.WritePC, &ar.locs)
 				t.PerCPU[c] = append(t.PerCPU[c], cur)
 				cur = nil
 			}
@@ -363,28 +423,13 @@ func FromExecutionInto(e *sim.Execution, ar *Arena) *Trace {
 			}
 			if cur == nil {
 				cur = &slab[len(t.PerCPU[c])]
-				reads := bitset.Wrap(words[:wordsPer:wordsPer])
-				writes := bitset.Wrap(words[wordsPer : 2*wordsPer : 2*wordsPer])
-				words = words[2*wordsPer:]
-				*cur = Event{
-					Kind:     Comp,
-					Reads:    reads,
-					Writes:   writes,
-					SyncSeq:  -1,
-					Observed: NoEvent,
-				}
+				*cur = Event{Kind: Comp, SyncSeq: -1, Observed: NoEvent}
 				readsFrom, writesFrom = len(readPCs), len(writePCs)
 			}
 			if op.Kind.IsRead() {
-				if !cur.Reads.Contains(int(op.Loc)) {
-					readPCs = append(readPCs, LocPC{Loc: op.Loc, PC: op.PC})
-				}
-				cur.Reads.Add(int(op.Loc))
+				readPCs = append(readPCs, LocPC{Loc: op.Loc, PC: op.PC})
 			} else {
-				if !cur.Writes.Contains(int(op.Loc)) {
-					writePCs = append(writePCs, LocPC{Loc: op.Loc, PC: op.PC})
-				}
-				cur.Writes.Add(int(op.Loc))
+				writePCs = append(writePCs, LocPC{Loc: op.Loc, PC: op.PC})
 			}
 		}
 		flush()

@@ -2,12 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
-	"weakrace/internal/bitset"
 	"weakrace/internal/memmodel"
 	"weakrace/internal/program"
 	"weakrace/internal/sim"
@@ -52,7 +53,7 @@ func TestFromExecutionShape(t *testing.T) {
 	if len(p1) != 2 {
 		t.Fatalf("P1 has %d events, want 2:\n%v", len(p1), p1)
 	}
-	if p1[0].Kind != Comp || !p1[0].Writes.Contains(0) || !p1[0].Writes.Contains(1) || !p1[0].Reads.Empty() {
+	if p1[0].Kind != Comp || !p1[0].Writes.Contains(0) || !p1[0].Writes.Contains(1) || len(p1[0].Reads) != 0 {
 		t.Fatalf("P1 comp event wrong: %v", p1[0])
 	}
 	if p1[1].Kind != Sync || p1[1].Role != memmodel.RoleRelease || p1[1].Loc != 2 {
@@ -62,7 +63,7 @@ func TestFromExecutionShape(t *testing.T) {
 	// comp event reading y and x.
 	p2 := tr.PerCPU[1]
 	last := p2[len(p2)-1]
-	if last.Kind != Comp || !last.Reads.Contains(0) || !last.Reads.Contains(1) || !last.Writes.Empty() {
+	if last.Kind != Comp || !last.Reads.Contains(0) || !last.Reads.Contains(1) || len(last.Writes) != 0 {
 		t.Fatalf("P2 final comp event wrong: %v", last)
 	}
 	// The winning acquire (the last acquire) must be paired with P1's
@@ -170,7 +171,7 @@ func assertTracesEqual(t *testing.T, want, got *Trace) {
 				t.Fatalf("P%d.%d mismatch:\nwant %v\ngot  %v", c+1, i, w, g)
 			}
 			if w.Kind == Comp {
-				if !w.Reads.Equal(g.Reads) || !w.Writes.Equal(g.Writes) {
+				if !slices.Equal(w.Reads, g.Reads) || !slices.Equal(w.Writes, g.Writes) {
 					t.Fatalf("P%d.%d access sets mismatch", c+1, i)
 				}
 				if !reflect.DeepEqual(w.ReadPC, g.ReadPC) || !reflect.DeepEqual(w.WritePC, g.WritePC) {
@@ -255,12 +256,12 @@ func TestValidateCatchesBrokenTraces(t *testing.T) {
 		}, "dangling"},
 		{"empty comp", func(t *Trace) {
 			t.PerCPU[0] = append(t.PerCPU[0], &Event{
-				Kind: Comp, Reads: bitset.New(4), Writes: bitset.New(4),
+				Kind: Comp,
 			})
 		}, "empty computation"},
 		{"comp loc out of range", func(t *Trace) {
 			t.PerCPU[0] = append(t.PerCPU[0], &Event{
-				Kind: Comp, Reads: bitset.FromSlice([]int{99}), Writes: bitset.New(4),
+				Kind: Comp, Reads: Locs{99},
 			})
 		}, "out of range"},
 	}
@@ -353,5 +354,41 @@ func TestFromExecutionIntoArenaReuse(t *testing.T) {
 				t.Fatalf("round %d seed %d: arena-built trace differs from fresh build", round, seed)
 			}
 		}
+	}
+}
+
+// TestLocsString: a location set renders as {a, b, c}, an empty one as
+// {}, through String, AppendTo and fmt alike.
+func TestLocsString(t *testing.T) {
+	for _, c := range []struct {
+		s    Locs
+		want string
+	}{
+		{nil, "{}"},
+		{Locs{}, "{}"},
+		{Locs{1, 2}, "{1, 2}"},
+		{Locs{0, 64, 1<<20 - 1}, "{0, 64, 1048575}"},
+	} {
+		if got := c.s.String(); got != c.want {
+			t.Errorf("String = %q, want %q", got, c.want)
+		}
+		if got := string(c.s.AppendTo([]byte("x="))); got != "x="+c.want {
+			t.Errorf("AppendTo = %q, want %q", got, "x="+c.want)
+		}
+		if got := fmt.Sprintf("%s", c.s); got != c.want {
+			t.Errorf("%%s = %q, want %q", got, c.want)
+		}
+	}
+}
+
+func TestLocsContains(t *testing.T) {
+	s := Locs{0, 3, 64, 1<<20 - 1}
+	for loc := program.Addr(-1); loc <= 1<<20; loc++ {
+		if got, want := s.Contains(loc), slices.Contains(s, loc); got != want {
+			t.Fatalf("Contains(%d) = %v, want %v", loc, got, want)
+		}
+	}
+	if Locs(nil).Contains(0) {
+		t.Fatal("the empty set contains 0")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"weakrace/internal/bitset"
 	"weakrace/internal/memmodel"
 	"weakrace/internal/program"
 	"weakrace/internal/telemetry"
@@ -35,8 +34,8 @@ func (t *Trace) Validate() error {
 	sp.End()
 
 	// Density: every SyncSeq is now unique and non-negative, so a
-	// location's n sequence numbers are exactly 0..n-1 iff its bitset
-	// holds all of them.
+	// location's n sequence numbers are exactly 0..n-1 iff its seen
+	// flags hold all of them.
 	defer reg.StartSpan("trace.validate.so1").End()
 	locs := make([]program.Addr, 0, len(seen.dense))
 	for loc := range seen.dense {
@@ -46,7 +45,7 @@ func (t *Trace) Validate() error {
 	for _, loc := range locs {
 		d := seen.dense[loc]
 		for seq := 0; seq < d.n; seq++ {
-			if !d.seqs.Contains(seq) {
+			if !d.seqs[seq] {
 				return fmt.Errorf("trace: location %d: SyncSeq %d missing (%d sync events)", loc, seq, d.n)
 			}
 		}
@@ -56,7 +55,7 @@ func (t *Trace) Validate() error {
 
 // syncSeen records the (location, SyncSeq) pairs validation has passed.
 // A valid trace numbers a location's n synchronization events 0..n-1,
-// so an n-bit set per location holds every one of them; a larger SyncSeq
+// so n flags per location hold every one of them; a larger SyncSeq
 // can never be dense and goes to a map that exists only to catch
 // duplicates. Memory stays linear in the trace's synchronization events
 // whatever SyncSeq values it carries.
@@ -69,7 +68,7 @@ type syncSeen struct {
 // SyncSeqs below n seen so far.
 type locSeqs struct {
 	n    int
-	seqs *bitset.Set
+	seqs []bool
 }
 
 // syncKey identifies one synchronization operation: its location and
@@ -95,7 +94,7 @@ func newSyncSeen(t *Trace) *syncSeen {
 		}
 	}
 	for _, d := range dense {
-		d.seqs = bitset.New(d.n)
+		d.seqs = make([]bool, d.n)
 	}
 	return &syncSeen{dense: dense}
 }
@@ -103,8 +102,8 @@ func newSyncSeen(t *Trace) *syncSeen {
 // add records (loc, seq) and reports whether it was already present.
 func (s *syncSeen) add(loc program.Addr, seq int) (dup bool) {
 	if d := s.dense[loc]; seq < d.n {
-		dup = d.seqs.Contains(seq)
-		d.seqs.Add(seq)
+		dup = d.seqs[seq]
+		d.seqs[seq] = true
 		return dup
 	}
 	k := syncKey{loc, seq}
@@ -128,23 +127,17 @@ func (t *Trace) validateEvent(c, i int, ev *Event, seen *syncSeen) error {
 	where := func() string { return fmt.Sprintf("trace: event P%d.%d", c+1, i) }
 	switch ev.Kind {
 	case Comp:
-		if ev.Reads == nil || ev.Writes == nil {
-			return fmt.Errorf("%s: computation event with nil access sets", where())
-		}
-		if ev.Reads.Empty() && ev.Writes.Empty() {
+		if len(ev.Reads) == 0 && len(ev.Writes) == 0 {
 			return fmt.Errorf("%s: empty computation event", where())
 		}
-		for _, set := range []*bitset.Set{ev.Reads, ev.Writes} {
-			bad := -1
-			set.Range(func(v int) bool {
-				if v >= t.NumLocations {
-					bad = v
-					return false
+		for _, set := range [...]Locs{ev.Reads, ev.Writes} {
+			for j, loc := range set {
+				if loc < 0 || int(loc) >= t.NumLocations {
+					return fmt.Errorf("%s: location %d out of range [0,%d)", where(), loc, t.NumLocations)
 				}
-				return true
-			})
-			if bad >= 0 {
-				return fmt.Errorf("%s: location %d out of range [0,%d)", where(), bad, t.NumLocations)
+				if j > 0 && loc <= set[j-1] {
+					return fmt.Errorf("%s: access set location %d after %d, want strictly ascending", where(), loc, set[j-1])
+				}
 			}
 		}
 	case Sync:

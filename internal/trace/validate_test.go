@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"weakrace/internal/bitset"
 	"weakrace/internal/memmodel"
 	"weakrace/internal/program"
 )
@@ -62,8 +61,8 @@ func synthTrace(cpus, perCPU, locs int) *Trace {
 		if k%3 == 0 {
 			tr.PerCPU[c] = append(tr.PerCPU[c], &Event{
 				Kind:    Comp,
-				Reads:   bitset.FromSlice([]int{int(loc)}),
-				Writes:  bitset.FromSlice([]int{locs}),
+				Reads:   Locs{loc},
+				Writes:  Locs{program.Addr(locs)},
 				SyncSeq: -1, Observed: NoEvent,
 			})
 		}
@@ -122,10 +121,42 @@ func TestValidateParallelWorkerEquivalence(t *testing.T) {
 			tr.PerCPU[1][i].Role = memmodel.RoleAcquire
 			tr.PerCPU[1][i].Observed = EventRef{CPU: 9, Index: 0}
 		}, "trace: event P2.700: dangling pairing reference P10.0"},
+		{"negative pairing index", func(tr *Trace) {
+			i := firstSyncAt(tr, 1, 700)
+			tr.PerCPU[1][i].Role = memmodel.RoleAcquire
+			tr.PerCPU[1][i].Observed = EventRef{CPU: 0, Index: -1}
+		}, "trace: event P2.700: dangling pairing reference P1.-1"},
+		{"comp location negative", func(tr *Trace) {
+			for i, ev := range tr.PerCPU[3] {
+				if ev.Kind == Comp && i > 400 {
+					ev.Writes = Locs{-2}
+					return
+				}
+			}
+			t.Fatal("no comp event found")
+		}, "trace: event P4.401: location -2 out of range [0,9)"},
+		{"comp locations not ascending", func(tr *Trace) {
+			for i, ev := range tr.PerCPU[3] {
+				if ev.Kind == Comp && i > 400 {
+					ev.Reads = Locs{3, 1}
+					return
+				}
+			}
+			t.Fatal("no comp event found")
+		}, "trace: event P4.401: access set location 1 after 3, want strictly ascending"},
+		{"comp location repeated", func(tr *Trace) {
+			for i, ev := range tr.PerCPU[3] {
+				if ev.Kind == Comp && i > 400 {
+					ev.Writes = Locs{2, 2}
+					return
+				}
+			}
+			t.Fatal("no comp event found")
+		}, "trace: event P4.401: access set location 2 after 2, want strictly ascending"},
 		{"comp location out of range", func(tr *Trace) {
 			for i, ev := range tr.PerCPU[3] {
 				if ev.Kind == Comp && i > 400 {
-					ev.Reads = bitset.FromSlice([]int{tr.NumLocations + 5})
+					ev.Reads = Locs{program.Addr(tr.NumLocations + 5)}
 					return
 				}
 			}
@@ -134,8 +165,7 @@ func TestValidateParallelWorkerEquivalence(t *testing.T) {
 		{"empty comp event", func(tr *Trace) {
 			for i, ev := range tr.PerCPU[0] {
 				if ev.Kind == Comp && i > 200 {
-					ev.Reads = bitset.New(tr.NumLocations)
-					ev.Writes = bitset.New(tr.NumLocations)
+					ev.Reads, ev.Writes = nil, nil
 					return
 				}
 			}
