@@ -78,7 +78,7 @@ func BenchmarkT3PostMortemScaling(b *testing.B) {
 		b.Run(fmt.Sprintf("segments-%d", segments), func(b *testing.B) {
 			events := 0
 			for i := 0; i < b.N; i++ {
-				a, err := weakrace.Detect(tr, weakrace.DetectOptions{SkipValidate: true})
+				a, err := weakrace.Detect(tr, weakrace.DetectOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -107,7 +107,7 @@ func BenchmarkT3PostMortemLarge(b *testing.B) {
 		b.Run(fmt.Sprintf("segments-%d", segments), func(b *testing.B) {
 			events := 0
 			for i := 0; i < b.N; i++ {
-				a, err := weakrace.Detect(traces[segments], weakrace.DetectOptions{SkipValidate: true})
+				a, err := weakrace.Detect(traces[segments], weakrace.DetectOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}

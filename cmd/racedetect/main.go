@@ -150,7 +150,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "racedetect: %s: %v\n", path, err)
 			return 2
 		}
-		a, err := core.Analyze(tr, core.Options{Pairing: policy, SkipValidate: true, Flight: fr})
+		a, err := core.Analyze(tr, core.Options{Pairing: policy, Flight: fr})
 		if err != nil {
 			fmt.Fprintf(stderr, "racedetect: %s: %v\n", path, err)
 			return 2

@@ -167,10 +167,13 @@ func TestRunCorruptTrace(t *testing.T) {
 // one event each — is an analysis error: reported, exit 2.
 func TestRunClockCellCap(t *testing.T) {
 	const cpus = 1 << 16
-	tr := &trace.Trace{ProgramName: "wide", NumCPUs: cpus, NumLocations: 1, PerCPU: make([][]*trace.Event, cpus)}
-	for c := range tr.PerCPU {
-		tr.PerCPU[c] = []*trace.Event{{Kind: trace.Comp, Reads: trace.Locs{0},
-			SyncSeq: -1, Observed: trace.NoEvent}}
+	b := trace.NewBuilder(trace.Header{ProgramName: "wide", NumCPUs: cpus, NumLocations: 1})
+	for c := range cpus {
+		b.Comp(c, []trace.LocPC{{Loc: 0}}, nil)
+	}
+	tr, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	if err := trace.Encode(&buf, tr); err != nil {

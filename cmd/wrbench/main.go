@@ -531,7 +531,7 @@ func allScenarios() []scenario {
 			metrics := map[string]float64{}
 			before := telemetry.Default().Snapshot()
 			if _, err := detectSeries(metrics, []int{4, 8, 16, 32, 64, 128}, iters,
-				weakrace.DetectOptions{SkipValidate: true}); err != nil {
+				weakrace.DetectOptions{}); err != nil {
 				return nil, err
 			}
 			delta := telemetry.Default().Snapshot().Delta(before)
@@ -551,25 +551,30 @@ func allScenarios() []scenario {
 			// are capped to keep the whole scenario in seconds.
 			metrics := map[string]float64{}
 			if _, err := detectSeries(metrics, []int{256, 512, 1024}, min(iters, 10),
-				weakrace.DetectOptions{SkipValidate: true}); err != nil {
+				weakrace.DetectOptions{}); err != nil {
 				return nil, err
 			}
 			return metrics, nil
 		}},
 		{"postmortem-scaling-xl", func(iters int) (map[string]float64, error) {
-			// The 67k–134k-event regime: full Analyze (validation on)
-			// over segments 2048/4096, plus a per-phase breakdown of one
-			// segments-4096 analysis taken from the telemetry phase
-			// histograms (phase_<name>_ns metrics). These traces run
+			// The 67k–134k-event regime: Analyze over segments 2048/4096,
+			// plus a per-phase breakdown of one segments-4096 validation
+			// and analysis taken from the telemetry phase histograms
+			// (phase_<name>_ns metrics). Analyze does not validate — a
+			// trace is valid when made — so the breakdown runs the
+			// validator itself, as a decoder would. These traces run
 			// hundreds of ms per analysis, so iterations are capped at 3.
 			metrics := map[string]float64{}
 			tr4096, err := detectSeries(metrics, []int{2048, 4096}, min(iters, 3), weakrace.DetectOptions{})
 			if err != nil {
 				return nil, err
 			}
-			// Per-phase breakdown: one more segments-4096 analysis,
-			// bracketed by telemetry snapshots.
+			// Per-phase breakdown: one more segments-4096 validation and
+			// analysis, bracketed by telemetry snapshots.
 			before := telemetry.Default().Snapshot()
+			if err := tr4096.Validate(); err != nil {
+				return nil, err
+			}
 			if _, err := weakrace.Detect(tr4096, weakrace.DetectOptions{}); err != nil {
 				return nil, err
 			}

@@ -166,7 +166,7 @@ func TestRunXLScalingScenario(t *testing.T) {
 	for _, key := range []string{
 		"segments_2048_events", "segments_4096_events",
 		"segments_2048_ns_per_iter", "segments_4096_ns_per_iter",
-		"phase_detect.analyze_ns", "phase_detect.validate_ns",
+		"phase_detect.analyze_ns",
 		"phase_trace.validate.streams_ns", "phase_trace.validate.so1_ns",
 		"phase_detect.build_hb_ns", "phase_graph.timestamps_ns",
 		"phase_detect.condreach.order_ns",

@@ -6,16 +6,15 @@ import (
 	"testing/quick"
 
 	"weakrace/internal/memmodel"
-	"weakrace/internal/trace"
 )
 
 // Two independent races: neither affects the other; both unaffected.
 func TestAffectsIndependentRaces(t *testing.T) {
 	tr := mkTrace(2,
-		[]*trace.Event{comp(nil, []int{0})},
-		[]*trace.Event{comp([]int{0}, nil)},
-		[]*trace.Event{comp(nil, []int{1})},
-		[]*trace.Event{comp([]int{1}, nil)},
+		[]ev{comp(nil, []int{0})},
+		[]ev{comp([]int{0}, nil)},
+		[]ev{comp(nil, []int{1})},
+		[]ev{comp([]int{1}, nil)},
 	)
 	a := analyze(t, tr, Options{})
 	if len(a.Races) != 2 {
@@ -40,12 +39,12 @@ func TestAffectsIndependentRaces(t *testing.T) {
 // A race chain: stage 0's race affects stage 1's race but not conversely.
 func TestAffectsChain(t *testing.T) {
 	// P1: comp{W0}, rel(2), comp{W1}; P2: comp{R0}, rel(3), comp{R1}.
-	p1 := []*trace.Event{
+	p1 := []ev{
 		comp(nil, []int{0}),
 		syncEv(memmodel.RoleRelease, 2, 0),
 		comp(nil, []int{1}),
 	}
-	p2 := []*trace.Event{
+	p2 := []ev{
 		comp([]int{0}, nil),
 		syncEv(memmodel.RoleRelease, 3, 0),
 		comp([]int{1}, nil),
@@ -108,8 +107,8 @@ func TestQuickUnaffectedIffFirstPartition(t *testing.T) {
 // and RaceOfPartition maps it to its partition.
 func TestRaceOfPartitionSyncRace(t *testing.T) {
 	tr := mkTrace(2,
-		[]*trace.Event{syncEv(memmodel.RoleRelease, 0, 0), comp(nil, []int{1})},
-		[]*trace.Event{syncEv(memmodel.RoleSyncOther, 0, 1), comp([]int{1}, nil)},
+		[]ev{syncEv(memmodel.RoleRelease, 0, 0), comp(nil, []int{1})},
+		[]ev{syncEv(memmodel.RoleSyncOther, 0, 1), comp([]int{1}, nil)},
 	)
 	a := analyze(t, tr, Options{})
 	if a.SyncRaces != 1 {

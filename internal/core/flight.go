@@ -12,10 +12,8 @@ import (
 	"fmt"
 	"time"
 
-	"weakrace/internal/memmodel"
 	"weakrace/internal/telemetry"
 	"weakrace/internal/telemetry/export"
-	"weakrace/internal/trace"
 )
 
 // flight is the per-Analyze recording context: the shared recorder plus
@@ -66,28 +64,28 @@ func (fl *flight) record(a *Analysis) {
 		Locations: t.NumLocations,
 		Events:    a.NumEvents,
 	}})
-	for c, evs := range t.PerCPU {
-		for i, ev := range evs {
+	for c := range t.NumCPUs {
+		from, to := t.Stream(c)
+		for i := from; i < to; i++ {
 			fl.emit(export.Record{Kind: export.KindEvent, Event: &export.EventRec{
-				CPU: c, Index: i, Kind: ev.Kind.String(), Desc: ev.String(),
+				CPU: c, Index: i - from, Kind: t.Event(i).Kind().String(), Desc: t.EventString(i),
 			}})
 		}
 	}
 	// hb1 edges, re-derived from the trace in the processor-major order
 	// of the flat hb1's successor lists, so each carries its origin tag
 	// without the so1 index paying for provenance it does not need.
-	for c, evs := range t.PerCPU {
-		for i, ev := range evs {
-			id := int(a.ID(trace.EventRef{CPU: c, Index: i}))
-			if i+1 < len(evs) {
+	for c := range t.NumCPUs {
+		from, to := t.Stream(c)
+		for id := from; id < to; id++ {
+			if id+1 < to {
 				fl.emit(export.Record{Kind: export.KindEdge, Edge: &export.EdgeRec{
 					From: id, To: id + 1, Origin: export.OriginPO,
 				}})
 			}
-			if ev.Kind == trace.Sync && ev.Role == memmodel.RoleAcquire &&
-				ev.Observed.Valid() && a.Options.Pairing.CanPair(ev.ObservedRole) {
+			if ev := t.Event(id); a.pairs(ev) {
 				fl.emit(export.Record{Kind: export.KindEdge, Edge: &export.EdgeRec{
-					From: int(a.ID(ev.Observed)), To: id, Origin: export.OriginSO1,
+					From: ev.Observed(), To: id, Origin: export.OriginSO1,
 				}})
 			}
 		}

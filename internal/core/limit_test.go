@@ -13,9 +13,9 @@ import (
 // cells, 34 GB of hb1 clocks alone.
 func wideTrace() *trace.Trace {
 	const cpus = 1 << 16
-	streams := make([][]*trace.Event, cpus)
+	streams := make([][]ev, cpus)
 	for c := range streams {
-		streams[c] = []*trace.Event{comp([]int{0}, nil)}
+		streams[c] = []ev{comp([]int{0}, nil)}
 	}
 	return mkTrace(1, streams...)
 }

@@ -18,15 +18,15 @@ import (
 // y-partition's, which reach the z-partition's, but never backwards.
 func chainTrace() *trace.Trace {
 	const x, y, z, L = 0, 1, 2, 3
-	rel := func(seq int) *trace.Event { return syncEv(memmodel.RoleRelease, L, seq) }
-	acq := func(seq, obsIdx int) *trace.Event {
+	rel := func(seq int) ev { return syncEv(memmodel.RoleRelease, L, seq) }
+	acq := func(seq, obsIdx int) ev {
 		return paired(L, seq, trace.EventRef{CPU: 0, Index: obsIdx}, memmodel.RoleRelease)
 	}
 	return mkTrace(4,
-		[]*trace.Event{ // P1: ids 0..4
+		[]ev{ // P1: ids 0..4
 			comp(nil, []int{x}), rel(0), comp(nil, []int{y}), rel(2), comp(nil, []int{z}),
 		},
-		[]*trace.Event{ // P2: ids 5..9
+		[]ev{ // P2: ids 5..9
 			comp([]int{x}, nil), acq(1, 1), comp([]int{y}, nil), acq(3, 3), comp([]int{z}, nil),
 		},
 	)
@@ -142,8 +142,8 @@ func TestPartitionOrderingChain(t *testing.T) {
 func TestTheorem41BothWays(t *testing.T) {
 	const x, L = 0, 1
 	clean := mkTrace(2,
-		[]*trace.Event{comp(nil, []int{x}), syncEv(memmodel.RoleRelease, L, 0)},
-		[]*trace.Event{
+		[]ev{comp(nil, []int{x}), syncEv(memmodel.RoleRelease, L, 0)},
+		[]ev{
 			paired(L, 1, trace.EventRef{CPU: 0, Index: 1}, memmodel.RoleRelease),
 			comp([]int{x}, nil),
 		},

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"weakrace/internal/memmodel"
@@ -30,7 +31,17 @@ func TestAnalyzeEmitsTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Analyze(trace.FromExecution(res.Exec), Options{})
+	// The trace goes through the binary codec, whose decoder validates
+	// it: Analyze itself never validates.
+	var buf bytes.Buffer
+	if err := trace.Encode(&buf, trace.FromExecution(res.Exec)); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.Decode(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := Analyze(tr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package crosscheck
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -85,38 +86,34 @@ func TestImplicitVsExplicitAugmentedGraph(t *testing.T) {
 // The generators keep data and synchronization locations apart, so
 // without this the sweep's sync–computation paths would go unchecked.
 func mixSyncLocations(rng *rand.Rand, tr *trace.Trace) *trace.Trace {
-	var syncLocs []int
-	for _, evs := range tr.PerCPU {
-		for _, ev := range evs {
-			if ev.Kind == trace.Sync && !slices.Contains(syncLocs, int(ev.Loc)) {
-				syncLocs = append(syncLocs, int(ev.Loc))
-			}
+	var syncLocs []program.Addr
+	for i := range tr.NumEvents() {
+		if ev := tr.Event(i); ev.Kind() == trace.Sync && !slices.Contains(syncLocs, ev.Loc()) {
+			syncLocs = append(syncLocs, ev.Loc())
 		}
 	}
-	out := *tr
-	out.PerCPU = make([][]*trace.Event, len(tr.PerCPU))
-	for c, evs := range tr.PerCPU {
-		for _, ev := range evs {
-			if ev.Kind == trace.Comp && len(syncLocs) > 0 && rng.Intn(3) == 0 {
-				cp := *ev
-				loc := program.Addr(syncLocs[rng.Intn(len(syncLocs))])
-				add := func(s trace.Locs) trace.Locs {
-					if i, found := slices.BinarySearch(s, loc); !found {
-						s = slices.Insert(slices.Clone(s), i, loc)
+	streams := specsOf(tr)
+	for _, evs := range streams {
+		for i := range evs {
+			ev := &evs[i]
+			if ev.comp && len(syncLocs) > 0 && rng.Intn(3) == 0 {
+				loc := syncLocs[rng.Intn(len(syncLocs))]
+				add := func(l []trace.LocPC) []trace.LocPC {
+					k, found := slices.BinarySearchFunc(l, loc, func(e trace.LocPC, loc program.Addr) int { return cmp.Compare(e.Loc, loc) })
+					if !found {
+						l = slices.Insert(slices.Clone(l), k, trace.LocPC{Loc: loc})
 					}
-					return s
+					return l
 				}
 				if rng.Intn(2) == 0 {
-					cp.Reads = add(ev.Reads)
+					ev.reads = add(ev.reads)
 				} else {
-					cp.Writes = add(ev.Writes)
+					ev.writes = add(ev.writes)
 				}
-				ev = &cp
 			}
-			out.PerCPU[c] = append(out.PerCPU[c], ev)
 		}
 	}
-	return &out
+	return build(tr.Header, streams)
 }
 
 // mixedRaces counts the data races between a synchronization event and
@@ -124,7 +121,7 @@ func mixSyncLocations(rng *rand.Rand, tr *trace.Trace) *trace.Trace {
 func mixedRaces(a *core.Analysis) int {
 	n := 0
 	for _, r := range a.Races {
-		if (a.Event(r.A).Kind == trace.Sync) != (a.Event(r.B).Kind == trace.Sync) {
+		if (a.Event(r.A).Kind() == trace.Sync) != (a.Event(r.B).Kind() == trace.Sync) {
 			n++
 		}
 	}

@@ -303,7 +303,7 @@ func TestBinaryCodecCorruptionRobust(t *testing.T) {
 				t.Fatalf("pos %d flip %#x: Decode returned an invalid trace: %v", pos, flip, err)
 			}
 			// Accepted and valid: the analysis must not panic.
-			if _, err := core.Analyze(tr, core.Options{SkipValidate: true}); err != nil {
+			if _, err := core.Analyze(tr, core.Options{}); err != nil {
 				t.Fatalf("pos %d flip %#x: analysis failed on validated trace: %v", pos, flip, err)
 			}
 		}

@@ -78,8 +78,9 @@ func checkBoundary(t *testing.T, a *core.Analysis, closure *oracle.Closure, x in
 		t.Fatalf("boundary names cpu %d partner %d; racing side is P%d index %d",
 			b.CPU, b.Partner, partner.CPU+1, partner.Index)
 	}
-	stream := a.Trace.PerCPU[b.CPU]
-	at := func(j int) int { return int(a.ID(trace.EventRef{CPU: b.CPU, Index: j})) }
+	from, to := a.Trace.Stream(b.CPU)
+	stream := make([]int, to-from)
+	at := func(j int) int { return from + j }
 
 	// Brute-force bracket over the explicit closure, plus the
 	// monotonicity check: reaching-x must be a prefix of the stream and

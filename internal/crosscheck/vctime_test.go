@@ -187,22 +187,18 @@ func checkHB1AgainstClosure(t *testing.T, label string, a *core.Analysis) int {
 // cycle through all six events.
 func twoCPUCycleTrace() *trace.Trace {
 	const a, b, x = 0, 1, 2
-	acq := func(loc, seq, cpu int) *trace.Event {
-		return &trace.Event{Kind: trace.Sync, Role: memmodel.RoleAcquire, Loc: program.Addr(loc), SyncSeq: seq,
-			Observed: trace.EventRef{CPU: cpu, Index: 2}, ObservedRole: memmodel.RoleRelease}
+	acq := func(loc, seq, cpu int) spec {
+		return spec{sync: trace.SyncEvent{Role: memmodel.RoleAcquire, Loc: program.Addr(loc), SyncSeq: seq,
+			Observed: trace.EventRef{CPU: cpu, Index: 2}, ObservedRole: memmodel.RoleRelease}}
 	}
-	rel := func(loc, seq int) *trace.Event {
-		return &trace.Event{Kind: trace.Sync, Role: memmodel.RoleRelease, Loc: program.Addr(loc), SyncSeq: seq,
-			Observed: trace.NoEvent}
+	rel := func(loc, seq int) spec {
+		return spec{sync: trace.SyncEvent{Role: memmodel.RoleRelease, Loc: program.Addr(loc), SyncSeq: seq,
+			Observed: trace.NoEvent}}
 	}
-	comp := func(reads, writes trace.Locs) *trace.Event {
-		return &trace.Event{Kind: trace.Comp, Reads: reads, Writes: writes,
-			SyncSeq: -1, Observed: trace.NoEvent}
-	}
-	return &trace.Trace{ProgramName: "hb1-cycle", NumCPUs: 2, NumLocations: 3, PerCPU: [][]*trace.Event{
-		{acq(a, 0, 1), comp(nil, trace.Locs{x}), rel(b, 0)},
-		{acq(b, 1, 0), comp(trace.Locs{x}, nil), rel(a, 1)},
-	}}
+	return build(trace.Header{ProgramName: "hb1-cycle", NumCPUs: 2, NumLocations: 3}, [][]spec{
+		{acq(a, 0, 1), compSpec(nil, []program.Addr{x}), rel(b, 0)},
+		{acq(b, 1, 0), compSpec([]program.Addr{x}, nil), rel(a, 1)},
+	})
 }
 
 // randomPairingTrace draws 2–4 CPUs of 3–10 events each over two data
@@ -213,47 +209,46 @@ func twoCPUCycleTrace() *trace.Trace {
 // SyncSeqs, so the trace still validates.
 func randomPairingTrace(rng *rand.Rand) *trace.Trace {
 	const data, locks = 2, 2
-	tr := &trace.Trace{ProgramName: "random-pairing", NumCPUs: 2 + rng.Intn(3), NumLocations: data + locks}
-	tr.PerCPU = make([][]*trace.Event, tr.NumCPUs)
-	for c := range tr.PerCPU {
+	streams := make([][]spec, 2+rng.Intn(3))
+	for c := range streams {
 		for i, n := 0, 3+rng.Intn(8); i < n; i++ {
-			ev := &trace.Event{Kind: trace.Sync, SyncSeq: -1, Observed: trace.NoEvent}
+			e := spec{sync: trace.SyncEvent{Observed: trace.NoEvent}}
 			switch rng.Intn(3) {
 			case 0:
-				ev.Kind = trace.Comp
 				if rng.Intn(2) == 0 {
-					ev.Reads = trace.Locs{program.Addr(rng.Intn(data))}
+					e = compSpec([]program.Addr{program.Addr(rng.Intn(data))}, nil)
 				} else {
-					ev.Writes = trace.Locs{program.Addr(rng.Intn(data))}
+					e = compSpec(nil, []program.Addr{program.Addr(rng.Intn(data))})
 				}
 			case 1:
-				ev.Role, ev.Loc = memmodel.RoleAcquire, program.Addr(data+rng.Intn(locks))
+				e.sync.Role, e.sync.Loc = memmodel.RoleAcquire, program.Addr(data+rng.Intn(locks))
 			default:
-				ev.Role, ev.Loc = memmodel.RoleRelease, program.Addr(data+rng.Intn(locks))
+				e.sync.Role, e.sync.Loc = memmodel.RoleRelease, program.Addr(data+rng.Intn(locks))
 			}
-			tr.PerCPU[c] = append(tr.PerCPU[c], ev)
+			streams[c] = append(streams[c], e)
 		}
 	}
-	syncs := map[program.Addr][]*trace.Event{}
-	for c, evs := range tr.PerCPU {
-		for _, ev := range evs {
-			if ev.Kind != trace.Sync {
+	syncs := map[program.Addr][]*trace.SyncEvent{}
+	for c, evs := range streams {
+		for i := range evs {
+			ev := &evs[i]
+			if ev.comp {
 				continue
 			}
-			syncs[ev.Loc] = append(syncs[ev.Loc], ev)
-			if ev.Role != memmodel.RoleAcquire {
+			syncs[ev.sync.Loc] = append(syncs[ev.sync.Loc], &ev.sync)
+			if ev.sync.Role != memmodel.RoleAcquire {
 				continue
 			}
 			var rels []trace.EventRef
-			for oc, oevs := range tr.PerCPU {
+			for oc, oevs := range streams {
 				for oi, o := range oevs {
-					if oc != c && o.Kind == trace.Sync && o.Role == memmodel.RoleRelease && o.Loc == ev.Loc {
+					if oc != c && !o.comp && o.sync.Role == memmodel.RoleRelease && o.sync.Loc == ev.sync.Loc {
 						rels = append(rels, trace.EventRef{CPU: oc, Index: oi})
 					}
 				}
 			}
 			if len(rels) > 0 {
-				ev.Observed, ev.ObservedRole = rels[rng.Intn(len(rels))], memmodel.RoleRelease
+				ev.sync.Observed, ev.sync.ObservedRole = rels[rng.Intn(len(rels))], memmodel.RoleRelease
 			}
 		}
 	}
@@ -262,7 +257,7 @@ func randomPairingTrace(rng *rand.Rand) *trace.Trace {
 			syncs[loc][i].SyncSeq = seq
 		}
 	}
-	return tr
+	return build(trace.Header{ProgramName: "random-pairing", NumCPUs: len(streams), NumLocations: data + locks}, streams)
 }
 
 // checkWindow recomputes HBWindow(u, cpu) by linear scan over the
@@ -270,8 +265,9 @@ func randomPairingTrace(rng *rand.Rand) *trace.Trace {
 // first event u reaches.
 func checkWindow(t *testing.T, label string, a *core.Analysis, cl *oracle.Closure, u, cpu int) {
 	t.Helper()
-	stream := len(a.Trace.PerCPU[cpu])
-	at := func(j int) int { return int(a.ID(trace.EventRef{CPU: cpu, Index: j})) }
+	from, to := a.Trace.Stream(cpu)
+	stream := to - from
+	at := func(j int) int { return from + j }
 	lastPred, firstSucc := -1, stream
 	for j := 0; j < stream; j++ {
 		if cl.Reaches(at(j), u) {

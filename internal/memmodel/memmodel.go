@@ -83,7 +83,7 @@ func Parse(s string) (Model, error) {
 func (m Model) Weak() bool { return m != SC }
 
 // Role classifies a dynamic memory operation for ordering purposes.
-type Role int
+type Role uint8
 
 const (
 	// RoleData is an ordinary data read or write.

@@ -25,22 +25,15 @@ import (
 // order (u's po edge on reaching u, the so1 edge into v on reaching v)
 // whose successor lists G′'s component ids follow.
 func HB1(tr *trace.Trace, pairing memmodel.PairingPolicy) [][]int {
-	base := make([]int, len(tr.PerCPU))
-	n := 0
-	for c, evs := range tr.PerCPU {
-		base[c] = n
-		n += len(evs)
-	}
-	adj := make([][]int, n)
-	for c, evs := range tr.PerCPU {
-		for i, ev := range evs {
-			id := base[c] + i
-			if i+1 < len(evs) {
+	adj := make([][]int, tr.NumEvents())
+	for c := range tr.NumCPUs {
+		from, to := tr.Stream(c)
+		for id := from; id < to; id++ {
+			if id+1 < to {
 				adj[id] = append(adj[id], id+1)
 			}
-			if ev.Kind == trace.Sync && ev.Role == memmodel.RoleAcquire &&
-				ev.Observed.Valid() && pairing.CanPair(ev.ObservedRole) {
-				r := base[ev.Observed.CPU] + ev.Observed.Index
+			if ev := tr.Event(id); ev.IsReadSync() && ev.Observed() >= 0 && pairing.CanPair(ev.ObservedRole()) {
+				r := ev.Observed()
 				adj[r] = append(adj[r], id)
 			}
 		}
@@ -164,29 +157,28 @@ type Part struct {
 
 // NewGPrime builds the G′ oracle for tr under the given pairing policy.
 func NewGPrime(tr *trace.Trace, pairing memmodel.PairingPolicy) *GPrime {
-	var evs []*trace.Event
-	var cpuOf []int
-	for c, s := range tr.PerCPU {
-		for _, ev := range s {
-			evs = append(evs, ev)
-			cpuOf = append(cpuOf, c)
+	n := tr.NumEvents()
+	cpuOf := make([]int, n)
+	for c := range tr.NumCPUs {
+		from, to := tr.Stream(c)
+		for id := from; id < to; id++ {
+			cpuOf[id] = c
 		}
 	}
-	n := len(evs)
 	g := HB1(tr, pairing)
 	hb := NewClosure(g)
 
 	// acc[u][l] reports whether u writes l, for every location u accesses.
 	acc := make([]map[int]bool, n)
-	for u, ev := range evs {
+	for u := range acc {
 		m := map[int]bool{}
-		if ev.Kind == trace.Sync {
-			m[int(ev.Loc)] = ev.IsWriteSync()
+		if ev := tr.Event(u); ev.Kind() == trace.Sync {
+			m[int(ev.Loc())] = ev.IsWriteSync()
 		} else {
-			for _, l := range ev.Reads {
+			for _, l := range tr.Reads(u) {
 				m[int(l)] = false
 			}
-			for _, l := range ev.Writes {
+			for _, l := range tr.Writes(u) {
 				m[int(l)] = true
 			}
 		}
@@ -220,7 +212,7 @@ func NewGPrime(tr *trace.Trace, pairing memmodel.PairingPolicy) *GPrime {
 			g[v] = append(g[v], u)
 			addPartner(u, v)
 			addPartner(v, u)
-			if evs[u].Kind == trace.Sync && evs[v].Kind == trace.Sync {
+			if tr.Event(u).Kind() == trace.Sync && tr.Event(v).Kind() == trace.Sync {
 				o.SyncRaces++
 			} else {
 				o.Races = append(o.Races, Race{A: u, B: v, Locs: locs})

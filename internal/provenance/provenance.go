@@ -188,14 +188,13 @@ func (e *Explainer) All() ([]*Witness, error) {
 
 func (e *Explainer) side(id core.EventID) Side {
 	ref := e.a.Ref(id)
-	ev := e.a.Trace.Event(ref)
 	return Side{
 		Event: int(id),
 		Ref:   ref.String(),
 		CPU:   ref.CPU,
 		Index: ref.Index,
-		Kind:  ev.Kind.String(),
-		Desc:  ev.String(),
+		Kind:  e.a.Event(id).Kind().String(),
+		Desc:  e.a.Trace.EventString(int(id)),
 	}
 }
 
@@ -207,7 +206,8 @@ func (e *Explainer) side(id core.EventID) Side {
 // explicit closure).
 func (e *Explainer) boundary(x core.EventID, cpu, partnerIdx int) Boundary {
 	a := e.a
-	n := len(a.Trace.PerCPU[cpu])
+	from, to := a.Trace.Stream(cpu)
+	n := to - from
 	lastPred, firstSucc := a.HBWindow(x, cpu)
 	b := Boundary{CPU: cpu, LastPred: lastPred, FirstSucc: firstSucc, Partner: partnerIdx}
 	b.PredRef, b.SuccRef = "-", "-"

@@ -126,7 +126,8 @@ func TestWitnessGoldenRaceChain(t *testing.T) {
 func checkCertificateShape(t *testing.T, a *core.Analysis, w *Witness) {
 	t.Helper()
 	for side, b := range map[string]Boundary{"a_on_b_cpu": w.Certificate.A, "b_on_a_cpu": w.Certificate.B} {
-		n := len(a.Trace.PerCPU[b.CPU])
+		from, to := a.Trace.Stream(b.CPU)
+		n := to - from
 		if b.LastPred < -1 || b.LastPred >= n || b.FirstSucc < 0 || b.FirstSucc > n {
 			t.Errorf("race %d %s: bracket (%d, %d) out of range for stream of %d", w.Race, side, b.LastPred, b.FirstSucc, n)
 		}

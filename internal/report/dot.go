@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"weakrace/internal/core"
-	"weakrace/internal/memmodel"
 	"weakrace/internal/provenance"
 	"weakrace/internal/trace"
 )
@@ -33,12 +32,13 @@ func RenderDOT(w io.Writer, a *core.Analysis) error {
 	}
 
 	node := func(id core.EventID) string { return fmt.Sprintf("e%d", id) }
-	for c, evs := range a.Trace.PerCPU {
+	for c := range a.Trace.NumCPUs {
 		fmt.Fprintf(&sb, "  subgraph cluster_p%d {\n", c)
 		fmt.Fprintf(&sb, "    label=\"P%d\";\n", c+1)
-		for i, ev := range evs {
-			id := a.ID(trace.EventRef{CPU: c, Index: i})
-			label := eventLabel(ev)
+		from, to := a.Trace.Stream(c)
+		for i := from; i < to; i++ {
+			id := core.EventID(i)
+			label := eventLabel(a.Trace, i)
 			attrs := ""
 			if pi, ok := partOf[id]; ok {
 				if a.Partitions[pi].First {
@@ -50,22 +50,16 @@ func RenderDOT(w io.Writer, a *core.Analysis) error {
 			fmt.Fprintf(&sb, "    %s [label=%q%s];\n", node(id), label, attrs)
 		}
 		// Program order chain.
-		for i := 0; i+1 < len(evs); i++ {
-			fmt.Fprintf(&sb, "    %s -> %s;\n",
-				node(a.ID(trace.EventRef{CPU: c, Index: i})),
-				node(a.ID(trace.EventRef{CPU: c, Index: i + 1})))
+		for i := from; i+1 < to; i++ {
+			fmt.Fprintf(&sb, "    %s -> %s;\n", node(core.EventID(i)), node(core.EventID(i+1)))
 		}
 		sb.WriteString("  }\n")
 	}
 
 	// so1 edges.
-	for c, evs := range a.Trace.PerCPU {
-		for i, ev := range evs {
-			if ev.Kind == trace.Sync && ev.Role == memmodel.RoleAcquire &&
-				ev.Observed.Valid() && a.Options.Pairing.CanPair(ev.ObservedRole) {
-				fmt.Fprintf(&sb, "  %s -> %s [style=dashed, label=\"so1\", fontsize=8];\n",
-					node(a.ID(ev.Observed)), node(a.ID(trace.EventRef{CPU: c, Index: i})))
-			}
+	for id := range core.EventID(a.NumEvents) {
+		if rel, ok := a.SO1(id); ok {
+			fmt.Fprintf(&sb, "  %s -> %s [style=dashed, label=\"so1\", fontsize=8];\n", node(rel), node(id))
 		}
 	}
 
@@ -80,11 +74,11 @@ func RenderDOT(w io.Writer, a *core.Analysis) error {
 	return err
 }
 
-func eventLabel(ev *trace.Event) string {
-	if ev.Kind == trace.Sync {
-		return fmt.Sprintf("%s(%d)", ev.Role, ev.Loc)
+func eventLabel(t *trace.Trace, i int) string {
+	if ev := t.Event(i); ev.Kind() == trace.Sync {
+		return fmt.Sprintf("%s(%d)", ev.Role(), ev.Loc())
 	}
-	return fmt.Sprintf("R%s W%s", ev.Reads, ev.Writes)
+	return fmt.Sprintf("R%s W%s", t.Reads(i), t.Writes(i))
 }
 
 // RenderPartitionDOT writes the condensation view of the augmented graph

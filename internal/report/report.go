@@ -11,8 +11,6 @@ import (
 	"strings"
 
 	"weakrace/internal/core"
-	"weakrace/internal/memmodel"
-	"weakrace/internal/trace"
 )
 
 // RenderAnalysis writes the programmer-facing race report: Theorem 4.1's
@@ -163,16 +161,16 @@ func RenderGraph(w io.Writer, a *core.Analysis) error {
 	if _, err := fmt.Fprintf(w, "augmented happens-before-1 graph for %q:\n", a.Trace.ProgramName); err != nil {
 		return err
 	}
-	for c, evs := range a.Trace.PerCPU {
+	for c := range a.Trace.NumCPUs {
 		if _, err := fmt.Fprintf(w, "P%d:\n", c+1); err != nil {
 			return err
 		}
-		for i, ev := range evs {
-			id := a.ID(trace.EventRef{CPU: c, Index: i})
+		from, to := a.Trace.Stream(c)
+		for i := from; i < to; i++ {
+			id := core.EventID(i)
 			var notes []string
-			if ev.Kind == trace.Sync && ev.Role == memmodel.RoleAcquire && ev.Observed.Valid() &&
-				a.Options.Pairing.CanPair(ev.ObservedRole) {
-				notes = append(notes, fmt.Sprintf("so1← %s", ev.Observed))
+			if rel, ok := a.SO1(id); ok {
+				notes = append(notes, fmt.Sprintf("so1← %s", a.Ref(rel)))
 			}
 			for _, other := range raceWith[id] {
 				notes = append(notes, fmt.Sprintf("race↔ %s", a.Ref(other)))
@@ -188,7 +186,7 @@ func RenderGraph(w io.Writer, a *core.Analysis) error {
 			if len(notes) > 0 {
 				suffix = "   [" + strings.Join(notes, "; ") + "]"
 			}
-			if _, err := fmt.Fprintf(w, "  %3d: %s%s\n", i, ev, suffix); err != nil {
+			if _, err := fmt.Fprintf(w, "  %3d: %s%s\n", i-from, a.Trace.EventString(i), suffix); err != nil {
 				return err
 			}
 		}

@@ -68,9 +68,9 @@ func TestFlightRecordsAnalysisStructure(t *testing.T) {
 	}
 	// po edges: one per consecutive pair on each stream.
 	wantPO := 0
-	for _, evs := range a.Trace.PerCPU {
-		if len(evs) > 0 {
-			wantPO += len(evs) - 1
+	for c := range a.Trace.NumCPUs {
+		if from, to := a.Trace.Stream(c); to > from {
+			wantPO += to - from - 1
 		}
 	}
 	if edges["po"] != wantPO {

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -88,15 +88,6 @@ func TestTextAndBinaryCodecsAgreeOnPCProvenance(t *testing.T) {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		assertTracesEqual(t, fromBin, fromText)
-		for ci, evs := range fromBin.PerCPU {
-			for i, ev := range evs {
-				tev := fromText.PerCPU[ci][i]
-				if !reflect.DeepEqual(ev.ReadPC, tev.ReadPC) || !reflect.DeepEqual(ev.WritePC, tev.WritePC) {
-					t.Fatalf("%s: P%d.%d: binary PCs r%v w%v, text PCs r%v w%v",
-						c.name, ci+1, i, ev.ReadPC, ev.WritePC, tev.ReadPC, tev.WritePC)
-				}
-			}
-		}
 	}
 }
 
@@ -113,17 +104,47 @@ func TestDecodeSortsPCLists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := PCs{{Loc: 2, PC: 5}, {Loc: 3, PC: 9}}
-	if got := tr.PerCPU[0][0].ReadPC; !reflect.DeepEqual(got, want) {
-		t.Fatalf("ReadPC %v, want %v", got, want)
+	want := []int{5, 9}
+	if got := tr.ReadPCs(0); !slices.Equal(tr.Reads(0), Locs{2, 3}) || !slices.Equal(got, want) {
+		t.Fatalf("reads %v with PCs %v, want {2, 3} with %v", tr.Reads(0), got, want)
 	}
 	text, err := DecodeText(strings.NewReader("weakrace-trace 1\nprogram \"\"\nmodel WO\nseed 0\ncpus 1\nlocations 4\ncpu 0\n" +
 		"comp reads=3@7,2@5,3@9 writes=\nend\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := text.PerCPU[0][0].ReadPC; !reflect.DeepEqual(got, want) {
-		t.Fatalf("text ReadPC %v, want %v", got, want)
+	if got := text.ReadPCs(0); !slices.Equal(got, want) {
+		t.Fatalf("text read PCs %v, want %v", got, want)
+	}
+}
+
+// A PC list that does not match its access set is normalized to the
+// set: a set location without an entry reads PC 0, an entry for a
+// location outside the set is dropped. Re-encoding writes the normalized
+// list.
+func TestDecodeNormalizesPCLists(t *testing.T) {
+	b := []byte(magic)
+	b = append(b, 0, 0, 0, 1, 8, 1)       // name "", model, seed, 1 CPU, 8 locations, 1 event
+	b = append(b, byte(Comp), 2, 2, 1, 0) // reads {2, 3}, no writes
+	b = append(b, 2, 3, 7, 6, 4)          // read PCs 3@7, 6@4 (6 is not read)
+	b = append(b, 1, 5, 9)                // write PCs 5@9, with no writes
+	tr, err := Decode(bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.ReadPCs(0); !slices.Equal(got, []int{0, 7}) {
+		t.Fatalf("read PCs %v, want [0 7]", got)
+	}
+	if got := tr.WritePCs(0); got != nil {
+		t.Fatalf("write PCs %v, want none", got)
+	}
+	var enc bytes.Buffer
+	if err := Encode(&enc, tr); err != nil {
+		t.Fatal(err)
+	}
+	want := append([]byte(magic), 0, 0, 0, 1, 8, 1, byte(Comp), 2, 2, 1, 0, 2, 2, 0, 3, 7, 0)
+	if !bytes.Equal(enc.Bytes(), want) {
+		t.Fatalf("re-encoded % x, want % x", enc.Bytes(), want)
 	}
 }
 

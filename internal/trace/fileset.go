@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -28,9 +29,6 @@ const manifestName = "manifest.wrm"
 // WriteFileSet writes the trace as a manifest plus one binary file per
 // processor under dir (created if needed).
 func WriteFileSet(dir string, t *Trace) error {
-	if err := t.Validate(); err != nil {
-		return fmt.Errorf("trace: fileset: %w", err)
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("trace: fileset: %w", err)
 	}
@@ -57,20 +55,11 @@ func WriteFileSet(dir string, t *Trace) error {
 	}
 
 	for c := 0; c < t.NumCPUs; c++ {
-		part := &Trace{
-			ProgramName:  t.ProgramName,
-			Model:        t.Model,
-			Seed:         t.Seed,
-			NumCPUs:      t.NumCPUs,
-			NumLocations: t.NumLocations,
-			PerCPU:       make([][]*Event, t.NumCPUs),
-		}
-		part.PerCPU[c] = t.PerCPU[c]
 		f, err := os.Create(filepath.Join(dir, fmt.Sprintf("cpu-%d.wrt", c)))
 		if err != nil {
 			return fmt.Errorf("trace: fileset: %w", err)
 		}
-		if err := encodeUnvalidated(f, part); err != nil {
+		if err := encode(f, t, c); err != nil {
 			f.Close()
 			return err
 		}
@@ -79,12 +68,6 @@ func WriteFileSet(dir string, t *Trace) error {
 		}
 	}
 	return nil
-}
-
-// encodeUnvalidated is Encode; per-processor parts intentionally skip
-// whole-trace validation (their pairing targets live in other files).
-func encodeUnvalidated(f *os.File, part *Trace) error {
-	return Encode(f, part)
 }
 
 // ReadFileSet reassembles a trace from a directory written by
@@ -96,7 +79,7 @@ func ReadFileSet(dir string) (*Trace, error) {
 	}
 	defer mf.Close()
 
-	t := &Trace{}
+	var h Header
 	files := map[int]string{}
 	sc := bufio.NewScanner(mf)
 	line := 0
@@ -122,31 +105,31 @@ func ReadFileSet(dir string) (*Trace, error) {
 			if err != nil {
 				return nil, fail("bad program name: %v", err)
 			}
-			t.ProgramName = name
+			h.ProgramName = name
 		case "model":
 			m, err := memmodel.Parse(rest)
 			if err != nil {
 				return nil, fail("%v", err)
 			}
-			t.Model = m
+			h.Model = m
 		case "seed":
 			s, err := strconv.ParseInt(rest, 10, 64)
 			if err != nil {
 				return nil, fail("bad seed: %v", err)
 			}
-			t.Seed = s
+			h.Seed = s
 		case "cpus":
 			n, err := strconv.Atoi(rest)
 			if err != nil || n < 0 || n > 1<<16 {
 				return nil, fail("bad cpu count %q", rest)
 			}
-			t.NumCPUs = n
+			h.NumCPUs = n
 		case "locations":
 			n, err := strconv.Atoi(rest)
 			if err != nil || n < 0 || n > 1<<20 {
 				return nil, fail("bad location count %q", rest)
 			}
-			t.NumLocations = n
+			h.NumLocations = n
 		case "file":
 			idxStr, name, found := strings.Cut(rest, " ")
 			if !found {
@@ -167,46 +150,41 @@ func ReadFileSet(dir string) (*Trace, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("trace: fileset: %w", err)
 	}
-	if len(files) != t.NumCPUs {
-		return nil, fmt.Errorf("trace: fileset: manifest lists %d files for %d processors", len(files), t.NumCPUs)
+	if len(files) != h.NumCPUs {
+		return nil, fmt.Errorf("trace: fileset: manifest lists %d files for %d processors", len(files), h.NumCPUs)
 	}
 
-	t.PerCPU = make([][]*Event, t.NumCPUs)
-	for c := 0; c < t.NumCPUs; c++ {
+	// Every part decodes into one builder, which validates the merged
+	// trace once: a part's pairing references point into other parts.
+	b := NewBuilder(h)
+	for c := 0; c < h.NumCPUs; c++ {
 		name, ok := files[c]
 		if !ok {
 			return nil, fmt.Errorf("trace: fileset: no file for processor %d", c)
 		}
-		part, err := readPart(filepath.Join(dir, name))
+		path := filepath.Join(dir, name)
+		data, err := os.ReadFile(path)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("trace: fileset: %w", err)
 		}
-		if part.NumCPUs != t.NumCPUs || part.NumLocations != t.NumLocations {
+		rd, ph, err := decodeHeader(data)
+		if err != nil {
+			return nil, fmt.Errorf("trace: fileset: %s: %w", path, err)
+		}
+		if ph.NumCPUs != h.NumCPUs || ph.NumLocations != h.NumLocations {
 			return nil, fmt.Errorf("trace: fileset: %s header disagrees with manifest", name)
 		}
-		for other := 0; other < part.NumCPUs; other++ {
-			if other != c && len(part.PerCPU[other]) > 0 {
-				return nil, fmt.Errorf("trace: fileset: %s carries events for processor %d", name, other)
+		if err := rd.streams(b, c); err != nil {
+			var fe *foreignError
+			if errors.As(err, &fe) {
+				return nil, fmt.Errorf("trace: fileset: %s carries events for processor %d", name, fe.cpu)
 			}
+			return nil, fmt.Errorf("trace: fileset: %s: %w", path, err)
 		}
-		t.PerCPU[c] = part.PerCPU[c]
 	}
-	if err := t.Validate(); err != nil {
-		return nil, fmt.Errorf("trace: fileset: %w", &InvalidError{Err: err})
-	}
-	return t, nil
-}
-
-// readPart decodes one per-processor file without whole-trace validation
-// (pairing references point into other processors' files).
-func readPart(path string) (*Trace, error) {
-	data, err := os.ReadFile(path)
+	t, err := b.Build()
 	if err != nil {
 		return nil, fmt.Errorf("trace: fileset: %w", err)
 	}
-	part, err := decodeNoValidate(data)
-	if err != nil {
-		return nil, fmt.Errorf("trace: fileset: %s: %w", path, err)
-	}
-	return part, nil
+	return t, nil
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+
+	"weakrace/internal/program"
 )
 
 // Dump writes a human-readable rendering of the trace — the debugging view
@@ -14,18 +16,18 @@ func Dump(w io.Writer, t *Trace) error {
 		t.ProgramName, t.Model, t.Seed, t.NumCPUs, t.NumLocations, t.NumEvents()); err != nil {
 		return err
 	}
-	for c, evs := range t.PerCPU {
+	for c := 0; c < t.NumCPUs; c++ {
 		if _, err := fmt.Fprintf(w, "P%d:\n", c+1); err != nil {
 			return err
 		}
-		for i, ev := range evs {
+		from, to := t.Stream(c)
+		for i := from; i < to; i++ {
 			var err error
-			switch ev.Kind {
-			case Sync:
-				_, err = fmt.Fprintf(w, "  %3d: %s\n", i, ev)
-			case Comp:
+			if t.events[i].kind == Sync {
+				_, err = fmt.Fprintf(w, "  %3d: %s\n", i-from, t.EventString(i))
+			} else {
 				_, err = fmt.Fprintf(w, "  %3d: comp reads=%s writes=%s%s\n",
-					i, ev.Reads, ev.Writes, pcAnnotations(ev))
+					i-from, t.Reads(i), t.Writes(i), t.pcAnnotations(i))
 			}
 			if err != nil {
 				return err
@@ -35,30 +37,31 @@ func Dump(w io.Writer, t *Trace) error {
 	return nil
 }
 
-// pcAnnotations renders a computation event's PC provenance in location
+// pcAnnotations renders computation event i's PC provenance in location
 // order, a location's read entry before its write entry.
-func pcAnnotations(ev *Event) string {
-	if len(ev.ReadPC) == 0 && len(ev.WritePC) == 0 {
+func (t *Trace) pcAnnotations(i int) string {
+	r, w := t.Reads(i), t.Writes(i)
+	rpc, wpc := t.ReadPCs(i), t.WritePCs(i)
+	if len(r) == 0 && len(w) == 0 {
 		return ""
 	}
 	b := []byte(" pcs[")
-	entry := func(rw byte, e LocPC) {
+	entry := func(rw byte, loc program.Addr, pc int) {
 		if len(b) > len(" pcs[") {
 			b = append(b, ' ')
 		}
 		b = append(b, rw)
-		b = strconv.AppendInt(b, int64(e.Loc), 10)
+		b = strconv.AppendInt(b, int64(loc), 10)
 		b = append(b, '@')
-		b = strconv.AppendInt(b, int64(e.PC), 10)
+		b = strconv.AppendInt(b, int64(pc), 10)
 	}
-	r, w := ev.ReadPC, ev.WritePC
 	for len(r) > 0 || len(w) > 0 {
-		if len(w) == 0 || (len(r) > 0 && r[0].Loc <= w[0].Loc) {
-			entry('r', r[0])
-			r = r[1:]
+		if len(w) == 0 || (len(r) > 0 && r[0] <= w[0]) {
+			entry('r', r[0], rpc[0])
+			r, rpc = r[1:], rpc[1:]
 		} else {
-			entry('w', w[0])
-			w = w[1:]
+			entry('w', w[0], wpc[0])
+			w, wpc = w[1:], wpc[1:]
 		}
 	}
 	return string(append(b, ']'))

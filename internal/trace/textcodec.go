@@ -2,10 +2,12 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"weakrace/internal/memmodel"
 	"weakrace/internal/program"
@@ -41,76 +43,83 @@ func EncodeText(w io.Writer, t *Trace) error {
 	fmt.Fprintf(bw, "seed %d\n", t.Seed)
 	fmt.Fprintf(bw, "cpus %d\n", t.NumCPUs)
 	fmt.Fprintf(bw, "locations %d\n", t.NumLocations)
-	for c, evs := range t.PerCPU {
+	var line []byte
+	for c := 0; c < t.NumCPUs; c++ {
 		fmt.Fprintf(bw, "cpu %d\n", c)
-		for _, ev := range evs {
-			switch ev.Kind {
-			case Comp:
-				fmt.Fprintf(bw, "comp reads=%s writes=%s\n",
-					encodeAccessList(ev.Reads, ev.ReadPC),
-					encodeAccessList(ev.Writes, ev.WritePC))
-			case Sync:
-				fmt.Fprintf(bw, "sync %s loc=%d seq=%d pc=%d", ev.Role, ev.Loc, ev.SyncSeq, ev.PC)
-				if ev.Observed.Valid() {
-					fmt.Fprintf(bw, " paired=%d:%d/%s", ev.Observed.CPU, ev.Observed.Index, ev.ObservedRole)
+		from, to := t.Stream(c)
+		for i := from; i < to; i++ {
+			ev := &t.events[i]
+			line = line[:0]
+			if ev.kind == Comp {
+				line = append(line, "comp reads="...)
+				line = appendAccessList(line, t.Reads(i), t.ReadPCs(i))
+				line = append(line, " writes="...)
+				line = appendAccessList(line, t.Writes(i), t.WritePCs(i))
+			} else {
+				line = fmt.Appendf(line, "sync %s loc=%d seq=%d pc=%d", ev.role, ev.at, ev.seq, ev.pc)
+				if ev.observed >= 0 {
+					ref := t.Ref(int(ev.observed))
+					line = fmt.Appendf(line, " paired=%d:%d/%s", ref.CPU, ref.Index, ev.observedRole)
 				}
-				fmt.Fprintln(bw)
-			default:
-				return fmt.Errorf("trace: text encode: unknown event kind %d", ev.Kind)
 			}
+			bw.Write(append(line, '\n'))
 		}
 	}
 	fmt.Fprintln(bw, "end")
 	return bw.Flush()
 }
 
-func encodeAccessList(set Locs, pcs PCs) string {
-	var b []byte
-	for i, loc := range set {
-		if i > 0 {
+// appendAccessList appends a set's loc@pc list.
+func appendAccessList(b []byte, set Locs, pcs []int) []byte {
+	for k, loc := range set {
+		if k > 0 {
 			b = append(b, ',')
 		}
-		pc, _ := pcs.Lookup(loc)
 		b = strconv.AppendInt(b, int64(loc), 10)
 		b = append(b, '@')
-		b = strconv.AppendInt(b, int64(pc), 10)
+		b = strconv.AppendInt(b, int64(pcs[k]), 10)
 	}
-	return string(b)
+	return b
 }
 
-// textParser tracks position for error messages.
+// textParser tracks position for error messages and holds the open
+// computation event's accesses.
 type textParser struct {
-	sc   *bufio.Scanner
-	line int
-	locs []program.Addr // chunk the events' access sets are carved from
+	sc            *bufio.Scanner
+	line          int
+	reads, writes []LocPC
 }
 
-func (p *textParser) next() (string, bool) {
+// next returns the next line that is neither blank nor a comment,
+// trimmed, aliasing the scanner's buffer.
+func (p *textParser) next() ([]byte, bool) {
 	for p.sc.Scan() {
 		p.line++
-		line := strings.TrimSpace(p.sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		line := bytes.TrimSpace(p.sc.Bytes())
+		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
 		return line, true
 	}
-	return "", false
+	return nil, false
 }
 
 func (p *textParser) errf(format string, args ...any) error {
 	return fmt.Errorf("trace: text decode: line %d: %w", p.line, fmt.Errorf(format, args...))
 }
 
-// DecodeText parses a text-form trace and validates it.
+// DecodeText parses a text-form trace and validates it. Lines are
+// parsed in place from the scanner's buffer straight into the builder's
+// columns: decoding allocates per trace, not per line.
 func DecodeText(r io.Reader) (*Trace, error) {
 	p := &textParser{sc: bufio.NewScanner(r)}
 	p.sc.Buffer(make([]byte, 1<<16), 1<<24)
 
 	line, ok := p.next()
-	if !ok || line != textMagic {
+	if !ok || string(line) != textMagic {
 		return nil, p.errf("missing header %q", textMagic)
 	}
-	t := &Trace{}
+	var h Header
 
 	// Fixed header fields, in order.
 	headers := []struct {
@@ -122,7 +131,7 @@ func DecodeText(r io.Reader) (*Trace, error) {
 			if err != nil {
 				return fmt.Errorf("bad program name %s: %w", v, err)
 			}
-			t.ProgramName = name
+			h.ProgramName = name
 			return nil
 		}},
 		{"model", func(v string) error {
@@ -130,45 +139,45 @@ func DecodeText(r io.Reader) (*Trace, error) {
 			if err != nil {
 				return err
 			}
-			t.Model = m
+			h.Model = m
 			return nil
 		}},
 		{"seed", func(v string) error {
 			s, err := strconv.ParseInt(v, 10, 64)
-			t.Seed = s
+			h.Seed = s
 			return err
 		}},
 		{"cpus", func(v string) error {
 			n, err := strconv.Atoi(v)
-			t.NumCPUs = n
+			h.NumCPUs = n
 			return err
 		}},
 		{"locations", func(v string) error {
 			n, err := strconv.Atoi(v)
-			t.NumLocations = n
+			h.NumLocations = n
 			return err
 		}},
 	}
-	for _, h := range headers {
+	for _, hd := range headers {
 		line, ok := p.next()
 		if !ok {
-			return nil, p.errf("unexpected end of input, want %q", h.key)
+			return nil, p.errf("unexpected end of input, want %q", hd.key)
 		}
-		key, val, found := strings.Cut(line, " ")
-		if !found || key != h.key {
-			return nil, p.errf("want %q header, got %q", h.key, line)
+		key, val, found := strings.Cut(string(line), " ")
+		if !found || key != hd.key {
+			return nil, p.errf("want %q header, got %q", hd.key, line)
 		}
-		if err := h.parse(val); err != nil {
+		if err := hd.parse(val); err != nil {
 			return nil, p.errf("%v", err)
 		}
 	}
-	if t.NumCPUs < 0 || t.NumCPUs > 1<<16 {
-		return nil, p.errf("unreasonable cpu count %d", t.NumCPUs)
+	if h.NumCPUs < 0 || h.NumCPUs > 1<<16 {
+		return nil, p.errf("unreasonable cpu count %d", h.NumCPUs)
 	}
-	if t.NumLocations < 0 || t.NumLocations > 1<<20 {
-		return nil, p.errf("unreasonable location count %d", t.NumLocations)
+	if h.NumLocations < 0 || h.NumLocations > 1<<20 {
+		return nil, p.errf("unreasonable location count %d", h.NumLocations)
 	}
-	t.PerCPU = make([][]*Event, t.NumCPUs)
+	b := NewBuilder(h)
 
 	cur := -1
 	for {
@@ -176,14 +185,14 @@ func DecodeText(r io.Reader) (*Trace, error) {
 		if !ok {
 			return nil, p.errf("unexpected end of input, want \"end\"")
 		}
-		if line == "end" {
+		if string(line) == "end" {
 			break
 		}
-		key, rest, _ := strings.Cut(line, " ")
-		switch key {
+		key, rest, _ := bytes.Cut(line, []byte(" "))
+		switch string(key) {
 		case "cpu":
-			n, err := strconv.Atoi(rest)
-			if err != nil || n < 0 || n >= t.NumCPUs {
+			n, err := strconv.Atoi(string(rest))
+			if err != nil || n < 0 || n >= h.NumCPUs {
 				return nil, p.errf("bad cpu index %q", rest)
 			}
 			cur = n
@@ -191,141 +200,170 @@ func DecodeText(r io.Reader) (*Trace, error) {
 			if cur < 0 {
 				return nil, p.errf("event before any \"cpu\" line")
 			}
-			ev := &Event{Kind: Comp, SyncSeq: -1, Observed: NoEvent}
-			fields := strings.Fields(rest)
-			for _, f := range fields {
-				k, v, found := strings.Cut(f, "=")
-				if !found {
-					return nil, p.errf("bad comp field %q", f)
-				}
-				var pcs *PCs
-				switch k {
-				case "reads":
-					pcs = &ev.ReadPC
-				case "writes":
-					pcs = &ev.WritePC
-				default:
-					return nil, p.errf("unknown comp field %q", k)
-				}
-				if err := parseAccessList(v, t.NumLocations, pcs); err != nil {
-					return nil, p.errf("%w", err)
-				}
+			if err := p.comp(b, cur, rest); err != nil {
+				return nil, err
 			}
-			// A location listed again takes its last PC.
-			ev.ReadPC, ev.WritePC = sortPCs(ev.ReadPC, false), sortPCs(ev.WritePC, false)
-			ev.Reads, ev.Writes = locsOf(ev.ReadPC, &p.locs), locsOf(ev.WritePC, &p.locs)
-			t.PerCPU[cur] = append(t.PerCPU[cur], ev)
 		case "sync":
 			if cur < 0 {
 				return nil, p.errf("event before any \"cpu\" line")
 			}
-			fields := strings.Fields(rest)
-			if len(fields) < 1 {
-				return nil, p.errf("sync event missing role")
+			if err := p.sync(b, cur, rest); err != nil {
+				return nil, err
 			}
-			ev := &Event{Kind: Sync, Observed: NoEvent}
-			switch fields[0] {
-			case "acquire":
-				ev.Role = memmodel.RoleAcquire
-			case "release":
-				ev.Role = memmodel.RoleRelease
-			case "sync":
-				ev.Role = memmodel.RoleSyncOther
-			default:
-				return nil, p.errf("unknown sync role %q", fields[0])
-			}
-			for _, f := range fields[1:] {
-				k, v, found := strings.Cut(f, "=")
-				if !found {
-					return nil, p.errf("bad sync field %q", f)
-				}
-				switch k {
-				case "loc":
-					n, err := strconv.Atoi(v)
-					if err != nil {
-						return nil, p.errf("bad loc %q", v)
-					}
-					ev.Loc = program.Addr(n)
-				case "seq":
-					n, err := strconv.Atoi(v)
-					if err != nil {
-						return nil, p.errf("bad seq %q", v)
-					}
-					ev.SyncSeq = n
-				case "pc":
-					n, err := strconv.Atoi(v)
-					if err != nil {
-						return nil, p.errf("bad pc %q", v)
-					}
-					ev.PC = n
-				case "paired":
-					ref, role, err := parsePairing(v)
-					if err != nil {
-						return nil, p.errf("%v", err)
-					}
-					ev.Observed = ref
-					ev.ObservedRole = role
-				default:
-					return nil, p.errf("unknown sync field %q", k)
-				}
-			}
-			t.PerCPU[cur] = append(t.PerCPU[cur], ev)
 		default:
 			return nil, p.errf("unknown directive %q", key)
 		}
 	}
-	if err := t.Validate(); err != nil {
-		return nil, fmt.Errorf("trace: text decode: %w", &InvalidError{Err: err})
+	t, err := b.Build()
+	if err != nil {
+		return nil, fmt.Errorf("trace: text decode: %w", err)
 	}
 	return t, nil
 }
 
-// parseAccessList appends a loc@pc list to pcs. Every location must lie
+// nextField splits the first whitespace-separated field off s, as
+// strings.Fields separates them; field is empty when s holds no more.
+func nextField(s []byte) (field, rest []byte) {
+	s = bytes.TrimLeftFunc(s, unicode.IsSpace)
+	end := bytes.IndexFunc(s, unicode.IsSpace)
+	if end < 0 {
+		end = len(s)
+	}
+	return s[:end], s[end:]
+}
+
+// comp parses a computation event's fields and adds it to processor
+// cpu's stream. A location listed again takes its last PC.
+func (p *textParser) comp(b *Builder, cpu int, rest []byte) error {
+	p.reads, p.writes = p.reads[:0], p.writes[:0]
+	for f, rest := nextField(rest); len(f) > 0; f, rest = nextField(rest) {
+		k, v, found := bytes.Cut(f, []byte("="))
+		if !found {
+			return p.errf("bad comp field %q", f)
+		}
+		var list *[]LocPC
+		switch string(k) {
+		case "reads":
+			list = &p.reads
+		case "writes":
+			list = &p.writes
+		default:
+			return p.errf("unknown comp field %q", k)
+		}
+		if err := parseAccessList(v, b.t.NumLocations, list); err != nil {
+			return p.errf("%w", err)
+		}
+	}
+	b.Comp(cpu, sortPCs(p.reads, false), sortPCs(p.writes, false))
+	return nil
+}
+
+// sync parses a synchronization event's fields and adds it to processor
+// cpu's stream.
+func (p *textParser) sync(b *Builder, cpu int, rest []byte) error {
+	role, rest := nextField(rest)
+	if len(role) == 0 {
+		return p.errf("sync event missing role")
+	}
+	s := SyncEvent{Observed: NoEvent}
+	switch string(role) {
+	case "acquire":
+		s.Role = memmodel.RoleAcquire
+	case "release":
+		s.Role = memmodel.RoleRelease
+	case "sync":
+		s.Role = memmodel.RoleSyncOther
+	default:
+		return p.errf("unknown sync role %q", role)
+	}
+	for f, rest := nextField(rest); len(f) > 0; f, rest = nextField(rest) {
+		k, v, found := bytes.Cut(f, []byte("="))
+		if !found {
+			return p.errf("bad sync field %q", f)
+		}
+		switch string(k) {
+		case "loc":
+			n, err := strconv.Atoi(string(v))
+			if err != nil {
+				return p.errf("bad loc %q", v)
+			}
+			s.Loc = program.Addr(n)
+		case "seq":
+			n, err := strconv.Atoi(string(v))
+			if err != nil {
+				return p.errf("bad seq %q", v)
+			}
+			s.SyncSeq = n
+		case "pc":
+			n, err := strconv.Atoi(string(v))
+			if err != nil {
+				return p.errf("bad pc %q", v)
+			}
+			s.PC = n
+		case "paired":
+			ref, role, err := parsePairing(v)
+			if err != nil {
+				return p.errf("%v", err)
+			}
+			s.Observed, s.ObservedRole = ref, role
+		default:
+			return p.errf("unknown sync field %q", k)
+		}
+	}
+	b.Sync(cpu, s)
+	return nil
+}
+
+// parseAccessList appends a loc@pc list to list. Every location must lie
 // in [0, numLocations); one out of range fails with a *LocationError.
-func parseAccessList(s string, numLocations int, pcs *PCs) error {
-	if s == "" {
+func parseAccessList(s []byte, numLocations int, list *[]LocPC) error {
+	if len(s) == 0 {
 		return nil
 	}
-	for _, item := range strings.Split(s, ",") {
-		locStr, pcStr, found := strings.Cut(item, "@")
+	for {
+		item, more, comma := bytes.Cut(s, []byte(","))
+		locStr, pcStr, found := bytes.Cut(item, []byte("@"))
 		if !found {
 			return fmt.Errorf("bad access %q, want loc@pc", item)
 		}
-		loc, err := strconv.Atoi(locStr)
+		loc, err := strconv.Atoi(string(locStr))
 		if err != nil || loc < 0 {
 			return fmt.Errorf("bad access location %q", locStr)
 		}
 		if loc >= numLocations {
 			return &LocationError{Loc: uint64(loc), NumLocations: numLocations}
 		}
-		pc, err := strconv.Atoi(pcStr)
+		pc, err := strconv.Atoi(string(pcStr))
 		if err != nil || pc < 0 {
 			return fmt.Errorf("bad access pc %q", pcStr)
 		}
-		*pcs = append(*pcs, LocPC{Loc: program.Addr(loc), PC: pc})
+		*list = append(*list, LocPC{Loc: program.Addr(loc), PC: pc})
+		if !comma {
+			return nil
+		}
+		s = more
 	}
-	return nil
 }
 
-func parsePairing(s string) (EventRef, memmodel.Role, error) {
-	refStr, roleStr, found := strings.Cut(s, "/")
+func parsePairing(s []byte) (EventRef, memmodel.Role, error) {
+	refStr, roleStr, found := bytes.Cut(s, []byte("/"))
 	if !found {
 		return NoEvent, 0, fmt.Errorf("bad pairing %q, want cpu:index/role", s)
 	}
-	cpuStr, idxStr, found := strings.Cut(refStr, ":")
+	cpuStr, idxStr, found := bytes.Cut(refStr, []byte(":"))
 	if !found {
 		return NoEvent, 0, fmt.Errorf("bad pairing reference %q", refStr)
 	}
-	cpu, err := strconv.Atoi(cpuStr)
+	cpu, err := strconv.Atoi(string(cpuStr))
 	if err != nil || cpu < 0 {
 		return NoEvent, 0, fmt.Errorf("bad pairing cpu %q", cpuStr)
 	}
-	idx, err := strconv.Atoi(idxStr)
+	idx, err := strconv.Atoi(string(idxStr))
 	if err != nil || idx < 0 {
 		return NoEvent, 0, fmt.Errorf("bad pairing index %q", idxStr)
 	}
 	var role memmodel.Role
-	switch roleStr {
+	switch string(roleStr) {
 	case "release":
 		role = memmodel.RoleRelease
 	case "sync":

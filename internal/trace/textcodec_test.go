@@ -2,11 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
 	"weakrace/internal/memmodel"
-	"weakrace/internal/program"
 	"weakrace/internal/sim"
 	"weakrace/internal/workload"
 )
@@ -87,17 +87,18 @@ end
 	if tr.ProgramName != "hand" || tr.NumCPUs != 2 || tr.NumEvents() != 4 {
 		t.Fatalf("parsed trace wrong: %+v", tr)
 	}
-	acq := tr.PerCPU[1][0]
-	if !acq.Observed.Valid() || acq.Observed.CPU != 0 || acq.Observed.Index != 1 ||
-		acq.ObservedRole != memmodel.RoleRelease {
-		t.Fatalf("pairing parsed wrong: %+v", acq)
+	from, _ := tr.Stream(1)
+	acq := tr.Event(from)
+	if obs := acq.Observed(); obs < 0 || tr.Ref(obs) != (EventRef{CPU: 0, Index: 1}) ||
+		acq.ObservedRole() != memmodel.RoleRelease {
+		t.Fatalf("pairing parsed wrong: %s", tr.EventString(from))
 	}
-	if acq.Loc != 2 || acq.SyncSeq != 1 {
-		t.Fatalf("sync fields parsed wrong: %+v", acq)
+	if acq.Loc() != 2 || acq.SyncSeq() != 1 {
+		t.Fatalf("sync fields parsed wrong: %s", tr.EventString(from))
 	}
-	comp := tr.PerCPU[1][1]
-	if !comp.Reads.Contains(0) || !comp.Reads.Contains(1) || !pcIs(comp.ReadPC, 1, 2) {
-		t.Fatalf("comp access parsed wrong: %+v", comp)
+	comp := from + 1
+	if !slices.Equal(tr.Reads(comp), Locs{0, 1}) || !slices.Equal(tr.ReadPCs(comp), []int{3, 2}) {
+		t.Fatalf("comp access parsed wrong: %s", tr.EventString(comp))
 	}
 }
 
@@ -129,10 +130,4 @@ func TestTextDecodeErrors(t *testing.T) {
 
 func header() string {
 	return "weakrace-trace 1\nprogram \"x\"\nmodel WO\nseed 0\ncpus 2\nlocations 3\n"
-}
-
-// pcIs reports whether pcs records pc for loc.
-func pcIs(pcs PCs, loc program.Addr, pc int) bool {
-	got, ok := pcs.Lookup(loc)
-	return ok && got == pc
 }

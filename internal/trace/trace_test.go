@@ -2,9 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"path/filepath"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -49,93 +49,77 @@ func TestFromExecutionShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	// P1: one computation event (writes x,y) then one sync release event.
-	p1 := tr.PerCPU[0]
-	if len(p1) != 2 {
-		t.Fatalf("P1 has %d events, want 2:\n%v", len(p1), p1)
+	from, to := tr.Stream(0)
+	if to-from != 2 {
+		t.Fatalf("P1 has %d events, want 2", to-from)
 	}
-	if p1[0].Kind != Comp || !p1[0].Writes.Contains(0) || !p1[0].Writes.Contains(1) || len(p1[0].Reads) != 0 {
-		t.Fatalf("P1 comp event wrong: %v", p1[0])
+	if tr.Event(from).Kind() != Comp || !tr.Writes(from).Contains(0) || !tr.Writes(from).Contains(1) || len(tr.Reads(from)) != 0 {
+		t.Fatalf("P1 comp event wrong: %s", tr.EventString(from))
 	}
-	if p1[1].Kind != Sync || p1[1].Role != memmodel.RoleRelease || p1[1].Loc != 2 {
-		t.Fatalf("P1 sync event wrong: %v", p1[1])
+	release := from + 1
+	if ev := tr.Event(release); ev.Kind() != Sync || ev.Role() != memmodel.RoleRelease || ev.Loc() != 2 {
+		t.Fatalf("P1 sync event wrong: %s", tr.EventString(release))
 	}
 	// P2: alternating Test&Set events (acquire, sync-write) then a final
 	// comp event reading y and x.
-	p2 := tr.PerCPU[1]
-	last := p2[len(p2)-1]
-	if last.Kind != Comp || !last.Reads.Contains(0) || !last.Reads.Contains(1) || len(last.Writes) != 0 {
-		t.Fatalf("P2 final comp event wrong: %v", last)
+	from, to = tr.Stream(1)
+	last := to - 1
+	if tr.Event(last).Kind() != Comp || !tr.Reads(last).Contains(0) || !tr.Reads(last).Contains(1) || len(tr.Writes(last)) != 0 {
+		t.Fatalf("P2 final comp event wrong: %s", tr.EventString(last))
 	}
 	// The winning acquire (the last acquire) must be paired with P1's
 	// release event.
-	var winning *Event
-	for _, ev := range p2 {
-		if ev.Kind == Sync && ev.Role == memmodel.RoleAcquire && ev.Observed.Valid() &&
-			ev.ObservedRole == memmodel.RoleRelease {
-			winning = ev
+	winning := -1
+	for i := from; i < to; i++ {
+		if ev := tr.Event(i); ev.IsReadSync() && ev.Observed() >= 0 && ev.ObservedRole() == memmodel.RoleRelease {
+			winning = i
 		}
 	}
-	if winning == nil {
+	if winning < 0 {
 		t.Fatal("no acquire paired with a release")
 	}
-	if winning.Observed.CPU != 0 {
-		t.Fatalf("winning acquire paired with %v, want P1's release", winning.Observed)
+	if got := tr.Event(winning).Observed(); got != release {
+		t.Fatalf("winning acquire paired with %v, want P1's release", tr.Ref(got))
 	}
-	if got := tr.Event(winning.Observed); got != p1[1] {
-		t.Fatal("Observed reference does not resolve to P1's release event")
+}
+
+// losingAcquires reports whether some acquire observed a Test&Set's
+// write, failing the test when such a pairing does not resolve to a
+// sync-other event.
+func losingAcquires(t *testing.T, tr *Trace) bool {
+	saw := false
+	for i := range tr.NumEvents() {
+		if ev := tr.Event(i); ev.IsReadSync() && ev.Observed() >= 0 && ev.ObservedRole() == memmodel.RoleSyncOther {
+			saw = true
+			if tr.Event(ev.Observed()).Role() != memmodel.RoleSyncOther {
+				t.Fatalf("loser acquire pairing broken: %s", tr.EventString(i))
+			}
+		}
 	}
+	return saw
 }
 
 func TestTestAndSetPairsObserveSyncWrites(t *testing.T) {
 	// A losing Test&Set reads the 1 written by a previous Test&Set: its
 	// Observed must point at that sync-write event with RoleSyncOther.
-	tr := runFig1b(t, 11)
-	sawLoser := false
-	for _, evs := range tr.PerCPU {
-		for _, ev := range evs {
-			if ev.Kind == Sync && ev.Role == memmodel.RoleAcquire && ev.Observed.Valid() &&
-				ev.ObservedRole == memmodel.RoleSyncOther {
-				sawLoser = true
-				obs := tr.Event(ev.Observed)
-				if obs == nil || obs.Role != memmodel.RoleSyncOther {
-					t.Fatalf("loser acquire pairing broken: %v", ev)
-				}
-			}
+	// Not every seed makes the spinner lose at least once; find one.
+	for seed := int64(11); seed < 111; seed++ {
+		if losingAcquires(t, runFig1b(t, seed)) {
+			return
 		}
 	}
-	// Not every seed makes the spinner lose at least once; seed 11 might.
-	// If it never lost, the test is vacuous; find a seed where it loses.
-	if !sawLoser {
-		for seed := int64(0); seed < 100; seed++ {
-			tr = runFig1b(t, seed)
-			for _, evs := range tr.PerCPU {
-				for _, ev := range evs {
-					if ev.Kind == Sync && ev.Role == memmodel.RoleAcquire &&
-						ev.Observed.Valid() && ev.ObservedRole == memmodel.RoleSyncOther {
-						sawLoser = true
-					}
-				}
-			}
-			if sawLoser {
-				break
-			}
-		}
-	}
-	if !sawLoser {
-		t.Fatal("no seed produced a losing Test&Set")
-	}
+	t.Fatal("no seed produced a losing Test&Set")
 }
 
 func TestReadWritePCProvenance(t *testing.T) {
 	tr := runFig1b(t, 7)
-	p1 := tr.PerCPU[0]
-	if want := (PCs{{Loc: 0, PC: 0}, {Loc: 1, PC: 1}}); !reflect.DeepEqual(p1[0].WritePC, want) {
-		t.Fatalf("P1 WritePC = %v, want %v", p1[0].WritePC, want)
+	from, _ := tr.Stream(0)
+	if got, want := tr.WritePCs(from), []int{0, 1}; !slices.Equal(got, want) || !slices.Equal(tr.Writes(from), Locs{0, 1}) {
+		t.Fatalf("P1 writes %v with PCs %v, want {0, 1} with %v", tr.Writes(from), got, want)
 	}
-	p2 := tr.PerCPU[1]
-	last := p2[len(p2)-1]
-	if want := (PCs{{Loc: 0, PC: 3}, {Loc: 1, PC: 2}}); !reflect.DeepEqual(last.ReadPC, want) {
-		t.Fatalf("P2 ReadPC = %v, want %v", last.ReadPC, want)
+	_, to := tr.Stream(1)
+	if got, want := tr.ReadPCs(to-1), []int{3, 2}; !slices.Equal(got, want) || !slices.Equal(tr.Reads(to-1), Locs{0, 1}) {
+		t.Fatalf("P2 reads %v with PCs %v, want {0, 1} with %v", tr.Reads(to-1), got, want)
 	}
 }
 
@@ -154,30 +138,26 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 
 func assertTracesEqual(t *testing.T, want, got *Trace) {
 	t.Helper()
-	if got.ProgramName != want.ProgramName || got.Model != want.Model ||
-		got.Seed != want.Seed || got.NumCPUs != want.NumCPUs ||
-		got.NumLocations != want.NumLocations {
-		t.Fatalf("header mismatch: got %+v", got)
+	if got.Header != want.Header {
+		t.Fatalf("header mismatch: got %+v, want %+v", got.Header, want.Header)
 	}
 	if got.NumEvents() != want.NumEvents() {
 		t.Fatalf("event count %d, want %d", got.NumEvents(), want.NumEvents())
 	}
-	for c := range want.PerCPU {
-		for i := range want.PerCPU[c] {
-			w, g := want.PerCPU[c][i], got.PerCPU[c][i]
-			if w.Kind != g.Kind || w.Role != g.Role || w.Loc != g.Loc ||
-				w.SyncSeq != g.SyncSeq || w.PC != g.PC ||
-				w.Observed != g.Observed || w.ObservedRole != g.ObservedRole {
-				t.Fatalf("P%d.%d mismatch:\nwant %v\ngot  %v", c+1, i, w, g)
-			}
-			if w.Kind == Comp {
-				if !slices.Equal(w.Reads, g.Reads) || !slices.Equal(w.Writes, g.Writes) {
-					t.Fatalf("P%d.%d access sets mismatch", c+1, i)
-				}
-				if !reflect.DeepEqual(w.ReadPC, g.ReadPC) || !reflect.DeepEqual(w.WritePC, g.WritePC) {
-					t.Fatalf("P%d.%d PC provenance mismatch", c+1, i)
-				}
-			}
+	if !slices.Equal(got.start, want.start) {
+		t.Fatalf("stream starts %v, want %v", got.start, want.start)
+	}
+	for i := range want.NumEvents() {
+		if w, g := want.Event(i), got.Event(i); w.Kind() != g.Kind() || w.Role() != g.Role() || w.Loc() != g.Loc() ||
+			w.SyncSeq() != g.SyncSeq() || w.PC() != g.PC() ||
+			w.Observed() != g.Observed() || w.ObservedRole() != g.ObservedRole() {
+			t.Fatalf("%s mismatch:\nwant %s\ngot  %s", want.Ref(i), want.EventString(i), got.EventString(i))
+		}
+		if !slices.Equal(want.Reads(i), got.Reads(i)) || !slices.Equal(want.Writes(i), got.Writes(i)) {
+			t.Fatalf("%s access sets mismatch", want.Ref(i))
+		}
+		if !slices.Equal(want.ReadPCs(i), got.ReadPCs(i)) || !slices.Equal(want.WritePCs(i), got.WritePCs(i)) {
+			t.Fatalf("%s PC provenance mismatch", want.Ref(i))
 		}
 	}
 }
@@ -227,75 +207,71 @@ func TestDecodeRejectsCorruptTail(t *testing.T) {
 	}
 }
 
-func TestValidateCatchesBrokenTraces(t *testing.T) {
-	mk := func() *Trace {
-		return &Trace{
-			ProgramName: "x", NumCPUs: 1, NumLocations: 4,
-			PerCPU: [][]*Event{{
-				{Kind: Sync, Role: memmodel.RoleRelease, Loc: 1, SyncSeq: 0, Observed: NoEvent},
-			}},
+// build builds a trace over one processor from sync and comp events:
+// each element is a SyncEvent or a pair of read/write LocPC lists.
+func build(numLocs int, evs ...any) (*Trace, error) {
+	b := NewBuilder(Header{ProgramName: "x", NumCPUs: 1, NumLocations: numLocs})
+	for _, ev := range evs {
+		switch ev := ev.(type) {
+		case SyncEvent:
+			b.Sync(0, ev)
+		case [2][]LocPC:
+			b.Comp(0, ev[0], ev[1])
 		}
 	}
-	good := mk()
-	if err := good.Validate(); err != nil {
+	return b.Build()
+}
+
+func TestValidateCatchesBrokenTraces(t *testing.T) {
+	release := SyncEvent{Role: memmodel.RoleRelease, Loc: 1, Observed: NoEvent}
+	good, err := build(4, release)
+	if err != nil {
 		t.Fatalf("good trace rejected: %v", err)
+	}
+	good.NumCPUs = 2
+	if err := good.Validate(); err == nil || !strings.Contains(err.Error(), "streams") {
+		t.Errorf("cpu mismatch: err = %v, want substring %q", err, "streams")
 	}
 
 	cases := []struct {
 		name   string
-		mutate func(*Trace)
+		mutate func(*SyncEvent) any
 		want   string
 	}{
-		{"cpu mismatch", func(t *Trace) { t.NumCPUs = 2 }, "streams"},
-		{"bad sync loc", func(t *Trace) { t.PerCPU[0][0].Loc = 9 }, "out of range"},
-		{"data role on sync", func(t *Trace) { t.PerCPU[0][0].Role = memmodel.RoleData }, "role"},
-		{"negative seq", func(t *Trace) { t.PerCPU[0][0].SyncSeq = -1 }, "SyncSeq"},
-		{"dangling pair", func(t *Trace) {
-			t.PerCPU[0][0].Role = memmodel.RoleAcquire
-			t.PerCPU[0][0].Observed = EventRef{CPU: 5, Index: 0}
+		{"bad sync loc", func(s *SyncEvent) any { s.Loc = 9; return nil }, "out of range"},
+		{"data role on sync", func(s *SyncEvent) any { s.Role = memmodel.RoleData; return nil }, "role"},
+		{"negative seq", func(s *SyncEvent) any { s.SyncSeq = -1; return nil }, "SyncSeq"},
+		{"dangling pair", func(s *SyncEvent) any {
+			s.Role, s.Observed = memmodel.RoleAcquire, EventRef{CPU: 5, Index: 0}
+			return nil
 		}, "dangling"},
-		{"empty comp", func(t *Trace) {
-			t.PerCPU[0] = append(t.PerCPU[0], &Event{
-				Kind: Comp,
-			})
-		}, "empty computation"},
-		{"comp loc out of range", func(t *Trace) {
-			t.PerCPU[0] = append(t.PerCPU[0], &Event{
-				Kind: Comp, Reads: Locs{99},
-			})
-		}, "out of range"},
+		{"empty comp", func(*SyncEvent) any { return [2][]LocPC{} }, "empty computation"},
+		{"comp loc out of range", func(*SyncEvent) any { return [2][]LocPC{{{Loc: 99}}, nil} }, "out of range"},
 	}
 	for _, c := range cases {
-		tr := mk()
-		c.mutate(tr)
-		err := tr.Validate()
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: err = %v, want substring %q", c.name, err, c.want)
+		s := release
+		extra := c.mutate(&s)
+		evs := []any{s}
+		if extra != nil {
+			evs = append(evs, extra)
+		}
+		_, err := build(4, evs...)
+		var ie *InvalidError
+		if !errors.As(err, &ie) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want an *InvalidError with substring %q", c.name, err, c.want)
 		}
 	}
 }
 
 func TestValidateDuplicateSyncSeq(t *testing.T) {
-	tr := &Trace{
-		ProgramName: "x", NumCPUs: 1, NumLocations: 2,
-		PerCPU: [][]*Event{{
-			{Kind: Sync, Role: memmodel.RoleRelease, Loc: 0, SyncSeq: 0, Observed: NoEvent},
-			{Kind: Sync, Role: memmodel.RoleRelease, Loc: 0, SyncSeq: 0, Observed: NoEvent},
-		}},
-	}
-	if err := tr.Validate(); err == nil || !strings.Contains(err.Error(), "duplicate SyncSeq") {
+	release := SyncEvent{Role: memmodel.RoleRelease, Observed: NoEvent}
+	if _, err := build(2, release, release); err == nil || !strings.Contains(err.Error(), "duplicate SyncSeq") {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestValidateMissingSyncSeq(t *testing.T) {
-	tr := &Trace{
-		ProgramName: "x", NumCPUs: 1, NumLocations: 2,
-		PerCPU: [][]*Event{{
-			{Kind: Sync, Role: memmodel.RoleRelease, Loc: 0, SyncSeq: 1, Observed: NoEvent},
-		}},
-	}
-	if err := tr.Validate(); err == nil || !strings.Contains(err.Error(), "missing") {
+	if _, err := build(2, SyncEvent{Role: memmodel.RoleRelease, SyncSeq: 1, Observed: NoEvent}); err == nil || !strings.Contains(err.Error(), "missing") {
 		t.Fatalf("err = %v", err)
 	}
 }
