@@ -16,6 +16,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"weakrace/internal/core"
@@ -140,8 +141,49 @@ func Run(cfg Config) (*Report, error) {
 	return RunWithOptions(cfg, Options{})
 }
 
-// simRun is sim.Run, indirected so tests can inject per-seed failures.
-var simRun = sim.Run
+// simRun is sim.RunInto, indirected so tests can inject per-seed
+// failures.
+var simRun = sim.RunInto
+
+// scratch is one in-flight seed's reusable set: the simulator's, the
+// trace builder's and the detector's arenas, and the buffer its races
+// expand into. Each arena's slabs are retained by what it built — the
+// sim.Result, the trace, the Analysis — so a set serves one seed at a
+// time and is reused only once that seed's analysis is dead.
+type scratch struct {
+	sim   sim.Arena
+	trace trace.Arena
+	core  core.Arena
+	lower []core.LowerLevelRace
+}
+
+// scratchPool outlives a campaign: back-to-back campaigns reuse the
+// grown arenas instead of each regrowing a full set per worker.
+// sync.Pool drops idle sets under GC, so a finished hunt's scratch does
+// not pin memory.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// analyze simulates one of cfg's executions and analyzes it, both
+// through sc's arenas, recording simulate and analyze spans into str
+// (nil-safe). The Result and Analysis alias sc, so they are dead once
+// sc is reused. r is nil when the simulation failed.
+func (sc *scratch) analyze(cfg Config, seed int, str *telemetry.StreamTrace) (r *sim.Result, a *core.Analysis, err error) {
+	simStart := time.Now()
+	r, err = simRun(cfg.Workload.Prog, sim.Config{
+		Model: cfg.Model, Seed: int64(seed),
+		RetireProb: cfg.RetireProb,
+		InitMemory: cfg.Workload.InitMemory,
+	}, &sc.sim)
+	str.Record("simulate", -1, simStart, time.Since(simStart))
+	if err != nil {
+		return nil, nil, err
+	}
+	anStart := time.Now()
+	a, err = core.Analyze(trace.FromExecutionInto(r.Exec, &sc.trace),
+		core.Options{Pairing: cfg.Pairing, Arena: &sc.core})
+	str.Record("analyze", -1, anStart, time.Since(anStart))
+	return r, a, err
+}
 
 // RunWithOptions executes the campaign with per-run hooks: progress
 // callbacks fire as seeds complete, and (when the default telemetry
@@ -250,122 +292,105 @@ func RunWithOptions(cfg Config, opts Options) (*Report, error) {
 		})
 	}
 
-	// One scratch set per in-flight worker: the detector arena's
-	// megabyte-scale buffers (race records, SCC stacks, partner table) AND
-	// the trace builder's event/word slabs are reused across the seeds a
-	// worker analyzes instead of reallocated per seed. The trace arena's
-	// slabs are retained by the trace the analysis holds, so a set goes
-	// back to the pool only when its seed's closure — the analysis's whole
-	// lifetime — exits.
-	type seedScratch struct {
-		core  *core.Arena
-		trace *trace.Arena
+	// Each worker takes one scratch set for the seeds it runs, so the
+	// simulator's op log, the trace slabs and the detector's buffers
+	// grow once per worker and are reused seed after seed.
+	runSeed := func(seed int, sc *scratch) {
+		// Deferred closure: results[seed]/errs[seed] are in place by the
+		// time the seed returns, whichever path it took.
+		defer func() { seedDone(seed, results[seed], errs[seed]) }()
+		sp := reg.StartSpan("campaign.seed")
+		defer sp.End()
+		// Per-seed trace: simulate and analyze spans under one key, so
+		// racehunt serves /trace/seed-N for every racy or failed seed.
+		var str *telemetry.StreamTrace
+		if opts.Tracer != nil {
+			key := fmt.Sprintf("seed-%d", seed)
+			id := telemetry.TraceID(uint64(start.UnixNano())<<16 | uint64(seed)&0xffff)
+			str = opts.Tracer.Begin(key, id, 0, cfg.Workload.Name, cfg.Model.String(), int64(seed))
+			seedStart := time.Now()
+			defer func() {
+				dur := time.Since(seedStart)
+				res := results[seed]
+				opts.Tracer.Finish(str, telemetry.TraceOutcome{
+					Racy:    res != nil && res.racy,
+					Errored: errs[seed] != nil,
+				})
+				opts.Watchdog.Observe("campaign.seed", dur, key)
+			}()
+		}
+		// The seed summary is timed and emitted only when a recorder is
+		// attached; the default path costs one nil check.
+		var seedStart time.Time
+		if opts.Flight != nil {
+			seedStart = time.Now()
+		}
+		emitSeed := func(a *core.Analysis, incomplete bool, err error) {
+			if opts.Flight == nil {
+				return
+			}
+			rec := &export.SeedRec{
+				Seed:       int64(seed),
+				DurNS:      int64(time.Since(seedStart)),
+				Incomplete: incomplete,
+			}
+			if err != nil {
+				rec.Failed, rec.Error = true, err.Error()
+			} else {
+				rec.Events = a.NumEvents
+				rec.Races = len(a.Races) + a.SyncRaces
+				rec.DataRaces = len(a.Races)
+				rec.Partitions = len(a.Partitions)
+				rec.FirstPartitions = len(a.FirstPartitions)
+				rec.Racy = !a.RaceFree()
+			}
+			opts.Flight.Emit(export.Record{Kind: export.KindSeed, Seed: rec})
+		}
+		r, a, err := sc.analyze(cfg, seed, str)
+		if err != nil {
+			errs[seed] = err
+			emitSeed(nil, r != nil && !r.Completed, err)
+			return
+		}
+		res := &seedResult{incomplete: !r.Completed, racy: !a.RaceFree()}
+		emitSeed(a, res.incomplete, nil)
+		if res.racy {
+			res.races = map[core.LowerLevelRace]bool{}
+			res.firsts = map[core.LowerLevelRace]bool{}
+		}
+		for ri, race := range a.Races {
+			pi := a.RaceOfPartition(ri)
+			isFirst := pi >= 0 && a.Partitions[pi].First
+			sc.lower = a.AppendLowerLevel(sc.lower[:0], race)
+			for _, ll := range sc.lower {
+				key := ll.Canonical()
+				res.races[key] = true
+				if isFirst {
+					res.firsts[key] = true
+				}
+			}
+		}
+		results[seed] = res
 	}
-	scratches := sync.Pool{New: func() any {
-		return &seedScratch{core: core.NewArena(), trace: trace.NewArena()}
-	}}
 
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, cfg.Workers)
-	for seed := 0; seed < cfg.Seeds; seed++ {
+	var (
+		wg   sync.WaitGroup
+		next atomic.Int64 // the next seed to claim
+	)
+	for range max(1, min(cfg.Workers, cfg.Seeds)) {
 		wg.Add(1)
-		sem <- struct{}{}
-		go func(seed int) {
+		go func() {
 			defer wg.Done()
-			defer func() { <-sem }()
-			// Deferred closure: results[seed]/errs[seed] are in place by
-			// the time the worker returns, whichever path it took.
-			defer func() { seedDone(seed, results[seed], errs[seed]) }()
-			sp := reg.StartSpan("campaign.seed")
-			defer sp.End()
-			// Per-seed trace: simulate and analyze spans under one key, so
-			// racehunt serves /trace/seed-N for every racy or failed seed.
-			var str *telemetry.StreamTrace
-			if opts.Tracer != nil {
-				key := fmt.Sprintf("seed-%d", seed)
-				id := telemetry.TraceID(uint64(start.UnixNano())<<16 | uint64(seed)&0xffff)
-				str = opts.Tracer.Begin(key, id, 0, cfg.Workload.Name, cfg.Model.String(), int64(seed))
-				seedStart := time.Now()
-				defer func() {
-					dur := time.Since(seedStart)
-					res := results[seed]
-					opts.Tracer.Finish(str, telemetry.TraceOutcome{
-						Racy:    res != nil && res.racy,
-						Errored: errs[seed] != nil,
-					})
-					opts.Watchdog.Observe("campaign.seed", dur, key)
-				}()
-			}
-			// The seed summary is timed and emitted only when a recorder is
-			// attached; the default path costs one nil check.
-			var seedStart time.Time
-			if opts.Flight != nil {
-				seedStart = time.Now()
-			}
-			emitSeed := func(a *core.Analysis, incomplete bool, err error) {
-				if opts.Flight == nil {
+			sc := scratchPool.Get().(*scratch)
+			defer scratchPool.Put(sc)
+			for {
+				seed := int(next.Add(1) - 1)
+				if seed >= cfg.Seeds {
 					return
 				}
-				rec := &export.SeedRec{
-					Seed:       int64(seed),
-					DurNS:      int64(time.Since(seedStart)),
-					Incomplete: incomplete,
-				}
-				if err != nil {
-					rec.Failed, rec.Error = true, err.Error()
-				} else {
-					rec.Events = a.NumEvents
-					rec.Races = len(a.Races) + a.SyncRaces
-					rec.DataRaces = len(a.Races)
-					rec.Partitions = len(a.Partitions)
-					rec.FirstPartitions = len(a.FirstPartitions)
-					rec.Racy = !a.RaceFree()
-				}
-				opts.Flight.Emit(export.Record{Kind: export.KindSeed, Seed: rec})
+				runSeed(seed, sc)
 			}
-			simStart := time.Now()
-			r, err := simRun(cfg.Workload.Prog, sim.Config{
-				Model: cfg.Model, Seed: int64(seed),
-				RetireProb: cfg.RetireProb,
-				InitMemory: cfg.Workload.InitMemory,
-			})
-			str.Record("simulate", -1, simStart, time.Since(simStart))
-			if err != nil {
-				errs[seed] = err
-				emitSeed(nil, false, err)
-				return
-			}
-			res := &seedResult{
-				incomplete: !r.Completed,
-				races:      map[core.LowerLevelRace]bool{},
-				firsts:     map[core.LowerLevelRace]bool{},
-			}
-			scratch := scratches.Get().(*seedScratch)
-			defer scratches.Put(scratch)
-			anStart := time.Now()
-			a, err := core.Analyze(trace.FromExecutionInto(r.Exec, scratch.trace),
-				core.Options{Pairing: cfg.Pairing, Arena: scratch.core})
-			str.Record("analyze", -1, anStart, time.Since(anStart))
-			if err != nil {
-				errs[seed] = err
-				emitSeed(nil, res.incomplete, err)
-				return
-			}
-			emitSeed(a, res.incomplete, nil)
-			res.racy = !a.RaceFree()
-			for ri := range a.Races {
-				pi := a.RaceOfPartition(ri)
-				isFirst := pi >= 0 && a.Partitions[pi].First
-				for _, ll := range a.LowerLevel(a.Races[ri]) {
-					key := ll.Canonical()
-					res.races[key] = true
-					if isFirst {
-						res.firsts[key] = true
-					}
-				}
-			}
-			results[seed] = res
-		}(seed)
+		}()
 	}
 	wg.Wait()
 

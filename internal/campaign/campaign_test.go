@@ -156,11 +156,11 @@ func TestCampaignSurvivesFailingSeeds(t *testing.T) {
 	realRun := simRun
 	defer func() { simRun = realRun }()
 	injected := errors.New("injected simulator fault")
-	simRun = func(p *program.Program, cfg sim.Config) (*sim.Result, error) {
+	simRun = func(p *program.Program, cfg sim.Config, ar *sim.Arena) (*sim.Result, error) {
 		if cfg.Seed%5 == 2 { // seeds 2, 7, 12, 17
 			return nil, injected
 		}
-		return realRun(p, cfg)
+		return realRun(p, cfg, ar)
 	}
 
 	const seeds = 20
@@ -200,7 +200,7 @@ func TestCampaignSurvivesFailingSeeds(t *testing.T) {
 	}
 
 	// All seeds failing is the only fatal case.
-	simRun = func(p *program.Program, cfg sim.Config) (*sim.Result, error) {
+	simRun = func(p *program.Program, cfg sim.Config, ar *sim.Arena) (*sim.Result, error) {
 		return nil, injected
 	}
 	if _, err := Run(Config{Workload: workload.LockedCounter(3, 3, 1), Model: memmodel.WO, Seeds: 5}); err == nil {
@@ -324,11 +324,11 @@ func TestCampaignFlightSeedSummaries(t *testing.T) {
 	realRun := simRun
 	defer func() { simRun = realRun }()
 	injected := errors.New("injected simulator fault")
-	simRun = func(p *program.Program, cfg sim.Config) (*sim.Result, error) {
+	simRun = func(p *program.Program, cfg sim.Config, ar *sim.Arena) (*sim.Result, error) {
 		if cfg.Seed == 3 {
 			return nil, injected
 		}
-		return realRun(p, cfg)
+		return realRun(p, cfg, ar)
 	}
 
 	const seeds = 12

@@ -63,12 +63,17 @@ type Options struct {
 	// Workers is ignored: every pass of an analysis runs on the calling
 	// goroutine. It remains only so existing callers keep compiling.
 	Workers int
-	// Arena, when non-nil, supplies reusable per-Analyze scratch buffers
-	// (the location-sorted access slab, race records, SCC stacks, the G′
-	// partner table). A campaign hands one
-	// arena per in-flight seed down so repeated analyses stop re-allocating
-	// the same megabyte-scale buffers. An Arena must not be shared by
-	// concurrent Analyze calls.
+	// Arena, when non-nil, supplies reusable per-Analyze buffers: the
+	// scratch (the location-sorted access slab, race records, SCC stacks,
+	// the G′ partner table) and the slabs the returned Analysis keeps
+	// (the hb1 clocks with their stream and position tables, G′'s
+	// component ids and members, the races and their location sets).
+	// Such an Analysis is valid only until the next Analyze through the
+	// same arena. A campaign hands one arena per in-flight seed down, so
+	// repeated analyses stop re-allocating the same buffers. Without an
+	// arena, Analyze borrows pooled scratch and allocates the kept slabs
+	// afresh, so its Analysis has no such limit. An Arena must not be
+	// shared by concurrent Analyze calls.
 	Arena *Arena
 	// Flight, when non-nil, attaches a flight recorder: Analyze records
 	// the trace's events, hb1 edges tagged by origin (po/so1), the G′
@@ -79,11 +84,15 @@ type Options struct {
 	Flight *export.Recorder
 }
 
-// Arena holds the per-Analyze scratch buffers that are NOT retained by
-// the returned Analysis: the so1 index and flat hb1, the sweep's access
-// slab and flat record buffers, the G′ partner table, the partition
-// grouping table, and the graph layer's merge, Tarjan and condensation
-// scratch. Zero value is ready to use; see Options.Arena.
+// Arena holds the per-Analyze buffers: the scratch — the so1 index and
+// flat hb1, the sweep's access slab and flat record buffers, the G′
+// partner table, the partition grouping table, and the graph layer's
+// merge, Tarjan and condensation scratch — and the slabs the returned
+// Analysis keeps: HBTime's clocks and stream/position tables, AugSCC's
+// components, and Races with their location sets. Like trace.Arena and
+// sim.Arena, the kept slabs make an Analysis built through an arena
+// valid only until the next Analyze through it. Zero value is ready to
+// use; see Options.Arena.
 type Arena struct {
 	rel []int32       // rel[event]: its so1 release, −1 when none
 	hb  graph.Streams // hb1 over rel: po chains plus so1 successor lists
@@ -108,6 +117,18 @@ type Arena struct {
 	// while partition groups the races, 0 for a component without one.
 	partSlot []int32
 	scratch  graph.Scratch
+	// keep holds the slabs the Analysis retains (see Options.Arena).
+	keep kept
+}
+
+// kept holds the slabs an Analysis retains: the graph layer's clocks
+// and components, the race slab with its identity index, and the slab
+// the races' location sets are carved from.
+type kept struct {
+	graph     graph.Slabs
+	races     []Race
+	dataRaces []int
+	locs      trace.Locs
 }
 
 // NewArena returns an empty arena. Buffers grow to the working-set size
@@ -115,9 +136,11 @@ type Arena struct {
 func NewArena() *Arena { return &Arena{} }
 
 // arenaPool backs Analyze calls that did not supply an Options.Arena, so
-// every caller gets scratch reuse across analyses; an explicit arena
-// still wins (deterministic per-worker reuse, e.g. one per in-flight
-// campaign seed).
+// every caller gets scratch reuse across analyses. Only the scratch is
+// borrowed: the slabs a pooled analysis keeps are allocated afresh,
+// since it outlives its return of the arena. An explicit arena still
+// wins (deterministic per-worker reuse, e.g. one per in-flight campaign
+// seed).
 var arenaPool = sync.Pool{New: func() any { return &Arena{} }}
 
 // Race is a higher-level data race between two events (§4.1): A and B
@@ -198,6 +221,9 @@ type Analysis struct {
 	candidatePairs  int64            // conflicting pairs in the sweep's segment pairs
 	sweepBuckets    int64            // (location, segment-pair) units the scan walked
 	vcWindowQueries int64            // sweep boundary lookups answered by HBTime
+	// keep supplies the slabs the Analysis retains: the explicit arena's,
+	// or its own, empty at the start, when Analyze borrowed a pooled one.
+	keep *kept
 	// pairShift is the bit width of this trace's event ids: packed pair
 	// keys are lo<<pairShift | hi, so they span only 2·⌈log₂ n⌉ bits and
 	// the radix sort runs the fewest counting passes the ids allow.
@@ -283,7 +309,10 @@ func Analyze(t *trace.Trace, opts Options) (*Analysis, error) {
 	fl := newFlight(opts.Flight)
 	defer startPhase(reg, fl, "detect.analyze")()
 	a := &Analysis{Trace: t, Options: opts, NumEvents: n}
-	if a.Options.Arena == nil {
+	if opts.Arena != nil {
+		a.keep = &opts.Arena.keep
+	} else {
+		a.keep = new(kept)
 		ar := arenaPool.Get().(*Arena)
 		a.Options.Arena = ar
 		defer func() {
@@ -300,7 +329,7 @@ func Analyze(t *trace.Trace, opts Options) (*Analysis, error) {
 	// the clocks for free.
 	done = startPhase(reg, fl, "detect.hb_reach")
 	ar := a.Options.Arena
-	a.HBTime = graph.NewTimestamps(&ar.hb, &ar.scratch)
+	a.HBTime = graph.NewTimestamps(&ar.hb, &ar.scratch, &a.keep.graph)
 	done()
 	done = startPhase(reg, fl, "detect.find_races")
 	a.findRaces(reg, fl)
@@ -394,16 +423,17 @@ func (a *Analysis) buildSO1() {
 			rel[i] = int32(ev.Observed())
 		}
 	}
-	ar.hb.Reset(a.Trace.Starts(), rel)
+	ar.hb.Reset(a.Trace.Starts(), rel, &a.keep.graph)
 }
 
 // HB1 returns the happens-before-1 graph of t under the pairing policy,
 // po ∪ so1, in the flat form Analyze timestamps and runs G′'s Tarjan
 // over. Its successor lists fix G′'s component ids. t must be valid.
 func HB1(t *trace.Trace, pairing memmodel.PairingPolicy) *graph.Streams {
-	a := &Analysis{Trace: t, Options: Options{Pairing: pairing, Arena: &Arena{}}, NumEvents: t.NumEvents()}
+	ar := &Arena{}
+	a := &Analysis{Trace: t, Options: Options{Pairing: pairing, Arena: ar}, NumEvents: t.NumEvents(), keep: &ar.keep}
 	a.buildSO1()
-	return &a.Options.Arena.hb
+	return &ar.hb
 }
 
 // access is one (event, location) access used during race detection.
@@ -566,32 +596,37 @@ func (a *Analysis) findRaces(reg *telemetry.Registry, fl *flight) {
 	// location indices ascending (see sortRecsByKey). Each (pair,
 	// location) combination occurs at most once in recs, so a run of
 	// length one IS a single-location race — nearly every race — and its
-	// Locs is a one-element window of one slab of the distinct locations,
-	// shared by every race on that location. len(recs) bounds the race
-	// count tightly, so Races is allocated once at that bound and
-	// truncated — no counting pre-pass rescanning the records.
+	// Locs is a one-element window of the distinct locations, shared by
+	// every race on that location. Those and the multi-location races'
+	// lists are carved from one slab. len(recs) bounds the race count
+	// tightly, so Races is sized once at that bound and truncated — no
+	// counting pre-pass rescanning the records. Both slabs are kept (see
+	// Options.Arena).
 	doneCoalesce := startPhase(reg, fl, "detect.sweep.coalesce")
+	k := a.keep
+	races, slab := reuse(&k.races, len(recs)), k.locs[:0]
 	var raceLocs trace.Locs
 	if len(recs) > 0 {
-		raceLocs = slices.Clone(trace.Locs(locs))
+		slab = append(slab, locs...)
+		raceLocs = slab[:len(locs):len(locs)]
 	}
-	races := make([]Race, len(recs))
 	ri := 0
 	for i := 0; i < len(recs); ri++ {
 		j := i + 1
 		for j < len(recs) && recs[j].key == recs[i].key {
 			j++
 		}
-		a.fillRace(&races[ri], recs[i:j], raceLocs)
+		slab = a.fillRace(&races[ri], recs[i:j], raceLocs, slab)
 		i = j
 	}
 	a.Races = races[:ri:ri]
 	if len(a.Races) > 0 {
-		a.DataRaces = make([]int, len(a.Races))
+		a.DataRaces = reuse(&k.dataRaces, len(a.Races))
 		for i := range a.DataRaces {
 			a.DataRaces[i] = i
 		}
 	}
+	k.locs = slab
 	doneCoalesce()
 }
 
@@ -814,20 +849,33 @@ func (a *Analysis) proposePartner(accs []access, x access, p, q int32) {
 // fillRace materializes one sorted equal-key run of sweep records as a
 // Race: unpack the pair and take the run's locations from locs, the
 // distinct locations in sorted order — a shared one-element window for
-// the dominant single-location case, a list of its own otherwise.
-func (a *Analysis) fillRace(r *Race, run []pairRec, locs trace.Locs) {
+// the dominant single-location case, a list appended to slab otherwise.
+// It returns slab.
+func (a *Analysis) fillRace(r *Race, run []pairRec, locs, slab trace.Locs) trace.Locs {
 	shift := a.pairShift
 	r.A = EventID(run[0].key >> shift)
 	r.B = EventID(run[0].key & (1<<shift - 1))
 	if len(run) == 1 {
 		li := run[0].slot
 		r.Locs = locs[li : li+1 : li+1]
-		return
+		return slab
 	}
-	r.Locs = make(trace.Locs, len(run))
-	for i, rec := range run {
-		r.Locs[i] = locs[rec.slot]
+	start := len(slab)
+	for _, rec := range run {
+		slab = append(slab, locs[rec.slot])
 	}
+	r.Locs = slab[start:len(slab):len(slab)]
+	return slab
+}
+
+// reuse returns *buf resliced to n, reallocating it when its capacity
+// is short or it is nil. The contents are NOT zeroed.
+func reuse[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n || *buf == nil {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
 }
 
 // sortRecsByKey sorts records by (key, slot) — the scan's records by
@@ -945,7 +993,7 @@ func (a *Analysis) buildImplicitAug() {
 		}
 	}
 	ar.partners = partners
-	scc := ar.hb.SCC(partners, &ar.scratch)
+	scc := ar.hb.SCC(partners, &ar.scratch, &a.keep.graph)
 	a.AugSCC = scc
 	a.augCond = graph.NewCondReach(&ar.hb, partners, scc, &ar.scratch)
 	a.augEdges = nEntries

@@ -36,8 +36,13 @@ func newFlight(fr *export.Recorder) *flight {
 
 // startPhase begins a telemetry span and, when a flight recorder is
 // attached, a flight phase. The returned func ends both. With telemetry
-// disabled and no recorder this costs one atomic load and one nil check.
+// disabled and no recorder this costs one atomic load and one nil check,
+// and returns endNothing: a method value such as sp.End would be one heap
+// allocation per phase.
 func startPhase(reg *telemetry.Registry, fl *flight, name string) func() {
+	if fl == nil && !reg.Enabled() {
+		return endNothing
+	}
 	sp := reg.StartSpan(name)
 	if fl == nil {
 		return sp.End
@@ -48,6 +53,9 @@ func startPhase(reg *telemetry.Registry, fl *flight, name string) func() {
 		fl.fr.Phase(fl.seq, name, fl.track, t0)
 	}
 }
+
+// endNothing ends a phase that records nothing.
+func endNothing() {}
 
 // record dumps the analysis's structure into the flight log: meta,
 // events, hb1 edges by origin, G′ partner edges, data races, and

@@ -29,8 +29,10 @@ func spinTrace(t *testing.T, critical int) *trace.Trace {
 
 // allocatedBytes analyzes tr twice through one arena and returns the
 // second analysis with the bytes it allocated: the steady state of a
-// campaign, where the arena's scratch slabs are already grown and the
-// per-analysis allocation is the retained result plus per-call buffers.
+// campaign, where the arena's scratch and the slabs the Analysis keeps
+// (clocks, components, races) are already grown, and the per-analysis
+// allocation is what is left of the result — partitions, the
+// condensation, a few headers.
 func allocatedBytes(t *testing.T, tr *trace.Trace) (*core.Analysis, uint64) {
 	t.Helper()
 	opts := core.Options{Arena: core.NewArena()}
@@ -52,11 +54,12 @@ func allocatedBytes(t *testing.T, tr *trace.Trace) (*core.Analysis, uint64) {
 // plus data races, not with synchronization races: between a short and a
 // long critical section of a spin-contended trace the sync-race count
 // grows at least 4× faster than events + data races, while the bytes
-// Analyze allocates grow no faster than events + data races. The bytes
-// get 25% of headroom: slice growth steps and the G′ component count
-// (one Members row each) move the footprint per event by that much
-// between two traces of the same kind. Storing the sync races would
-// move it by the sync-race growth, 5× and more here.
+// Analyze allocates in the steady state grow no faster than events +
+// data races. The bytes get 25% of headroom: slice growth steps and the
+// G′ component count move the footprint by that much between two traces
+// of the same kind. Storing the sync races would move it by the
+// sync-race growth, 5× and more here. With the arena's slabs reused, the
+// steady state is 3.7 KB → 8.8 KB (2.4×, work 4.2×).
 func TestAnalyzeOutputSensitive(t *testing.T) {
 	small, big := spinTrace(t, 3), spinTrace(t, 24)
 	a1, b1 := allocatedBytes(t, small)

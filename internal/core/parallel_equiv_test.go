@@ -16,13 +16,16 @@ import (
 // TestParallelAnalysisCorpusEquivalent pins that repeated analyses of
 // one trace are byte-identical on the frozen 60-trace corpus: five
 // analyses run back to back through the pooled arena (Options.Workers
-// varies across them but is ignored), and the Analysis, the rendered
-// report, and the flight recording (partner edges included) must match
-// the first. Phase records carry wall-clock durations that legitimately
+// varies across them but is ignored), then one through an explicit
+// arena shared by every trace of the corpus, so its kept slabs hold the
+// previous trace's clocks and races; the Analysis, the rendered report,
+// and the flight recording (partner edges included) must match the
+// first's. Phase records carry wall-clock durations that legitimately
 // vary run-to-run, so they are compared structurally (the per-analysis
 // phase name sequence must match exactly) while every other record is
 // compared as serialized JSONL bytes with the emission timestamp zeroed.
 func TestParallelAnalysisCorpusEquivalent(t *testing.T) {
+	shared := core.NewArena()
 	for trial, c := range workload.Corpus(60, 1) {
 		w, model, seed := c.Workload, c.Model, c.Seed
 		r, err := sim.Run(w.Prog, sim.Config{Model: model, Seed: seed, InitMemory: w.InitMemory})
@@ -37,9 +40,9 @@ func TestParallelAnalysisCorpusEquivalent(t *testing.T) {
 			flight string
 			phases []string
 		}
-		run := func(workers int) snapshot {
+		run := func(workers int, ar *core.Arena) snapshot {
 			fr := export.NewRecorder()
-			a, err := core.Analyze(tr, core.Options{Workers: workers, Flight: fr})
+			a, err := core.Analyze(tr, core.Options{Workers: workers, Flight: fr, Arena: ar})
 			if err != nil {
 				t.Fatalf("trial %d workers %d: %v", trial, workers, err)
 			}
@@ -64,13 +67,19 @@ func TestParallelAnalysisCorpusEquivalent(t *testing.T) {
 			return snapshot{a: a, text: text.String(), flight: flight.String(), phases: phases}
 		}
 
-		ref := run(1)
-		for _, workers := range []int{2, 3, 8, 16} {
-			got := run(workers)
+		ref := run(1, nil)
+		for _, workers := range []int{2, 3, 8, 16, 0} {
+			var ar *core.Arena
+			if workers == 0 { // the run through the shared arena
+				ar = shared
+			}
+			got := run(workers, ar)
 			if !reflect.DeepEqual(got.a.Races, ref.a.Races) ||
 				got.a.SyncRaces != ref.a.SyncRaces ||
 				!reflect.DeepEqual(got.a.Partitions, ref.a.Partitions) ||
-				!reflect.DeepEqual(got.a.FirstPartitions, ref.a.FirstPartitions) {
+				!reflect.DeepEqual(got.a.FirstPartitions, ref.a.FirstPartitions) ||
+				!reflect.DeepEqual(got.a.HBTime, ref.a.HBTime) ||
+				!reflect.DeepEqual(got.a.AugSCC, ref.a.AugSCC) {
 				t.Fatalf("trial %d workers %d: analysis differs from workers=1", trial, workers)
 			}
 			if got.text != ref.text {
@@ -84,6 +93,40 @@ func TestParallelAnalysisCorpusEquivalent(t *testing.T) {
 				t.Fatalf("trial %d workers %d: phase sequence differs: %v vs %v",
 					trial, workers, got.phases, ref.phases)
 			}
+		}
+	}
+}
+
+// TestPooledAnalysesStayValid pins the lifetime rule of the default
+// path: an Analysis made without an explicit arena borrows only pooled
+// scratch, so it stays intact while later analyses reuse that scratch.
+// Every corpus analysis is kept, and after all 60 each must still equal
+// a fresh analysis of its trace.
+func TestPooledAnalysesStayValid(t *testing.T) {
+	var traces []*trace.Trace
+	var kept []*core.Analysis
+	for trial, c := range workload.Corpus(60, 1) {
+		r, err := sim.Run(c.Workload.Prog, sim.Config{Model: c.Model, Seed: c.Seed, InitMemory: c.Workload.InitMemory})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		tr := trace.FromExecution(r.Exec)
+		a, err := core.Analyze(tr, core.Options{})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		traces, kept = append(traces, tr), append(kept, a)
+	}
+	for trial, got := range kept {
+		want, err := core.Analyze(traces[trial], core.Options{Arena: core.NewArena()})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if !reflect.DeepEqual(got.Races, want.Races) ||
+			!reflect.DeepEqual(got.Partitions, want.Partitions) ||
+			!reflect.DeepEqual(got.HBTime, want.HBTime) ||
+			!reflect.DeepEqual(got.AugSCC, want.AugSCC) {
+			t.Fatalf("trial %d: a pooled analysis changed after later analyses", trial)
 		}
 	}
 }

@@ -56,25 +56,44 @@ func (s *SCC) MaxSize() int { return s.maxSize }
 // Scratch holds reusable traversal buffers for the SCC, condensation and
 // timestamp passes: the Tarjan bookkeeping arrays and DFS stacks, the
 // packed-key buffer the condensation sort-dedupe uses, and the merge
-// order and stream heads of the clock pass. Only buffers that are NOT
-// retained by the returned structures live here (SCC.Comp, the members,
-// the condensation and the clocks are always freshly allocated —
-// callers keep them after the scratch is reused). A Scratch is not safe
-// for concurrent use; pool one per worker.
+// order, stream heads and stream lengths of the clock pass. Only buffers
+// that are NOT retained by the returned structures live here (what the
+// results keep comes from a Slabs, or is allocated fresh). A Scratch is
+// not safe for concurrent use; pool one per worker.
 type Scratch struct {
-	index, low         []int
-	onStack            []bool
-	stack              []int
-	callNode, callEdge []int
-	keys               []uint64
-	order, head        []int32
+	index, low          []int
+	onStack             []bool
+	stack               []int
+	callNode, callEdge  []int
+	keys                []uint64
+	order, head, strLen []int32
 }
 
-func (s *Scratch) ints(buf *[]int, n int) []int {
-	if cap(*buf) < n {
-		*buf = make([]int, n)
+// Slabs holds the storage the graph results retain: a Streams' stream
+// and position tables (which the Timestamps built over it keep), the
+// Timestamps' clocks, and an SCC's component ids and members. A result
+// built through a Slabs aliases it, so the next build of the same kind
+// through that Slabs invalidates the earlier result; a nil Slabs
+// allocates each result afresh. A caller that drops every result before
+// building the next (a campaign worker analyzing one seed at a time)
+// passes one Slabs to every build and stops re-allocating them. The
+// zero value is ready to use; a Slabs is not safe for concurrent use.
+type Slabs struct {
+	stream, pos   []int32
+	fw            []uint32
+	bw            []int32
+	comp, members []int
+	off           []int32
+}
+
+// reuse returns *buf resliced to n, reallocating it when its capacity
+// is short or it is nil. The contents are NOT zeroed.
+func reuse[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n || *buf == nil {
+		*buf = make([]T, n)
 	}
-	return (*buf)[:n]
+	*buf = (*buf)[:n]
+	return *buf
 }
 
 // SCC computes the strongly connected components of s plus, when
@@ -84,22 +103,23 @@ func (s *Scratch) ints(buf *[]int, n int) []int {
 // partners. It is an iterative Tarjan (so million-node traces cannot
 // overflow the stack) that visits each node's own successors, then its
 // partners in row order: that order fixes the component numbering. sc
-// (optional) supplies the Tarjan scratch; the result is freshly
-// allocated and remains valid after sc is reused.
-func (s *Streams) SCC(partners []int32, sc *Scratch) *SCC {
+// (optional) supplies the Tarjan scratch; the result remains valid after
+// sc is reused. keep (optional) supplies the component ids and members
+// the result holds (see Slabs); nil allocates them afresh.
+func (s *Streams) SCC(partners []int32, sc *Scratch, keep *Slabs) *SCC {
 	width := s.overlay(partners)
 	n := s.N()
 	if sc == nil {
 		sc = &Scratch{}
 	}
-	const unvisited = -1
-	index := sc.ints(&sc.index, n)
-	low := sc.ints(&sc.low, n)
-	comp := make([]int, n)
-	if cap(sc.onStack) < n {
-		sc.onStack = make([]bool, n)
+	if keep == nil {
+		keep = &Slabs{}
 	}
-	onStack := sc.onStack[:n]
+	const unvisited = -1
+	index := reuse(&sc.index, n)
+	low := reuse(&sc.low, n)
+	comp := reuse(&keep.comp, n)
+	onStack := reuse(&sc.onStack, n)
 	for i := range index {
 		index[i] = unvisited
 		comp[i] = unvisited
@@ -107,10 +127,10 @@ func (s *Streams) SCC(partners []int32, sc *Scratch) *SCC {
 	}
 	// Every node lands in exactly one component, so the members are one
 	// n-int slab plus one offset per component, both sized up front.
-	// Both are freshly allocated, never pooled: the SCC keeps them after
-	// the scratch is reused.
-	members := make([]int, 0, n)
-	off := make([]int32, 1, n+1)
+	// They come from keep, not the scratch: the SCC holds them.
+	members := reuse(&keep.members, n)[:0]
+	off := reuse(&keep.off, n+1)[:1]
+	off[0] = 0
 	maxSize, nextIdx := 0, 0
 	stack := sc.stack[:0]       // Tarjan's node stack
 	callNode := sc.callNode[:0] // explicit DFS stack: node

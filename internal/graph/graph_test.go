@@ -19,7 +19,7 @@ func streamsOf(n int, base []int, cross ...[2]int32) *Streams {
 		rel[e[1]] = e[0]
 	}
 	s := new(Streams)
-	s.Reset(base, rel)
+	s.Reset(base, rel, nil)
 	return s
 }
 
@@ -52,11 +52,11 @@ func TestOutOfRangePanics(t *testing.T) {
 			t.Fatal("no panic for an out-of-range cross predecessor")
 		}
 	}()
-	new(Streams).Reset([]int{0}, []int32{-1, 2})
+	new(Streams).Reset([]int{0}, []int32{-1, 2}, nil)
 }
 
 func TestSCCLine(t *testing.T) {
-	scc := streamsOf(4, []int{0}).SCC(nil, nil)
+	scc := streamsOf(4, []int{0}).SCC(nil, nil, nil)
 	if scc.NumComponents() != 4 {
 		t.Fatalf("components = %d, want 4", scc.NumComponents())
 	}
@@ -69,7 +69,7 @@ func TestSCCLine(t *testing.T) {
 }
 
 func TestSCCCycle(t *testing.T) {
-	scc := streamsOf(5, []int{0}, [2]int32{4, 0}).SCC(nil, nil)
+	scc := streamsOf(5, []int{0}, [2]int32{4, 0}).SCC(nil, nil, nil)
 	if scc.NumComponents() != 1 || scc.MaxSize() != 5 {
 		t.Fatalf("components = %d of max size %d, want 1 of 5", scc.NumComponents(), scc.MaxSize())
 	}
@@ -79,7 +79,7 @@ func TestSCCCycle(t *testing.T) {
 }
 
 func TestSCCTwoCyclesBridge(t *testing.T) {
-	scc := twoCycles().SCC(nil, nil)
+	scc := twoCycles().SCC(nil, nil, nil)
 	if scc.NumComponents() != 3 {
 		t.Fatalf("components = %d, want 3", scc.NumComponents())
 	}
@@ -98,7 +98,7 @@ func TestSCCTwoCyclesBridge(t *testing.T) {
 func TestCondensation(t *testing.T) {
 	s := streamsOf(4, []int{0, 2}, [2]int32{1, 0}, [2]int32{1, 2})
 	partners := []int32{-1, -1, -1, 2, -1, -1, -1, -1} // 1→2 again
-	scc := s.SCC(partners, nil)
+	scc := s.SCC(partners, nil, nil)
 	cr := NewCondReach(s, partners, scc, nil)
 	if scc.NumComponents() != 3 {
 		t.Fatalf("components = %d, want 3", scc.NumComponents())
@@ -111,8 +111,8 @@ func TestCondensation(t *testing.T) {
 // reachers returns the two production answers to "does u reach v" over
 // s: vector-clock timestamps and the condensation's CondReach.
 func reachers(s *Streams) map[string]func(u, v int) bool {
-	cr := NewCondReach(s, nil, s.SCC(nil, nil), nil)
-	return map[string]func(u, v int) bool{"timestamps": NewTimestamps(s, nil).Reaches, "condreach": cr.Reaches}
+	cr := NewCondReach(s, nil, s.SCC(nil, nil, nil), nil)
+	return map[string]func(u, v int) bool{"timestamps": NewTimestamps(s, nil, nil).Reaches, "condreach": cr.Reaches}
 }
 
 func TestReachabilityLine(t *testing.T) {
@@ -155,7 +155,7 @@ func TestReachabilityWithCycle(t *testing.T) {
 
 func TestComponentReaches(t *testing.T) {
 	s := twoCycles()
-	scc := s.SCC(nil, nil)
+	scc := s.SCC(nil, nil, nil)
 	r := NewCondReach(s, nil, scc, nil)
 	ca, cb := scc.Comp[0], scc.Comp[2]
 	if !r.ComponentReaches(ca, cb) {
@@ -189,7 +189,7 @@ func TestQuickReachabilityMatchesDFS(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		s, adj, _ := randStreams(rng, 1+rng.Intn(5), 8, 0.3)
-		r := NewCondReach(s, nil, s.SCC(nil, nil), nil)
+		r := NewCondReach(s, nil, s.SCC(nil, nil, nil), nil)
 		for u := range adj {
 			reach := bruteReach(adj, u)
 			for v := range adj {
@@ -212,7 +212,7 @@ func TestQuickSCCMutualReachability(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		s, adj, base := randStreams(rng, 1+rng.Intn(5), 6, 0.2)
 		partners, union := randomPartners(rng, s, adj, base, 0.15)
-		scc := s.SCC(partners, nil)
+		scc := s.SCC(partners, nil, nil)
 		r := oracle.NewClosure(union)
 		for u := range union {
 			for v := range union {
@@ -237,7 +237,7 @@ func TestQuickSCCNumberingReverseTopological(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		s, adj, base := randStreams(rng, 1+rng.Intn(5), 6, 0.2)
 		partners, union := randomPartners(rng, s, adj, base, 0.15)
-		scc := s.SCC(partners, nil)
+		scc := s.SCC(partners, nil, nil)
 		for u, vs := range union {
 			for _, v := range vs {
 				if scc.Comp[u] < scc.Comp[v] {
@@ -256,7 +256,7 @@ func TestSCCDeepRecursionSafe(t *testing.T) {
 	// A 200k-event stream would overflow a recursive Tarjan; the
 	// iterative one must handle it.
 	const n = 200_000
-	scc := streamsOf(n, []int{0}).SCC(nil, nil)
+	scc := streamsOf(n, []int{0}).SCC(nil, nil, nil)
 	if scc.NumComponents() != n {
 		t.Fatalf("components = %d, want %d", scc.NumComponents(), n)
 	}
@@ -269,6 +269,6 @@ func BenchmarkSCCRandom(b *testing.B) {
 	var sc Scratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.SCC(partners, &sc)
+		s.SCC(partners, &sc, nil)
 	}
 }

@@ -81,8 +81,8 @@ func TestStronglyConnectedOverlayMatchesExplicit(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		s, adj, base := randStreams(rng, 1+rng.Intn(5), 7, rng.Float64()*0.3)
 		partners, union := randomPartners(rng, s, adj, base, rng.Float64()*0.3)
-		checkComponents(t, fmt.Sprintf("trial %d", trial), s.SCC(partners, &sc), union)
-		checkComponents(t, fmt.Sprintf("trial %d, hb only", trial), s.SCC(nil, nil), adj)
+		checkComponents(t, fmt.Sprintf("trial %d", trial), s.SCC(partners, &sc, nil), union)
+		checkComponents(t, fmt.Sprintf("trial %d, hb only", trial), s.SCC(nil, nil, nil), adj)
 	}
 }
 
@@ -96,7 +96,7 @@ func TestCondReachMatchesExplicitReachability(t *testing.T) {
 		s, adj, base := randStreams(rng, 1+rng.Intn(5), 6, rng.Float64()*0.3)
 		partners, union := randomPartners(rng, s, adj, base, rng.Float64()*0.2)
 
-		scc := s.SCC(partners, &sc)
+		scc := s.SCC(partners, &sc, nil)
 		cr := NewCondReach(s, partners, scc, &sc)
 		ref := oracle.NewClosure(union)
 		for u := range union {
@@ -122,7 +122,7 @@ func TestCondReachConcurrent(t *testing.T) {
 	s, adj, base := randStreams(rng, 4, 30, 0.1)
 	partners, union := randomPartners(rng, s, adj, base, 0.05)
 	n := len(union)
-	scc := s.SCC(partners, nil)
+	scc := s.SCC(partners, nil, nil)
 	cr := NewCondReach(s, partners, scc, nil)
 	ref := oracle.NewClosure(union)
 	var wg sync.WaitGroup
@@ -163,7 +163,7 @@ func TestCondensationOverlayMatchesExplicit(t *testing.T) {
 		s, adj, base := randStreams(rng, 1+rng.Intn(5), 6, rng.Float64()*0.3)
 		partners, union := randomPartners(rng, s, adj, base, rng.Float64()*0.2)
 
-		scc := s.SCC(partners, nil)
+		scc := s.SCC(partners, nil, nil)
 		cr := NewCondReach(s, partners, scc, nil)
 		want := map[[2]int]bool{}
 		for u, vs := range union {

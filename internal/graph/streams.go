@@ -19,7 +19,7 @@ import "fmt"
 // A Streams is reused across Resets; it is not safe for concurrent use.
 type Streams struct {
 	// stream and pos map a node to its stream and its position there.
-	// Each Reset allocates them afresh: Timestamps keeps them.
+	// They come from Reset's Slabs: Timestamps keeps them.
 	stream, pos []int32
 	start       []int32 // stream p holds nodes start[p] .. start[p+1]-1
 	rel         []int32 // the caller's cross-predecessor table, not copied
@@ -31,8 +31,10 @@ type Streams struct {
 // predecessors rel. s aliases rel until the next Reset, so the caller
 // must not modify it meanwhile. The successor lists are carved out of
 // buffers kept from the previous Reset: a counting pass sizes them, a
-// second pass fills them in scan order.
-func (s *Streams) Reset(base []int, rel []int32) {
+// second pass fills them in scan order. The stream and position tables,
+// which a Timestamps built over s keeps, come from keep (see Slabs); nil
+// allocates them afresh.
+func (s *Streams) Reset(base []int, rel []int32, keep *Slabs) {
 	n := len(rel)
 	s.start = s.start[:0]
 	for p, b := range base {
@@ -45,7 +47,10 @@ func (s *Streams) Reset(base []int, rel []int32) {
 		panic(fmt.Sprintf("graph: Streams.Reset: %d nodes in no stream", n))
 	}
 	s.start = append(s.start, int32(n))
-	s.stream, s.pos = make([]int32, n), make([]int32, n)
+	if keep == nil {
+		keep = &Slabs{}
+	}
+	s.stream, s.pos = reuse(&keep.stream, n), reuse(&keep.pos, n)
 	s.rel = rel
 
 	// One pass per stream fills the stream tables and counts every

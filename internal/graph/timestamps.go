@@ -58,32 +58,30 @@ type Timestamps struct {
 }
 
 // NewTimestamps computes vector-clock timestamps for s. The result keeps
-// s's stream and position tables (each Reset allocates fresh ones), so
-// s may be Reset for the next graph. sc (optional) supplies the merge
-// and, on a cycle, the Tarjan scratch.
-func NewTimestamps(s *Streams, sc *Scratch) *Timestamps {
+// s's stream and position tables, so a Reset of s through the same Slabs
+// invalidates it. sc (optional) supplies the merge and, on a cycle, the
+// Tarjan scratch. keep (optional) supplies the clock slabs the result
+// holds (see Slabs); nil allocates them afresh.
+func NewTimestamps(s *Streams, sc *Scratch, keep *Slabs) *Timestamps {
 	defer telemetry.Default().StartSpan("graph.timestamps").End()
 	if sc == nil {
 		sc = &Scratch{}
+	}
+	if keep == nil {
+		keep = &Slabs{}
 	}
 	n, width := s.N(), s.Width()
 	t := &Timestamps{
 		stream: s.stream,
 		pos:    s.pos,
 		width:  width,
-		fw:     make([]uint32, n*width),
-		bw:     make([]int32, n*width),
+		fw:     reuse(&keep.fw, n*width),
+		bw:     reuse(&keep.bw, n*width),
 	}
-	if cap(sc.order) < n {
-		sc.order = make([]int32, n)
-	}
-	if cap(sc.head) < width {
-		sc.head = make([]int32, width)
-	}
-	order, head := sc.order[:n], sc.head[:width]
+	order, head := reuse(&sc.order, n), reuse(&sc.head, width)
 	// strLen[p], the length of stream p, is the backward frontiers'
 	// "reaches nothing of p" value.
-	strLen := make([]int32, width)
+	strLen := reuse(&sc.strLen, width)
 	for p := range strLen {
 		strLen[p] = s.start[p+1] - s.start[p]
 	}
@@ -127,6 +125,8 @@ func (t *Timestamps) merge(s *Streams, order, head []int32) bool {
 				row := t.fw[int(u)*w : int(u+1)*w]
 				if u > first {
 					copy(row, t.fw[int(u-1)*w:int(u)*w])
+				} else {
+					clear(row)
 				}
 				if r >= 0 {
 					for i, x := range t.fw[int(r)*w : int(r+1)*w] {
@@ -177,7 +177,10 @@ func meet(dst, src []int32) {
 // fallback for an hb1 cycle, where the merge stalls. The slabs shrink to
 // one row per component.
 func (t *Timestamps) fold(s *Streams, sc *Scratch, strLen []int32) {
-	scc := s.SCC(nil, sc)
+	// The clocks' component structure is allocated afresh, so keep's SCC
+	// slabs stay free for the caller's own SCC of the graph (the
+	// detector's G′).
+	scc := s.SCC(nil, sc, nil)
 	t.scc = scc
 	k, width := scc.NumComponents(), t.width
 	t.fw, t.bw = t.fw[:k*width], t.bw[:k*width]

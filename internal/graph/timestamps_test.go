@@ -47,7 +47,7 @@ func randStreams(rng *rand.Rand, width, maxLen int, pRel float64) (s *Streams, a
 		}
 	}
 	s = new(Streams)
-	s.Reset(base, rel)
+	s.Reset(base, rel, nil)
 	return s, adj, base
 }
 
@@ -57,7 +57,7 @@ func TestQuickTimestampsMatchReachability(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 150; trial++ {
 		s, adj, _ := randStreams(rng, 1+rng.Intn(5), 8, rng.Float64()*0.4)
-		ts := NewTimestamps(s, nil)
+		ts := NewTimestamps(s, nil, nil)
 		r := oracle.NewClosure(adj)
 		n := len(adj)
 		// The merge falls back to per-component rows exactly on a cycle.
@@ -84,7 +84,7 @@ func TestQuickTimestampsWindowMatchesClosure(t *testing.T) {
 	for trial := 0; trial < 150; trial++ {
 		width := 1 + rng.Intn(5)
 		s, adj, base := randStreams(rng, width, 8, rng.Float64()*0.4)
-		ts := NewTimestamps(s, nil)
+		ts := NewTimestamps(s, nil, nil)
 		r := oracle.NewClosure(adj)
 		n := len(adj)
 		// node[p][i]: the node of stream p at position i — ids are
@@ -122,7 +122,7 @@ func TestQuickTimestampsWindowMatchesClosure(t *testing.T) {
 func TestTimestampsEpochClockConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	s, adj, _ := randStreams(rng, 4, 10, 0.3)
-	ts := NewTimestamps(s, nil)
+	ts := NewTimestamps(s, nil, nil)
 	r := oracle.NewClosure(adj)
 	for u := range adj {
 		for v := range adj {
@@ -143,5 +143,5 @@ func TestTimestampsSizeMismatchPanics(t *testing.T) {
 			t.Fatal("no panic for mismatched stream table")
 		}
 	}()
-	new(Streams).Reset([]int{0, 3}, []int32{-1, -1})
+	new(Streams).Reset([]int{0, 3}, []int32{-1, -1}, nil)
 }

@@ -147,19 +147,81 @@ type machine struct {
 }
 
 // machinePool reuses machine state — memory cells, processor state,
-// store buffers, scheduler scratch, the seeded rng — across runs, so a
-// campaign worker looping over seeds pays the machine's allocations once
-// instead of per seed. Everything a Result retains (the Execution, the
-// final-memory and cycle slices) is allocated fresh per run and never
-// returns to the pool.
+// store buffers, scheduler scratch, the seeded rng — across Run calls,
+// which pass no Arena. Everything a Result retains lives in the run's
+// Arena instead and never returns to the pool.
 var machinePool = sync.Pool{New: func() any { return new(machine) }}
 
-// reset prepares a pooled machine for one run of p under cfg: reusable
-// buffers keep their capacity and are re-zeroed, caller-retained
-// structures are freshly allocated, and the rng is re-seeded (Seed
-// resets the source to exactly the rand.NewSource(seed) stream, so a
-// pooled machine's schedule is byte-identical to a fresh one's).
-func (m *machine) reset(p *program.Program, cfg Config) {
+// Arena holds what a run's Result retains — the Result and its
+// Execution, the op log, the per-CPU op lists, the initial and final
+// memory and the cycle counts — plus the machine state the run steps.
+// A caller running many seeds (a campaign worker) passes one arena to
+// every RunInto, so the op log and the per-CPU lists keep their
+// capacity instead of regrowing from empty on every run. Like
+// trace.Arena, the slabs ARE retained by the Result: running through an
+// arena again invalidates the previous Result and its Execution, so an
+// arena must only be reused once they are dead, and must not be shared
+// by concurrent runs.
+type Arena struct {
+	res  Result
+	exec Execution
+	m    *machine
+}
+
+// NewArena returns an empty arena. Slabs grow to the working-set size
+// of the runs made through it and are then reused.
+func NewArena() *Arena { return &Arena{} }
+
+// reset prepares ar's Result and Execution for one run of p under cfg,
+// keeping every slab's capacity: the op log and per-CPU lists empty,
+// the cycle counts zeroed. The memory slabs are sized here and filled by
+// the run.
+func (ar *Arena) reset(p *program.Program, cfg Config) {
+	nCPU := p.NumThreads()
+	perCPU := ar.exec.PerCPU[:cap(ar.exec.PerCPU)]
+	if len(perCPU) < nCPU {
+		perCPU = append(perCPU, make([][]int, nCPU-len(perCPU))...)
+	}
+	perCPU = perCPU[:nCPU]
+	for c := range perCPU {
+		perCPU[c] = perCPU[c][:0]
+	}
+	ar.exec = Execution{
+		ProgramName:           p.Name,
+		Model:                 cfg.Model,
+		Seed:                  cfg.Seed,
+		NumCPUs:               nCPU,
+		NumLocations:          p.NumLocations,
+		InitMemory:            grow(ar.exec.InitMemory, p.NumLocations),
+		Ops:                   ar.exec.Ops[:0],
+		PerCPU:                perCPU,
+		FirstStaleObservation: -1,
+	}
+	cycles := grow(ar.res.CyclesPerCPU, nCPU)
+	clear(cycles)
+	ar.res = Result{
+		Exec:         &ar.exec,
+		FinalMemory:  grow(ar.res.FinalMemory, p.NumLocations),
+		CyclesPerCPU: cycles,
+	}
+}
+
+// grow returns buf resliced to n, reallocating when its capacity is
+// short or it is nil (a fresh arena's slabs come out exactly as make
+// would give them). The contents are NOT zeroed.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n || buf == nil {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// reset prepares a machine for one run of p under cfg recording into
+// ar: reusable buffers keep their capacity and are re-zeroed, and the
+// rng is re-seeded (Seed resets the source to exactly the
+// rand.NewSource(seed) stream, so a reused machine's schedule is
+// byte-identical to a fresh one's).
+func (m *machine) reset(p *program.Program, cfg Config, ar *Arena) {
 	m.prog, m.cfg = p, cfg
 	if m.rng == nil {
 		m.rng = rand.New(rand.NewSource(cfg.Seed))
@@ -195,40 +257,47 @@ func (m *machine) reset(p *program.Program, cfg Config) {
 		}
 		cs.pc, cs.halted, cs.buf = 0, false, cs.buf[:0]
 	}
-	// Retained by the Result: allocated per run, see machinePool.
-	m.cycles = make([]int64, nCPU)
-	m.exec = &Execution{
-		ProgramName:           p.Name,
-		Model:                 cfg.Model,
-		Seed:                  cfg.Seed,
-		NumCPUs:               nCPU,
-		NumLocations:          p.NumLocations,
-		PerCPU:                make([][]int, nCPU),
-		FirstStaleObservation: -1,
-	}
+	ar.reset(p, cfg)
+	m.exec, m.cycles = ar.res.Exec, ar.res.CyclesPerCPU
 	m.step, m.stalls, m.retired, m.drains = 0, 0, 0, 0
 	m.err = nil
 }
 
-// release returns the machine to the pool, dropping every reference the
-// caller may retain (the execution, the cycle slice) or that would pin
-// the program alive.
+// release drops every reference the caller may retain (the execution,
+// the cycle slice) or that would pin the program alive, so an idle
+// machine holds only its own buffers.
 func (m *machine) release() {
 	m.prog, m.exec, m.cycles = nil, nil, nil
 	m.cfg = Config{}
-	machinePool.Put(m)
 }
 
 // Run executes the program under the configuration and returns the
-// execution record. Run is deterministic in (p, cfg).
+// execution record. Run is deterministic in (p, cfg). It is RunInto
+// with a fresh arena.
 func Run(p *program.Program, cfg Config) (*Result, error) {
+	return RunInto(p, cfg, nil)
+}
+
+// RunInto is Run recording into ar's slabs (see Arena); a nil arena
+// allocates freshly, exactly like Run. The Result is the same either
+// way.
+func RunInto(p *program.Program, cfg Config, ar *Arena) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 	cfg = cfg.withDefaults()
 	defer telemetry.Default().StartSpan("sim.run").End()
-	m := machinePool.Get().(*machine)
-	m.reset(p, cfg)
+	var m *machine
+	if ar == nil {
+		ar, m = new(Arena), machinePool.Get().(*machine)
+		defer machinePool.Put(m)
+	} else {
+		if ar.m == nil {
+			ar.m = new(machine)
+		}
+		m = ar.m
+	}
+	m.reset(p, cfg, ar)
 	defer m.release()
 	for a, v := range cfg.InitMemory {
 		if a < 0 || int(a) >= p.NumLocations {
@@ -237,7 +306,6 @@ func Run(p *program.Program, cfg Config) (*Result, error) {
 		m.mem[a].val = v
 		m.prev[a].val = v
 	}
-	m.exec.InitMemory = make([]int64, p.NumLocations)
 	for i := range m.mem {
 		m.exec.InitMemory[i] = m.mem[i].val
 	}
@@ -295,18 +363,13 @@ func Run(p *program.Program, cfg Config) (*Result, error) {
 		m.step++
 	}
 
-	final := make([]int64, len(m.mem))
+	r := &ar.res
 	for i, cell := range m.mem {
-		final[i] = cell.val
+		r.FinalMemory[i] = cell.val
 	}
+	r.Steps, r.Completed = m.step, completed
 	m.flushTelemetry(completed)
-	return &Result{
-		Exec:         m.exec,
-		FinalMemory:  final,
-		Steps:        m.step,
-		CyclesPerCPU: m.cycles,
-		Completed:    completed,
-	}, nil
+	return r, nil
 }
 
 // flushTelemetry batches the run's counters into the default registry,
