@@ -71,9 +71,11 @@ type Options struct {
 	// Such an Analysis is valid only until the next Analyze through the
 	// same arena. A campaign hands one arena per in-flight seed down, so
 	// repeated analyses stop re-allocating the same buffers. Without an
-	// arena, Analyze borrows pooled scratch and allocates the kept slabs
-	// afresh, so its Analysis has no such limit. An Arena must not be
-	// shared by concurrent Analyze calls.
+	// arena, Analyze borrows one process-wide scratch arena and allocates
+	// the kept slabs afresh, so its Analysis has no such limit; that
+	// shared arena keeps the largest working set any analysis gave it
+	// for the life of the process. An Arena must not be shared by
+	// concurrent Analyze calls.
 	Arena *Arena
 	// Flight, when non-nil, attaches a flight recorder: Analyze records
 	// the trace's events, hb1 edges tagged by origin (po/so1), the G′
@@ -135,13 +137,20 @@ type kept struct {
 // of the analyses run through it and are then reused.
 func NewArena() *Arena { return &Arena{} }
 
-// arenaPool backs Analyze calls that did not supply an Options.Arena, so
+// shared backs Analyze calls that did not supply an Options.Arena, so
 // every caller gets scratch reuse across analyses. Only the scratch is
-// borrowed: the slabs a pooled analysis keeps are allocated afresh,
-// since it outlives its return of the arena. An explicit arena still
-// wins (deterministic per-worker reuse, e.g. one per in-flight campaign
-// seed).
-var arenaPool = sync.Pool{New: func() any { return &Arena{} }}
+// borrowed: the slabs a default-path analysis keeps are allocated
+// afresh, since it outlives its return of the arena. One process-wide
+// arena, not a sync.Pool: a pool's per-P slot misses whenever the
+// calling goroutine has migrated to another P, and each miss regrows
+// the whole scratch. A caller that finds the arena busy (a concurrent
+// default-path Analyze) takes a fresh one instead, as a pool miss
+// would. An explicit arena still wins (deterministic per-worker reuse,
+// e.g. one per in-flight campaign seed).
+var shared struct {
+	mu sync.Mutex
+	ar Arena
+}
 
 // Race is a higher-level data race between two events (§4.1): A and B
 // access a common location that at least one writes, no hb1 path connects
@@ -313,12 +322,14 @@ func Analyze(t *trace.Trace, opts Options) (*Analysis, error) {
 		a.keep = &opts.Arena.keep
 	} else {
 		a.keep = new(kept)
-		ar := arenaPool.Get().(*Arena)
-		a.Options.Arena = ar
-		defer func() {
-			a.Options.Arena = opts.Arena // don't leak the pooled arena to the caller
-			arenaPool.Put(ar)
-		}()
+		if shared.mu.TryLock() {
+			a.Options.Arena = &shared.ar
+			defer shared.mu.Unlock()
+		} else {
+			a.Options.Arena = new(Arena)
+		}
+		// Don't leak the borrowed arena to the caller.
+		defer func() { a.Options.Arena = nil }()
 	}
 
 	done := startPhase(reg, fl, "detect.build_hb")

@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"weakrace/internal/core"
@@ -15,7 +16,7 @@ import (
 
 // TestParallelAnalysisCorpusEquivalent pins that repeated analyses of
 // one trace are byte-identical on the frozen 60-trace corpus: five
-// analyses run back to back through the pooled arena (Options.Workers
+// analyses run back to back through the shared arena (Options.Workers
 // varies across them but is ignored), then one through an explicit
 // arena shared by every trace of the corpus, so its kept slabs hold the
 // previous trace's clocks and races; the Analysis, the rendered report,
@@ -98,8 +99,8 @@ func TestParallelAnalysisCorpusEquivalent(t *testing.T) {
 }
 
 // TestPooledAnalysesStayValid pins the lifetime rule of the default
-// path: an Analysis made without an explicit arena borrows only pooled
-// scratch, so it stays intact while later analyses reuse that scratch.
+// path: an Analysis made without an explicit arena borrows only the
+// shared scratch, so it stays intact while later analyses reuse it.
 // Every corpus analysis is kept, and after all 60 each must still equal
 // a fresh analysis of its trace.
 func TestPooledAnalysesStayValid(t *testing.T) {
@@ -126,7 +127,52 @@ func TestPooledAnalysesStayValid(t *testing.T) {
 			!reflect.DeepEqual(got.Partitions, want.Partitions) ||
 			!reflect.DeepEqual(got.HBTime, want.HBTime) ||
 			!reflect.DeepEqual(got.AugSCC, want.AugSCC) {
-			t.Fatalf("trial %d: a pooled analysis changed after later analyses", trial)
+			t.Fatalf("trial %d: a default-path analysis changed after later analyses", trial)
+		}
+	}
+}
+
+// TestDefaultPathReusesScratch pins that the default path's scratch is
+// grown once: after a first default-path Analyze of the corpus's largest
+// trace, each further one allocates only the slabs its Analysis keeps,
+// under half of what an analysis through a fresh arena allocates
+// (scratch and kept slabs both). A scratch regrown on any call breaks
+// the bound. Each call runs on a new goroutine, which may land on
+// another P, after two garbage collections, as decoding a large trace
+// brings about: neither may cost the scratch.
+func TestDefaultPathReusesScratch(t *testing.T) {
+	var tr *trace.Trace
+	for trial, c := range workload.Corpus(60, 1) {
+		r, err := sim.Run(c.Workload.Prog, sim.Config{Model: c.Model, Seed: c.Seed, InitMemory: c.Workload.InitMemory})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if next := trace.FromExecution(r.Exec); tr == nil || next.NumEvents() > tr.NumEvents() {
+			tr = next
+		}
+	}
+	allocated := func(opts core.Options) uint64 {
+		var before, after runtime.MemStats
+		done := make(chan error)
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		go func() {
+			_, err := core.Analyze(tr, opts)
+			done <- err
+		}()
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	fresh := allocated(core.Options{Arena: core.NewArena()})
+	allocated(core.Options{})
+	for i := 0; i < 20; i++ {
+		if got := allocated(core.Options{}); got > fresh/2 {
+			t.Fatalf("default-path analysis %d allocated %d bytes, want at most %d (half a fresh arena's %d): its scratch was regrown",
+				i+2, got, fresh/2, fresh)
 		}
 	}
 }

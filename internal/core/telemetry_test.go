@@ -64,6 +64,7 @@ func TestAnalyzeEmitsTelemetry(t *testing.T) {
 		"detect.vc_components",
 		"detect.vc_window_queries",
 		"graph.vc.builds",
+		"graph.vc.components",
 		"detect.sweep.buckets",
 		"trace.builds",
 		"trace.events.comp",
