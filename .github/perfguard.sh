@@ -4,10 +4,12 @@
 #
 #   .github/perfguard.sh HEAD^1
 #
-# For each workload: three pairs of 3-second untraced runs at seed 1,
-# alternating which side runs first. The guard fails when any run's
-# result line is not correct or counts failed operations, or when this
-# checkout's median op_ms_p50 is over 1.5x the base's on any workload.
+# For each workload: five pairs of 3-second untraced runs at seed 1,
+# alternating which side runs first. A pair runs back to back, so the
+# ratio of its two op_ms_p50 readings cancels the machine's drift between
+# pairs. The guard fails when any run's result line is not correct or
+# counts failed operations, or when the median of a workload's five
+# change/base ratios is over 1.5.
 # The base is checked out as a temporary worktree; builds go to a
 # temporary directory per side. Both are removed on exit.
 set -euo pipefail
@@ -16,7 +18,7 @@ if [ $# -ne 1 ]; then
 	exit 2
 fi
 workloads=(postmortem campaign stream)
-pairs=3
+pairs=5
 seconds=3
 max_ratio=1.5
 
@@ -40,17 +42,16 @@ run() {
 	jq '.metrics.op_ms_p50.value' <<<"$line" >>"$tmp/$1-$2"
 }
 
-median() { jq -s 'sort | .[length / 2 | floor]' "$1"; }
-
 fail=0
 for w in "${workloads[@]}"; do
 	for ((i = 0; i < pairs; i++)); do
 		if ((i % 2 == 0)); then run base "$w"; run change "$w"; else run change "$w"; run base "$w"; fi
 	done
-	b=$(median "$tmp/base-$w") c=$(median "$tmp/change-$w")
-	r=$(jq -n "$c / $b")
-	printf '%-10s op_ms_p50 median: base %.3f ms, change %.3f ms, ratio %.3f (runs: base %s, change %s)\n' \
-		"$w" "$b" "$c" "$r" "$(jq -sc . "$tmp/base-$w")" "$(jq -sc . "$tmp/change-$w")"
+	ratios=$(jq -nc --slurpfile b "$tmp/base-$w" --slurpfile c "$tmp/change-$w" \
+		'[range($b | length) as $i | $c[$i] / $b[$i]]')
+	r=$(jq -n "$ratios | sort | .[length / 2 | floor]")
+	printf '%-10s op_ms_p50 change/base per pair %s, median %.3f (runs: base %s, change %s)\n' \
+		"$w" "$ratios" "$r" "$(jq -sc . "$tmp/base-$w")" "$(jq -sc . "$tmp/change-$w")"
 	if jq -e -n "$r > $max_ratio" >/dev/null; then
 		echo "perfguard: $w is over ${max_ratio}x slower than the base" >&2
 		fail=1

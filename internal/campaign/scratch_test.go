@@ -40,9 +40,9 @@ func TestCampaignReportSurvivesScratchReuse(t *testing.T) {
 }
 
 // maxSeedAllocs bounds the heap allocations of one campaign seed —
-// simulate, build the trace, analyze — through warmed arenas: 18
-// measured on the buggy counter, plus 20% headroom.
-const maxSeedAllocs = 22
+// simulate, build the trace, analyze — through warmed arenas: 15
+// measured on the buggy counter, plus 4 of slack.
+const maxSeedAllocs = 19
 
 // TestSeedAllocations: a campaign seed reuses every slab it builds, so
 // once its scratch set is warm the seed allocates a small fixed number

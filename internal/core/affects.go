@@ -70,7 +70,7 @@ func (a *Analysis) Unaffected(ri int) bool {
 func (a *Analysis) RaceOfPartition(ri int) int {
 	comp := a.AugSCC.Comp[int(a.Races[ri].A)]
 	for pi := range a.Partitions {
-		if a.Partitions[pi].Component == comp {
+		if a.Partitions[pi].Component == int(comp) {
 			return pi
 		}
 	}

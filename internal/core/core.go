@@ -67,7 +67,8 @@ type Options struct {
 	// scratch (the location-sorted access slab, race records, SCC stacks,
 	// the G′ partner table) and the slabs the returned Analysis keeps
 	// (the hb1 clocks with their stream and position tables, G′'s
-	// component ids and members, the races and their location sets).
+	// component ids and condensation with its reachability row table, the
+	// races and their location sets).
 	// Such an Analysis is valid only until the next Analyze through the
 	// same arena. A campaign hands one arena per in-flight seed down, so
 	// repeated analyses stop re-allocating the same buffers. Without an
@@ -89,12 +90,12 @@ type Options struct {
 // Arena holds the per-Analyze buffers: the scratch — the so1 index and
 // flat hb1, the sweep's access slab and flat record buffers, the G′
 // partner table, the partition grouping table, and the graph layer's
-// merge, Tarjan and condensation scratch — and the slabs the returned
-// Analysis keeps: HBTime's clocks and stream/position tables, AugSCC's
-// components, and Races with their location sets. Like trace.Arena and
-// sim.Arena, the kept slabs make an Analysis built through an arena
-// valid only until the next Analyze through it. Zero value is ready to
-// use; see Options.Arena.
+// merge and Tarjan scratch — and the slabs the returned Analysis keeps:
+// HBTime's clocks and stream/position tables, AugSCC's components and
+// condensation, the partition order's row table, and Races with their
+// location sets. Like trace.Arena and sim.Arena, the kept slabs make an
+// Analysis built through an arena valid only until the next Analyze
+// through it. Zero value is ready to use; see Options.Arena.
 type Arena struct {
 	rel []int32       // rel[event]: its so1 release, −1 when none
 	hb  graph.Streams // hb1 over rel: po chains plus so1 successor lists
@@ -123,9 +124,9 @@ type Arena struct {
 	keep kept
 }
 
-// kept holds the slabs an Analysis retains: the graph layer's clocks
-// and components, the race slab with its identity index, and the slab
-// the races' location sets are carved from.
+// kept holds the slabs an Analysis retains: the graph layer's clocks,
+// components, condensation and its row table, the race slab with its
+// identity index, and the slab the races' location sets are carved from.
 type kept struct {
 	graph     graph.Slabs
 	races     []Race
@@ -398,8 +399,7 @@ func (a *Analysis) flushTelemetry(reg *telemetry.Registry) {
 	// per analysis — the partition-structure view. The graph layer's
 	// graph.scc.max_size gauge instead tracks the largest SCC across
 	// every SCC computation (hb1 and augmented, explicit or implicit).
-	// Both reuse the size Tarjan tracked while closing components;
-	// nothing rescans Members.
+	// Both reuse the size Tarjan tracked while closing components.
 	reg.Gauge("detect.scc.max_size").SetMax(int64(a.AugSCC.MaxSize()))
 }
 
@@ -978,8 +978,9 @@ type pairRec struct {
 // CPU). Event ids are processor-major, so a row read in CPU order lists
 // a node's partners in ascending id order — the order Tarjan's component
 // numbering follows — with no per-node sort. Entry count is bounded by
-// racy-nodes × (CPUs−1). Partition ordering is answered by memoized
-// per-source DFS over the condensation (graph.CondReach), never a full
+// racy-nodes × (CPUs−1). Tarjan collects G′'s condensation on the same
+// pass that finds its components, and partition ordering is answered by
+// memoized per-source DFS over it (graph.CondReach), never a full
 // closure.
 func (a *Analysis) buildImplicitAug() {
 	ar := a.Options.Arena
@@ -1006,7 +1007,7 @@ func (a *Analysis) buildImplicitAug() {
 	ar.partners = partners
 	scc := ar.hb.SCC(partners, &ar.scratch, &a.keep.graph)
 	a.AugSCC = scc
-	a.augCond = graph.NewCondReach(&ar.hb, partners, scc, &ar.scratch)
+	a.augCond = graph.NewCondReach(scc, &a.keep.graph)
 	a.augEdges = nEntries
 }
 
@@ -1039,7 +1040,7 @@ func (a *Analysis) partition(reg *telemetry.Registry, fl *flight) {
 		// both ends are always in the same component.
 		comp := scc.Comp[int(r.A)]
 		if slot[comp] == 0 {
-			parts = append(parts, Partition{Component: comp})
+			parts = append(parts, Partition{Component: int(comp)})
 			slot[comp] = int32(len(parts))
 		}
 		p := &parts[slot[comp]-1]

@@ -564,7 +564,7 @@ func TestQuickDetectorInvariants(t *testing.T) {
 		sccs := a.AugSCC
 		for _, p := range a.Partitions {
 			for _, ev := range p.Events {
-				if sccs.Comp[int(ev)] != p.Component {
+				if int(sccs.Comp[int(ev)]) != p.Component {
 					return false
 				}
 			}

@@ -1,9 +1,9 @@
 // Package graph implements the directed-graph machinery the detector
 // needs: flat stream-structured graphs (the shape of happens-before-1)
-// and their vector-clock timestamps, Tarjan's strongly-connected-
-// components algorithm over such a graph plus a dense partner overlay
-// (the augmented graph G′), and memoized reachability over the
-// condensation.
+// and their vector-clock timestamps, one Tarjan pass over such a graph
+// plus a dense partner overlay (the augmented graph G′) that yields both
+// the strongly connected components and their condensation, and
+// memoized reachability over that condensation.
 //
 // The happens-before-1 graph of a weak execution is NOT guaranteed to be
 // acyclic (paper §3.1: "the so1 relation and hence the hb1 relation may
@@ -15,75 +15,73 @@ package graph
 
 import (
 	"fmt"
-	"slices"
 	"sync/atomic"
 
 	"weakrace/internal/bitset"
 	"weakrace/internal/telemetry"
 )
 
-// SCC holds the strongly connected components of a digraph: Comp[v] is the
-// component id of node v, and components are numbered in reverse
-// topological order of the condensation (Tarjan's property: a component is
-// assigned its id only after all components it can reach). Members lists
-// the nodes of each component.
+// SCC holds the strongly connected components of a digraph and their
+// condensation. Comp[v] is the component id of node v, and components are
+// numbered in reverse topological order of the condensation (Tarjan's
+// property: a component is assigned its id only after all components it
+// can reach), so every condensation edge runs to a lower id.
 type SCC struct {
-	Comp []int
+	Comp []int32
 
-	// members holds every component's nodes back to back, component c
-	// at members[off[c]:off[c+1]]: two allocations per decomposition,
-	// not one row header per component.
-	members []int
-	off     []int32
-	maxSize int
+	// The condensation in compressed-sparse-row form: component c's
+	// successors are succ[off[c]:off[c+1]], distinct, in the order the
+	// DFS met them.
+	off, succ []int32
+	maxSize   int
 }
 
 // NumComponents returns the number of strongly connected components.
 func (s *SCC) NumComponents() int { return len(s.off) - 1 }
 
-// Members returns the nodes of component c, aliasing the decomposition's
-// storage; callers must not mutate it.
-func (s *SCC) Members(c int) []int {
-	lo, hi := s.off[c], s.off[c+1]
-	return s.members[lo:hi:hi]
-}
+// Succ returns the successors of component c in the condensation: every
+// other component an edge from one of c's nodes enters, each once. The
+// slice aliases the decomposition's storage; callers must not mutate it.
+func (s *SCC) Succ(c int) []int32 { return s.succ[s.off[c]:s.off[c+1]] }
 
-// MaxSize returns the size of the largest component. It is tracked while
-// Tarjan closes components, so consumers (telemetry, reports) share one
-// computation instead of each rescanning the members.
+// MaxSize returns the size of the largest component, counted while the
+// components close.
 func (s *SCC) MaxSize() int { return s.maxSize }
 
-// Scratch holds reusable traversal buffers for the SCC, condensation and
-// timestamp passes: the Tarjan bookkeeping arrays and DFS stacks, the
-// packed-key buffer the condensation sort-dedupe uses, and the merge
-// order, stream heads and stream lengths of the clock pass. Only buffers
-// that are NOT retained by the returned structures live here (what the
-// results keep comes from a Slabs, or is allocated fresh). A Scratch is
-// not safe for concurrent use; pool one per worker.
+// Scratch holds reusable traversal buffers for the SCC and timestamp
+// passes: the DFS frames, the stack of open nodes and the stack of
+// condensation targets beside them, the per-component dedupe stamps, and
+// the merge order, stream heads and stream lengths of the clock pass.
+// Only buffers that are NOT retained by the returned structures live
+// here (what the results keep comes from a Slabs, or is allocated
+// fresh). A Scratch is not safe for concurrent use; pool one per worker.
 type Scratch struct {
-	index, low          []int
-	onStack             []bool
-	stack               []int
-	callNode, callEdge  []int
-	keys                []uint64
-	order, head, strLen []int32
+	frames                []frame
+	stack, targets, stamp []int32
+	order, head, strLen   []int32
 }
+
+// frame is one node on the DFS path: the node, its successor cursor, the
+// index it was visited with, and the height of the target stack when it
+// was entered.
+type frame struct{ v, next, index, targets int32 }
 
 // Slabs holds the storage the graph results retain: a Streams' stream
 // and position tables (which the Timestamps built over it keep), the
-// Timestamps' clocks, and an SCC's component ids and members. A result
-// built through a Slabs aliases it, so the next build of the same kind
-// through that Slabs invalidates the earlier result; a nil Slabs
-// allocates each result afresh. A caller that drops every result before
-// building the next (a campaign worker analyzing one seed at a time)
-// passes one Slabs to every build and stops re-allocating them. The
-// zero value is ready to use; a Slabs is not safe for concurrent use.
+// Timestamps' clocks, an SCC's component ids and condensation, and a
+// CondReach's row table. A result built through a Slabs aliases it, so
+// the next build of the same kind through that Slabs invalidates the
+// earlier result; a nil Slabs allocates each result afresh. A caller
+// that drops every result before building the next (a campaign worker
+// analyzing one seed at a time) passes one Slabs to every build and
+// stops re-allocating them. The zero value is ready to use; a Slabs is
+// not safe for concurrent use.
 type Slabs struct {
-	stream, pos   []int32
-	fw            []uint32
-	bw            []int32
-	comp, members []int
-	off           []int32
+	stream, pos     []int32
+	fw              []uint32
+	bw              []int32
+	comp, off, succ []int32
+	rows            []atomic.Pointer[bitset.Set]
 }
 
 // reuse returns *buf resliced to n, reallocating it when its capacity
@@ -100,12 +98,30 @@ func reuse[T any](buf *[]T, n int) []T {
 // partners is non-nil, the partner edges u→partners[u*Width()+p] of
 // every entry that is not −1: the detector's augmented graph G′, whose
 // race edges reach it as a dense events × CPUs table of per-CPU minimal
-// partners. It is an iterative Tarjan (so million-node traces cannot
-// overflow the stack) that visits each node's own successors, then its
-// partners in row order: that order fixes the component numbering. sc
-// (optional) supplies the Tarjan scratch; the result remains valid after
-// sc is reused. keep (optional) supplies the component ids and members
-// the result holds (see Slabs); nil allocates them afresh.
+// partners. The same pass collects the condensation. It is an iterative
+// Tarjan (so million-node traces cannot overflow the stack) that visits
+// each node's own successors, then its partners in row order: that order
+// fixes the component numbering. sc (optional) supplies the traversal
+// scratch; the result remains valid after sc is reused. keep (optional)
+// supplies the component ids and condensation the result holds (see
+// Slabs); nil allocates them afresh.
+//
+// The bookkeeping is Pearce's single array (D. J. Pearce, "A
+// space-efficient algorithm for finding strongly connected components",
+// IPL 116(1), 2016), rindex, which ends up as Comp. rindex[v] is 0 until
+// v is visited. While v's component is open it holds the least visit
+// index v is known to reach. Once the component closes it holds the
+// component's slot c, counted down from n. Visit indices are recycled
+// as components close, so an open value never exceeds the number of
+// open nodes, which stays below every slot handed out: "w's component
+// has closed" is rindex[w] > c. Slot c is Tarjan's id n−c.
+//
+// An edge into a closed component is a condensation edge, and so is a
+// tree edge to a child that closed its own component. Their target
+// components go on a stack beside the DFS frames. A closing component
+// pops the targets its members pushed, dedupes them with a stamp per
+// component and appends them as its row. Components close in ascending
+// id, so the rows come out in order.
 func (s *Streams) SCC(partners []int32, sc *Scratch, keep *Slabs) *SCC {
 	width := s.overlay(partners)
 	n := s.N()
@@ -115,57 +131,42 @@ func (s *Streams) SCC(partners []int32, sc *Scratch, keep *Slabs) *SCC {
 	if keep == nil {
 		keep = &Slabs{}
 	}
-	const unvisited = -1
-	index := reuse(&sc.index, n)
-	low := reuse(&sc.low, n)
-	comp := reuse(&keep.comp, n)
-	onStack := reuse(&sc.onStack, n)
-	for i := range index {
-		index[i] = unvisited
-		comp[i] = unvisited
-		onStack[i] = false
-	}
-	// Every node lands in exactly one component, so the members are one
-	// n-int slab plus one offset per component, both sized up front.
-	// They come from keep, not the scratch: the SCC holds them.
-	members := reuse(&keep.members, n)[:0]
-	off := reuse(&keep.off, n+1)[:1]
-	off[0] = 0
-	maxSize, nextIdx := 0, 0
-	stack := sc.stack[:0]       // Tarjan's node stack
-	callNode := sc.callNode[:0] // explicit DFS stack: node
-	callEdge := sc.callEdge[:0] // explicit DFS stack: successor cursor
-	for root := 0; root < n; root++ {
-		if index[root] != unvisited {
+	rindex := reuse(&keep.comp, n)
+	clear(rindex)
+	off := append(reuse(&keep.off, 0), 0)
+	succ := reuse(&keep.succ, 0)
+	frames, stack := sc.frames[:0], sc.stack[:0]
+	targets, stamp := sc.targets[:0], sc.stamp[:0]
+	index, c := int32(1), int32(n)
+	maxSize := 0
+	for root := range int32(n) {
+		if rindex[root] != 0 {
 			continue
 		}
-		callNode = append(callNode[:0], root)
-		callEdge = append(callEdge[:0], int(s.off[root]))
-		index[root] = nextIdx
-		low[root] = nextIdx
-		nextIdx++
-		stack = append(stack, root)
-		onStack[root] = true
-		for len(callNode) > 0 {
+		rindex[root] = index
+		frames = append(frames, frame{root, s.off[root], index, int32(len(targets))})
+		index++
+		for len(frames) > 0 {
 			// Scan the frame's remaining successors — the CSR list
 			// first, then the partner row — in one tight loop, keeping
-			// the lowlink in a register. The cursor runs on from the
-			// list into the row, so resuming a frame costs nothing.
-			v := callNode[len(callNode)-1]
-			ei := callEdge[len(callEdge)-1]
-			end := int(s.off[v+1])
+			// the node's low value in a register. The cursor runs on
+			// from the list into the row, so resuming a frame costs
+			// nothing.
+			f := frames[len(frames)-1]
+			v := int(f.v)
+			ei, end := int(f.next), int(s.off[v+1])
 			var row []int32
 			if partners != nil {
 				row = partners[v*width : (v+1)*width]
 			}
-			lowv := low[v]
+			low := rindex[v]
 			descended := false
-			for {
-				var w int
+			for !descended {
+				var w int32
 				if ei < end {
-					w = int(s.succ[ei])
+					w = s.succ[ei]
 				} else if j := ei - end; j < len(row) {
-					if w = int(row[j]); w < 0 {
+					if w = row[j]; w < 0 {
 						ei++
 						continue
 					}
@@ -173,54 +174,65 @@ func (s *Streams) SCC(partners []int32, sc *Scratch, keep *Slabs) *SCC {
 					break
 				}
 				ei++
-				if index[w] == unvisited {
-					callEdge[len(callEdge)-1] = ei
-					low[v] = lowv
-					index[w] = nextIdx
-					low[w] = nextIdx
-					nextIdx++
-					stack = append(stack, w)
-					onStack[w] = true
-					callNode = append(callNode, w)
-					callEdge = append(callEdge, int(s.off[w]))
+				switch rw := rindex[w]; {
+				case rw == 0:
+					frames[len(frames)-1].next = int32(ei)
+					rindex[v] = low
+					rindex[w] = index
+					frames = append(frames, frame{w, s.off[w], index, int32(len(targets))})
+					index++
 					descended = true
-					break
-				} else if onStack[w] && index[w] < lowv {
-					lowv = index[w]
+				case rw > c:
+					targets = append(targets, int32(n)-rw)
+				case rw < low:
+					low = rw
 				}
 			}
 			if descended {
 				continue
 			}
-			low[v] = lowv
-			// Finished v: pop the DFS frame, propagate lowlink, maybe
-			// close a component.
-			callNode = callNode[:len(callNode)-1]
-			callEdge = callEdge[:len(callEdge)-1]
-			if len(callNode) > 0 {
-				parent := callNode[len(callNode)-1]
-				if low[v] < low[parent] {
-					low[parent] = low[v]
+			frames = frames[:len(frames)-1]
+			if low < f.index {
+				// v reaches an open node visited before it, so it
+				// belongs to that node's component: leave it open and
+				// hand its low value to its parent.
+				rindex[v] = low
+				stack = append(stack, f.v)
+				parent := frames[len(frames)-1].v
+				rindex[parent] = min(rindex[parent], low)
+				continue
+			}
+			// v roots a component: close it with its open descendants.
+			size := 1
+			for len(stack) > 0 && rindex[stack[len(stack)-1]] >= f.index {
+				rindex[stack[len(stack)-1]] = c
+				stack = stack[:len(stack)-1]
+				size++
+			}
+			rindex[v] = c
+			index -= int32(size)
+			maxSize = max(maxSize, size)
+			id := int32(n) - c
+			c--
+			for _, t := range targets[f.targets:] {
+				if stamp[t] != id {
+					stamp[t] = id
+					succ = append(succ, t)
 				}
 			}
-			if low[v] == index[v] {
-				c, start := len(off)-1, len(members)
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp[w] = c
-					members = append(members, w)
-					if w == v {
-						break
-					}
-				}
-				off = append(off, int32(len(members)))
-				maxSize = max(maxSize, len(members)-start)
+			stamp = append(stamp, -1)
+			off = append(off, int32(len(succ)))
+			targets = targets[:f.targets]
+			if len(frames) > 0 {
+				targets = append(targets, id)
 			}
 		}
 	}
-	sc.stack, sc.callNode, sc.callEdge = stack[:0], callNode[:0], callEdge[:0]
+	for v, r := range rindex {
+		rindex[v] = int32(n) - r
+	}
+	sc.frames, sc.stack, sc.targets, sc.stamp = frames, stack, targets, stamp[:0]
+	keep.off, keep.succ = off, succ
 	// graph.scc.max_size tracks the largest SCC across EVERY SCC
 	// computation in the process — hb1's per-component clock fallback
 	// and G′ alike. The per-analysis G′-only view is detect.scc.max_size
@@ -228,7 +240,7 @@ func (s *Streams) SCC(partners []int32, sc *Scratch, keep *Slabs) *SCC {
 	if reg := telemetry.Default(); reg.Enabled() {
 		reg.Gauge("graph.scc.max_size").SetMax(int64(maxSize))
 	}
-	return &SCC{Comp: comp, members: members, off: off, maxSize: maxSize}
+	return &SCC{Comp: rindex, off: off, succ: succ, maxSize: maxSize}
 }
 
 // overlay checks that partners is nil or one row of Width() entries per
@@ -249,63 +261,20 @@ func (s *Streams) overlay(partners []int32) int {
 // are ever sources — the full closure pays for C rows to serve k.
 // Queries are safe for concurrent use.
 type CondReach struct {
-	scc *SCC
-	// The condensation DAG in compressed-sparse-row form: component c's
-	// successors are succ[off[c]:off[c+1]], ascending and distinct.
-	off, succ []int32
-	rows      []atomic.Pointer[bitset.Set]
+	scc  *SCC
+	rows []atomic.Pointer[bitset.Set]
 }
 
-// NewCondReach builds the condensation of s plus partners (see SCC)
-// under the component assignment scc — an edge c1→c2 whenever some edge
-// crosses from component c1 to c2 — and wraps it for memoized
-// reachability queries. Cross edges are deduplicated by sorting packed
-// (c1,c2) keys, no per-edge map; the key buffer comes from sc when
-// non-nil. No closure work happens until the first query.
-func NewCondReach(s *Streams, partners []int32, scc *SCC, sc *Scratch) *CondReach {
-	width := s.overlay(partners)
-	var keys []uint64
-	if sc != nil {
-		keys = sc.keys[:0]
+// NewCondReach wraps scc's condensation for memoized reachability
+// queries. No closure work happens until the first query. keep
+// (optional) supplies the row table (see Slabs); nil allocates it afresh.
+func NewCondReach(scc *SCC, keep *Slabs) *CondReach {
+	if keep == nil {
+		keep = &Slabs{}
 	}
-	for u := 0; u < s.N(); u++ {
-		cu := scc.Comp[u]
-		for _, v := range s.Succ(u) {
-			if cv := scc.Comp[v]; cu != cv {
-				keys = append(keys, uint64(cu)<<32|uint64(cv))
-			}
-		}
-		if partners == nil {
-			continue
-		}
-		for _, v := range partners[u*width : (u+1)*width] {
-			if v < 0 {
-				continue
-			}
-			if cv := scc.Comp[v]; cu != cv {
-				keys = append(keys, uint64(cu)<<32|uint64(cv))
-			}
-		}
-	}
-	slices.Sort(keys)
-	keys = slices.Compact(keys)
-	// The keys sort by source component, so their targets are already
-	// the CSR successor array; off counts each source's edges, and a
-	// prefix sum turns the counts into list ends.
-	k := scc.NumComponents()
-	r := &CondReach{scc: scc, off: make([]int32, k+1), succ: make([]int32, len(keys)),
-		rows: make([]atomic.Pointer[bitset.Set], k)}
-	for i, key := range keys {
-		r.succ[i] = int32(key & 0xffffffff)
-		r.off[key>>32+1]++
-	}
-	for c := 0; c < k; c++ {
-		r.off[c+1] += r.off[c]
-	}
-	if sc != nil {
-		sc.keys = keys[:0]
-	}
-	return r
+	rows := reuse(&keep.rows, scc.NumComponents())
+	clear(rows)
+	return &CondReach{scc: scc, rows: rows}
 }
 
 // ComponentReaches reports whether component c1 reaches c2 in the DAG.
@@ -326,7 +295,7 @@ func (r *CondReach) ComponentReaches(c1, c2 int) bool {
 
 // Reaches reports whether node u reaches node v in the underlying graph.
 func (r *CondReach) Reaches(u, v int) bool {
-	return r.ComponentReaches(r.scc.Comp[u], r.scc.Comp[v])
+	return r.ComponentReaches(int(r.scc.Comp[u]), int(r.scc.Comp[v]))
 }
 
 // materialize runs one DFS from c, reusing any descendant rows already
@@ -343,7 +312,7 @@ func (r *CondReach) materialize(c int) *bitset.Set {
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, v32 := range r.succ[r.off[u]:r.off[u+1]] {
+		for _, v32 := range r.scc.Succ(u) {
 			v := int(v32)
 			if row.Contains(v) {
 				continue

@@ -8,9 +8,10 @@ import (
 )
 
 // Building through one reused Slabs — stream tables, clocks, G′
-// components — must give exactly what fresh slabs give, whatever the
-// previous graph through it left behind: graphs of random widths and
-// lengths, acyclic and cyclic, one after another.
+// components and condensation, its reachability rows — must give exactly
+// what fresh slabs give, whatever the previous graph through it left
+// behind: graphs of random widths and lengths, acyclic and cyclic, one
+// after another.
 func TestSlabsReuseMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	var (
@@ -26,8 +27,19 @@ func TestSlabsReuseMatchesFresh(t *testing.T) {
 		if got, want := NewTimestamps(&kept, &sc, &keep), NewTimestamps(fresh, nil, nil); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: timestamps through reused slabs differ from fresh ones", label)
 		}
-		if got, want := kept.SCC(partners, &sc, &keep), fresh.SCC(partners, nil, nil); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: G′ components through reused slabs differ from fresh ones", label)
+		got, want := kept.SCC(partners, &sc, &keep), fresh.SCC(partners, nil, nil)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: G′ components or condensation through reused slabs differ from fresh ones", label)
+		}
+		// Every query materializes rows, which a reused row table must
+		// not carry into the next trial.
+		gotCR, wantCR := NewCondReach(got, &keep), NewCondReach(want, nil)
+		for c1 := 0; c1 < want.NumComponents(); c1++ {
+			for c2 := 0; c2 < want.NumComponents(); c2++ {
+				if gotCR.ComponentReaches(c1, c2) != wantCR.ComponentReaches(c1, c2) {
+					t.Fatalf("%s: condensation reachability %d⇝%d through reused slabs differs", label, c1, c2)
+				}
+			}
 		}
 	}
 }

@@ -41,10 +41,12 @@ import (
 // merge stalls: no head's predecessor is ever clocked. Only then do the
 // clocks fall back to one row per strongly connected component, whose
 // members share it (every member reaches every other), assigned in
-// Tarjan order: components are numbered in reverse topological order, so
-// one descending-id pass pushes each finished forward clock along its
-// outgoing cross-component edges, and one ascending-id pass pulls the
-// successors' backward frontiers.
+// Tarjan order. One pass over the nodes folds their own epochs and
+// positions into their rows. Components are numbered in reverse
+// topological order, so one descending-id pass then pushes each finished
+// forward clock along the condensation edges the same Tarjan pass
+// collected, and one ascending-id pass pulls the successors' backward
+// frontiers.
 type Timestamps struct {
 	stream []int32 // stream[u]: the stream (processor) of node u
 	pos    []int32 // pos[u]: u's position within its stream
@@ -185,44 +187,35 @@ func (t *Timestamps) fold(s *Streams, sc *Scratch, strLen []int32) {
 	k, width := scc.NumComponents(), t.width
 	t.fw, t.bw = t.fw[:k*width], t.bw[:k*width]
 	clear(t.fw)
-	comp := scc.Comp
-	// Forward pass, descending component ids. Tarjan assigns a component
-	// its id only after every component it reaches, so edges cross from
-	// higher ids to lower ids and descending order visits each component
-	// after all of its predecessors have pushed their clocks into it:
-	// fold the members' own epochs, then push the finished row along
-	// every outgoing cross-component edge.
+	for c := 0; c < k; c++ {
+		copy(t.bw[c*width:(c+1)*width], strLen)
+	}
+	// One pass over the nodes folds each node's epoch and position into
+	// its component's row.
+	for u, c := range scc.Comp {
+		i := int(c)*width + int(s.stream[u])
+		t.fw[i] = max(t.fw[i], uint32(s.pos[u])+1)
+		t.bw[i] = min(t.bw[i], s.pos[u])
+	}
+	// Condensation edges run from higher ids to lower ones. Visiting the
+	// components in descending id, each forward clock is final — every
+	// predecessor has pushed into it — before it is pushed along the
+	// component's own edges; visiting them in ascending id, each
+	// successor's backward frontier is final before a predecessor pulls
+	// it.
 	for c := k - 1; c >= 0; c-- {
 		row := t.fw[c*width : (c+1)*width]
-		for _, u := range scc.Members(c) {
-			row[s.stream[u]] = max(row[s.stream[u]], uint32(s.pos[u])+1)
-		}
-		for _, u := range scc.Members(c) {
-			for _, v := range s.Succ(u) {
-				if cv := comp[v]; cv != c {
-					dst := t.fw[cv*width : (cv+1)*width]
-					for i, x := range row {
-						dst[i] = max(dst[i], x)
-					}
-				}
+		for _, d := range scc.Succ(c) {
+			dst := t.fw[int(d)*width : int(d+1)*width]
+			for i, x := range row {
+				dst[i] = max(dst[i], x)
 			}
 		}
 	}
-	// Backward pass, ascending component ids (successors are final before
-	// any predecessor reads them): pull the successors' frontiers, then
-	// fold the members' own positions.
 	for c := 0; c < k; c++ {
 		row := t.bw[c*width : (c+1)*width]
-		copy(row, strLen)
-		for _, u := range scc.Members(c) {
-			for _, v := range s.Succ(u) {
-				if cv := comp[v]; cv != c {
-					meet(row, t.bw[cv*width:(cv+1)*width])
-				}
-			}
-		}
-		for _, u := range scc.Members(c) {
-			row[s.stream[u]] = min(row[s.stream[u]], s.pos[u])
+		for _, d := range scc.Succ(c) {
+			meet(row, t.bw[int(d)*width:int(d+1)*width])
 		}
 	}
 }
@@ -235,7 +228,7 @@ func (t *Timestamps) NumComponents() int { return len(t.fw) / max(t.width, 1) }
 // row returns the clock row of node u.
 func (t *Timestamps) row(u int) int {
 	if t.scc != nil {
-		return t.scc.Comp[u]
+		return int(t.scc.Comp[u])
 	}
 	return u
 }

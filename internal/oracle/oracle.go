@@ -2,9 +2,10 @@
 // check it against, written as plainly as the paper states them and
 // sharing no code with internal/graph or internal/core: hb1 built
 // explicitly from a trace, a DFS transitive closure with bit-set rows, a
-// recursive Tarjan, and the augmented graph G′ with its races and
-// partitions by brute force. Everything is quadratic or worse in the
-// event count and meant for test-sized traces.
+// recursive Tarjan, the condensation built edge by edge, and the
+// augmented graph G′ with its races and partitions by brute force.
+// Everything is quadratic or worse in the event count and meant for
+// test-sized traces.
 //
 // Only _test.go files import this package; CI fails if a command or the
 // benchmark module depends on it.
@@ -120,6 +121,28 @@ func Tarjan(adj [][]int) []int {
 		}
 	}
 	return comp
+}
+
+// Condensation returns the condensation of adj under the component
+// assignment comp: for each component, the other components some edge
+// from one of its nodes enters, ascending and each once.
+func Condensation(adj [][]int, comp []int) [][]int {
+	k := 0
+	for _, c := range comp {
+		k = max(k, c+1)
+	}
+	succ := make([][]int, k)
+	for u, vs := range adj {
+		for _, v := range vs {
+			if cu, cv := comp[u], comp[v]; cu != cv && !slices.Contains(succ[cu], cv) {
+				succ[cu] = append(succ[cu], cv)
+			}
+		}
+	}
+	for _, row := range succ {
+		slices.Sort(row)
+	}
+	return succ
 }
 
 // GPrime recomputes core.Analyze's races and partitions straight from a
